@@ -4,8 +4,8 @@ Subcommands write plain CSV files into the output directory; every file
 carries a comment header with a hash of the resolved configuration, so a
 file can always be traced back to the run that produced it.  Outputs are
 byte-identical given the same configuration and seed: no timestamps, fixed
-float formatting, deterministic merge order regardless of thread count
-(the hash therefore excludes the output path and the thread count).
+float formatting, one serial sieve pass.  The hash excludes the output path
+and `threads`, which is accepted and validated but selects no code path.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric verification failure
 (zero-count consistency), 4 I/O or missing-input error.
@@ -72,7 +72,7 @@ class RunConfig:
     trials: int = 10_000
 
     def hash(self) -> str:
-        # excludes `out` and `threads`: results must not depend on either
+        # excludes `out` and `threads`: results do not depend on either
         canon = "|".join(
             [
                 f"xmax={self.x_max}",
@@ -93,20 +93,35 @@ class RunConfig:
         return f"config={self.hash()} version={__version__}"
 
 
-_CONFIG_KEYS = {
-    "xmax": ("x_max", int),
-    "q": ("q", int),
-    "chi": ("chi", str),
-    "kind": ("kinds", lambda s: tuple(s.split(","))),
-    "T": ("t_scan", float),
-    "T0": ("t0_list", lambda s: tuple(float(v) for v in s.split(","))),
-    "ratio": ("ratio", float),
-    "segment_size": ("segment_size", int),
-    "out": ("out", str),
-    "seed": ("seed", int),
-    "threads": ("threads", int),
-    "trials": ("trials", int),
+def _tuple_of(conv):
+    return lambda text: tuple(conv(v) for v in text.split(","))
+
+
+# One table for the config file and the command line.  Key (also the flag,
+# with "_" spelled "-") -> (RunConfig field, converter of the text value,
+# argparse options).  A repeated flag is joined with "," like a file value.
+_OPTIONS = {
+    "xmax": ("x_max", int, dict(help="sieve ceiling x_max")),
+    "q": ("q", int, dict(help="modulus")),
+    "chi": ("chi", str, dict(help="character index or 'all'")),
+    "kind": ("kinds", _tuple_of(str), dict(action="append", choices=KINDS, help="race kind (repeatable)")),
+    "T": ("t_scan", float, dict(help="zero-scan height")),
+    "T0": ("t0_list", _tuple_of(float), dict(action="append", help="zero-sum truncation (repeatable)")),
+    "ratio": ("ratio", float, dict(help="checkpoint grid ratio")),
+    "segment_size": ("segment_size", int, dict(help="sieve segment size")),
+    "out": ("out", str, dict(help="output directory")),
+    "seed": ("seed", int, dict(help="Monte Carlo seed")),
+    "threads": ("threads", int, dict(help="accepted (>= 1) for compatibility; runs are serial")),
+    "trials": ("trials", int, dict(help="Monte Carlo trials")),
 }
+
+
+def _convert(key: str, text: str, where: str):
+    field, conv, _ = _OPTIONS[key]
+    try:
+        return field, conv(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value for {key}: {text!r}") from exc
 
 
 def _read_config_file(path: str) -> dict:
@@ -120,13 +135,10 @@ def _read_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                field, conv = _CONFIG_KEYS[key]
-                try:
-                    updates[field] = conv(val)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
+                field, value = _convert(key, val, f"{path}:{lineno}")
+                updates[field] = value
     except OSError as exc:
         raise MissingInputError(f"cannot read config file {path}: {exc}") from exc
     return updates
@@ -137,23 +149,12 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         rc = replace(rc, **_read_config_file(args.config))
     overrides = {}
-    for flag, field, conv in [
-        ("xmax", "x_max", int),
-        ("q", "q", int),
-        ("chi", "chi", str),
-        ("kind", "kinds", lambda v: tuple(v)),
-        ("T", "t_scan", float),
-        ("T0", "t0_list", lambda v: tuple(float(x) for x in v)),
-        ("ratio", "ratio", float),
-        ("segment_size", "segment_size", int),
-        ("out", "out", str),
-        ("seed", "seed", int),
-        ("threads", "threads", int),
-        ("trials", "trials", int),
-    ]:
-        val = getattr(args, flag, None)
+    for key in _OPTIONS:
+        val = getattr(args, key)
         if val is not None:
-            overrides[field] = conv(val)
+            text = ",".join(val) if isinstance(val, list) else val
+            field, value = _convert(key, text, "--" + key.replace("_", "-"))
+            overrides[field] = value
     rc = replace(rc, **overrides)
     _validate(rc)
     return rc
@@ -215,7 +216,7 @@ def _path(rc: RunConfig, name: str) -> str:
 def cmd_sieve(rc: RunConfig, sums=None) -> None:
     cfg = _sieve_config(rc)
     if sums is None:
-        sums = sieve_run(cfg, threads=rc.threads)
+        sums = sieve_run(cfg)
     write_checkpoints_csv(sums, _path(rc, "checkpoints.csv"), rc.comment())
     write_twists_csv(sums, _characters(rc), _path(rc, "twists.csv"), rc.comment())
     print(f"sieve: x_max={rc.x_max} q={rc.q} checkpoints={len(sums.checkpoints)} -> {rc.out}")
@@ -254,29 +255,52 @@ def cmd_zeros(rc: RunConfig) -> dict[int, "object"]:
     return caches
 
 
-def _read_twists(rc: RunConfig) -> dict[int, list[tuple[int, complex, complex]]]:
-    """twists.csv rows keyed by character index: (x, psi_omega, psi_Omega)."""
+def _read_twists(
+    rc: RunConfig, targets: list[DirichletCharacter]
+) -> dict[int, list[tuple[int, complex, complex]]]:
+    """twists.csv rows keyed by character index: (x, psi_omega, psi_Omega).
+
+    Refuses a file that another configuration wrote: a different q, a
+    checkpoint set other than this config's, or no rows for a target.
+    """
     path = _path(rc, "twists.csv")
     if not os.path.exists(path):
         raise MissingInputError(
             f"{path} not found: run the `sieve` subcommand first (factorrace sieve ...)"
         )
     out: dict[int, list[tuple[int, complex, complex]]] = {}
+    qs, xs = set(), set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("#") or line.startswith("x,"):
                 continue
-            x, _q, idx, rw, iw, rb, ib = line.strip().split(",")
+            x, q, idx, rw, iw, rb, ib = line.strip().split(",")
+            qs.add(int(q))
+            xs.add(int(x))
             out.setdefault(int(idx), []).append(
                 (int(x), complex(float(rw), float(iw)), complex(float(rb), float(ib)))
             )
-    return out
+    cps = _sieve_config(rc).checkpoints
+    missing = [chi.index for chi in targets if chi.index not in out]
+    if qs - {rc.q}:
+        problem = f"q={sorted(qs)}, expected {rc.q}"
+    elif xs != set(cps):
+        problem = (
+            f"its checkpoints, up to x={max(xs, default=0)}, are not those of "
+            f"x_max={rc.x_max} ratio={rc.ratio}"
+        )
+    elif cps and missing:
+        problem = f"no rows for chi={missing}"
+    else:
+        return out
+    raise MissingInputError(f"{path} does not match this configuration ({problem}): rerun `sieve`")
 
 
 def cmd_compare(rc: RunConfig) -> None:
-    twists = _read_twists(rc)
+    targets = _zero_targets(rc)
+    twists = _read_twists(rc, targets)
     meansq_groups = []
-    for chi in _zero_targets(rc):
+    for chi in targets:
         path = _path(rc, cache_filename(rc.q, chi.index))
         if not os.path.exists(path):
             raise MissingInputError(
@@ -334,7 +358,7 @@ def cmd_density(rc: RunConfig, precomputed: dict[int, object] | None = None) -> 
         if precomputed and chi.index in precomputed:
             dens = precomputed[chi.index]
         else:
-            dens = density_scan(cfg, chi, threads=rc.threads)
+            dens = density_scan(cfg, chi)
         traces.append(dens)
         if chi.is_primitive:
             path = _path(rc, cache_filename(rc.q, chi.index))
@@ -375,12 +399,12 @@ def cmd_all(rc: RunConfig) -> None:
     dens_map = {}
     if targets:
         first = targets[0]
-        sums, dens = combined_run(cfg, first, threads=rc.threads)
+        sums, dens = combined_run(cfg, first)
         dens_map[first.index] = dens
         for chi in targets[1:]:
-            dens_map[chi.index] = density_scan(cfg, chi, threads=rc.threads)
+            dens_map[chi.index] = density_scan(cfg, chi)
     else:
-        sums = sieve_run(cfg, threads=rc.threads)
+        sums = sieve_run(cfg)
     cmd_sieve(rc, sums=sums)
     cmd_zeros(rc)
     cmd_compare(rc)
@@ -404,18 +428,8 @@ def _make_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--xmax", type=int, help="sieve ceiling x_max")
-        p.add_argument("--q", type=int, help="modulus")
-        p.add_argument("--chi", help="character index or 'all'")
-        p.add_argument("--kind", action="append", choices=KINDS, help="race kind (repeatable)")
-        p.add_argument("--T", type=float, dest="T", help="zero-scan height")
-        p.add_argument("--T0", type=float, action="append", dest="T0", help="zero-sum truncation (repeatable)")
-        p.add_argument("--ratio", type=float, help="checkpoint grid ratio")
-        p.add_argument("--segment-size", type=int, dest="segment_size", help="sieve segment size")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="Monte Carlo seed")
-        p.add_argument("--threads", type=int, help="worker threads")
-        p.add_argument("--trials", type=int, help="Monte Carlo trials")
+        for key, (_, _, options) in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **options)
     return parser
 
 

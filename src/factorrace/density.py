@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import atomic_write_text, fmt_float
+from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter
 from .lfunction import LValue
 from .sieve import DensityTrace
@@ -229,21 +229,14 @@ def report(
 
 
 def write_density_csv(trace: DensityTrace, path: str, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("X,delta_omega,delta_Omega")
-    for x, dw, dW in trace.trace:
-        lines.append(f"{x},{fmt_float(dw)},{fmt_float(dW)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (f"{x},{fmt_float(dw)},{fmt_float(dW)}" for x, dw, dW in trace.trace)
+    write_csv(path, "X,delta_omega,delta_Omega", rows, comment)
 
 
 def write_mc_csv(estimates: list[MonteCarloEstimates], path: str, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("y,p_neg,trials,seed,kind")
-    for mc in estimates:
-        for y, p, _ in mc.points:
-            lines.append(f"{fmt_float(y)},{fmt_float(p)},{mc.trials},{mc.seed},{mc.kind}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        f"{fmt_float(y)},{fmt_float(p)},{mc.trials},{mc.seed},{mc.kind}"
+        for mc in estimates
+        for y, p, _ in mc.points
+    )
+    write_csv(path, "y,p_neg,trials,seed,kind", rows, comment)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import atomic_write_text, fmt_float
+from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter
 from .lfunction import LValue
 from .zeros import ZeroCache
@@ -204,40 +204,34 @@ def figure_table(xs, observed, predictions: list[Prediction]) -> list[FigureRow]
 
 
 def write_compare_csv(rows: list[FigureRow], path: str, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("x,re_obs,im_obs,re_main,im_main,re_full,im_full,re_resid_norm,im_resid_norm")
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.x)]
-                + [
-                    fmt_float(v)
-                    for v in (
-                        r.observed.real,
-                        r.observed.imag,
-                        r.main.real,
-                        r.main.imag,
-                        r.full.real,
-                        r.full.imag,
-                        r.resid_norm.real,
-                        r.resid_norm.imag,
-                    )
-                ]
-            )
+    lines = (
+        ",".join(
+            [str(r.x)]
+            + [
+                fmt_float(v)
+                for v in (
+                    r.observed.real,
+                    r.observed.imag,
+                    r.main.real,
+                    r.main.imag,
+                    r.full.real,
+                    r.full.imag,
+                    r.resid_norm.real,
+                    r.resid_norm.imag,
+                )
+            ]
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        for r in rows
+    )
+    header = "x,re_obs,im_obs,re_main,im_main,re_full,im_full,re_resid_norm,im_resid_norm"
+    write_csv(path, header, lines, comment)
 
 
 def write_meansq_csv(groups, path: str, comment: str | None = None) -> None:
     """groups: list of (label_comment, [(t0, Y, M), ...]) blocks."""
     lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("T0,Y,M")
     for label, entries in groups:
         lines.append(f"# {label}")
         for t0, y_end, m in entries:
             lines.append(f"{fmt_float(t0)},{fmt_float(y_end)},{fmt_float(m)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "T0,Y,M", lines, comment)

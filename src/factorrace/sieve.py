@@ -19,20 +19,17 @@ and the harmonically weighted measures H_f = sum 1/n over the biased
 thresholds are accumulated in fixed 2^16-aligned blocks (pairwise-summed
 per block, Neumaier-compensated across blocks).  Because the block
 structure is anchored to absolute n, the floating results are bit-identical
-for every segment size and any degree of parallelism; parallel runs use a
-two-pass scheme (per-segment totals, prefix combine, re-scan with known
-entry state) and merge results in deterministic segment order.
+for every segment size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvio import atomic_write_text, fmt_float
+from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter, _root_of_unity, real_sign_table
 
 __all__ = [
@@ -294,11 +291,9 @@ def _delta(h: float, x: int) -> float:
     return h / math.log(x) if x > 1 else 0.0
 
 
-def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None, threads: int):
-    """Shared driver: one sieve pass filling class sums and, optionally, the
-    density accumulator for one real character."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):
+    """Shared driver: one serial sieve pass filling class sums and, optionally,
+    the density accumulator for one real character."""
     sgn_tab = None
     if density_chi is not None:
         if density_chi.modulus != cfg.q:
@@ -323,8 +318,6 @@ def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None, threads: 
         return sums, (None if density_chi is None else _empty_trace(cfg, density_chi))
 
     eff = max(BLOCK, (cfg.segment_size // BLOCK) * BLOCK)
-    bounds = list(range(0, x_max + 1, eff)) + [x_max + 1]
-    segments = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     primes = _primes_upto(math.isqrt(x_max))
 
     density_cps = tuple(sorted(set(cps) | {x_max})) if density_chi is not None else ()
@@ -332,65 +325,28 @@ def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None, threads: 
     def inside(seq, lo, hi):
         return [x for x in seq if lo <= x < hi]
 
-    def work_class(seg):
-        lo, hi = seg
-        omega, bomega = _sieve_segment(lo, hi, primes)
-        pieces = _class_pieces(omega, bomega, lo, hi, q, inside(cps, lo, hi))
-        totals = None
-        if sgn_tab is not None:
-            dw, dW = _signed_values(omega, bomega, lo, hi, q, sgn_tab)
-            totals = (int(dw.sum()), int(dW.sum()))
-        return pieces, totals
-
-    def work_density(seg, entry_w, entry_W):
-        lo, hi = seg
-        omega, bomega = _sieve_segment(lo, hi, primes)
-        return _density_segment(
-            omega, bomega, lo, hi, q, sgn_tab, entry_w, entry_W, inside(density_cps, lo, hi)
-        )
-
     running_w = np.zeros(q, dtype=np.int64)
     running_W = np.zeros(q, dtype=np.int64)
     cp_pos = {x: i for i, x in enumerate(cps)}
+    fold = _DensityFold()
+    psi_w = psi_W = 0
 
-    def fold_class(pieces):
-        for marker, dw, dW in pieces:
+    for lo in range(0, x_max + 1, eff):
+        hi = min(lo + eff, x_max + 1)
+        omega, bomega = _sieve_segment(lo, hi, primes)
+        for marker, dw, dW in _class_pieces(omega, bomega, lo, hi, q, inside(cps, lo, hi)):
             np.add(running_w, dw, out=running_w)
             np.add(running_W, dW, out=running_W)
             if marker is not None:
                 i = cp_pos[marker]
                 s_omega[i] = running_w
                 s_big[i] = running_W
-
-    fold = _DensityFold()
-    psi_w = psi_W = 0
-
-    if threads == 1:
-        for seg in segments:
-            lo, hi = seg
-            omega, bomega = _sieve_segment(lo, hi, primes)
-            fold_class(_class_pieces(omega, bomega, lo, hi, q, inside(cps, lo, hi)))
-            if sgn_tab is not None:
-                bw, bW, rows, psi_w, psi_W = _density_segment(
-                    omega, bomega, lo, hi, q, sgn_tab, psi_w, psi_W,
-                    inside(density_cps, lo, hi),
-                )
-                fold.fold_segment(bw, bW, rows)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            totals = []
-            for pieces, tot in pool.map(work_class, segments):
-                fold_class(pieces)
-                totals.append(tot)
-            if sgn_tab is not None:
-                entries = [(0, 0)]
-                for tw, tW in totals[:-1]:
-                    entries.append((entries[-1][0] + tw, entries[-1][1] + tW))
-                psi_w = entries[-1][0] + totals[-1][0]
-                psi_W = entries[-1][1] + totals[-1][1]
-                args = [(seg, e[0], e[1]) for seg, e in zip(segments, entries)]
-                for bw, bW, rows, _, _ in pool.map(lambda a: work_density(*a), args):
-                    fold.fold_segment(bw, bW, rows)
+        if sgn_tab is not None:
+            bw, bW, rows, psi_w, psi_W = _density_segment(
+                omega, bomega, lo, hi, q, sgn_tab, psi_w, psi_W,
+                inside(density_cps, lo, hi),
+            )
+            fold.fold_segment(bw, bW, rows)
 
     sums = ClassSums(q, x_max, cps, s_omega, s_big)
     if density_chi is None:
@@ -448,21 +404,21 @@ def factor_counts(x_max: int, segment_size: int = DEFAULT_SEGMENT) -> tuple[np.n
     return omega, bomega
 
 
-def sieve_run(cfg: SieveConfig, threads: int = 1) -> ClassSums:
+def sieve_run(cfg: SieveConfig) -> ClassSums:
     """Run the sieve and return exact per-class sums at every checkpoint."""
-    return _execute(cfg, None, threads)[0]
+    return _execute(cfg, None)[0]
 
 
-def density_scan(cfg: SieveConfig, chi: DirichletCharacter, threads: int = 1) -> DensityTrace:
+def density_scan(cfg: SieveConfig, chi: DirichletCharacter) -> DensityTrace:
     """Sign-bias measurement for a real non-principal character."""
-    return _execute(cfg, chi, threads)[1]
+    return _execute(cfg, chi)[1]
 
 
 def combined_run(
-    cfg: SieveConfig, chi: DirichletCharacter | None = None, threads: int = 1
+    cfg: SieveConfig, chi: DirichletCharacter | None = None
 ) -> tuple[ClassSums, DensityTrace | None]:
     """Class sums plus (optionally) the density scan, in a single sieve pass."""
-    return _execute(cfg, chi, threads)
+    return _execute(cfg, chi)
 
 
 def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, complex]:
@@ -491,28 +447,24 @@ def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, co
 
 
 def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("x,a,S_omega,S_Omega")
-    for i, x in enumerate(sums.checkpoints):
-        for a in range(sums.q):
-            lines.append(f"{x},{a},{int(sums.omega[i, a])},{int(sums.big_omega[i, a])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        f"{x},{a},{int(sums.omega[i, a])},{int(sums.big_omega[i, a])}"
+        for i, x in enumerate(sums.checkpoints)
+        for a in range(sums.q)
+    )
+    write_csv(path, "x,a,S_omega,S_Omega", rows, comment)
 
 
 def write_twists_csv(
     sums: ClassSums, chis: list[DirichletCharacter], path: str, comment: str | None = None
 ) -> None:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("x,q,chi_index,re_psi_omega,im_psi_omega,re_psi_Omega,im_psi_Omega")
+    rows = []
     for x in sums.checkpoints:
         for chi in chis:
             pw, pW = twist(sums, chi, x)
-            lines.append(
+            rows.append(
                 f"{x},{sums.q},{chi.index},{fmt_float(pw.real)},{fmt_float(pw.imag)},"
                 f"{fmt_float(pW.real)},{fmt_float(pW.imag)}"
             )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "x,q,chi_index,re_psi_omega,im_psi_omega,re_psi_Omega,im_psi_Omega"
+    write_csv(path, header, rows, comment)

@@ -28,7 +28,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from ._csvio import atomic_write_text, fmt_float
+from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter
 from .lfunction import DEFAULT_PARAMS, EvalParams, _rotation_phase, l_value
 
@@ -307,17 +307,16 @@ def cache_filename(q: int, chi_index: int) -> str:
 
 
 def store_cache(cache: ZeroCache, path: str) -> None:
-    lines = [
-        f"# q={cache.q} chi={cache.chi_index} T={fmt_float(cache.t_scanned)} "
-        f"count={cache.count} version={cache.version}",
-        "gamma,re_lprime,im_lprime,residual",
-    ]
-    for r in cache.records:
-        lines.append(
-            f"{fmt_float(r.gamma)},{fmt_float(r.l_prime.real)},"
-            f"{fmt_float(r.l_prime.imag)},{fmt_float(r.residual)}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        f"{fmt_float(r.gamma)},{fmt_float(r.l_prime.real)},"
+        f"{fmt_float(r.l_prime.imag)},{fmt_float(r.residual)}"
+        for r in cache.records
+    )
+    comment = (
+        f"q={cache.q} chi={cache.chi_index} T={fmt_float(cache.t_scanned)} "
+        f"count={cache.count} version={cache.version}"
+    )
+    write_csv(path, "gamma,re_lprime,im_lprime,residual", rows, comment)
 
 
 _HEADER_RE = re.compile(

@@ -36,7 +36,7 @@ def report(num, name, ok, detail=""):
 def big_run(chi4):
     cfg = SieveConfig(x_max=X_BIG, q=4)
     start = time.perf_counter()
-    sums, dens = combined_run(cfg, chi4, threads=1)
+    sums, dens = combined_run(cfg, chi4)
     elapsed = time.perf_counter() - start
     return cfg, sums, dens, elapsed
 

@@ -76,6 +76,24 @@ def test_compare_requires_zero_cache(tmp_path, capsys):
     assert "zeros" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sieve_args",
+    [
+        ["--xmax", "20000"],  # checkpoints stop short of this config's x_max
+        ["--chi", "0"],  # no rows for the compared character
+        ["--q", "8"],  # another modulus
+    ],
+)
+def test_compare_refuses_twists_of_another_config(tmp_path, capsys, sieve_args):
+    out = tmp_path / "o"
+    assert run(out, "sieve", *sieve_args) == 0
+    assert run(out, "zeros") == 0
+    capsys.readouterr()
+    assert run(out, "compare") == cli.EXIT_IO
+    assert "rerun `sieve`" in capsys.readouterr().err
+    assert not any(name.startswith("compare_") for name in os.listdir(out))
+
+
 def test_density_requires_zero_cache(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(out, "density") == cli.EXIT_IO
@@ -133,6 +151,8 @@ def test_density_outputs(tmp_path, capsys):
         ["zeros", "--q", "4", "--chi", "0", "--T", "10", "--T0", "5"],  # principal
         ["sieve", "--q", "4", "--chi", "banana"],
         ["all", "--q", "4", "--trials", "10"],
+        ["sieve", "--q", "4", "--threads", "0"],
+        ["sieve", "--xmax", "ten", "--q", "4"],
     ],
 )
 def test_config_errors_exit_2(tmp_path, argv):

@@ -110,13 +110,13 @@ def test_class_sums_monotone_and_omega_dominance():
             assert total_W > total_w
 
 
-def test_determinism_across_segment_size_and_threads(chi4):
+def test_determinism_across_segment_size(chi4):
     x = 3 * 10**5
     cfg_ref = SieveConfig(x_max=x, q=4, segment_size=1 << 20)
-    ref_sums, ref_dens = combined_run(cfg_ref, chi4, threads=1)
-    for seg, threads in [(1 << 16, 1), (1 << 18, 3), (1 << 20, 4), (300_000, 2)]:
+    ref_sums, ref_dens = combined_run(cfg_ref, chi4)
+    for seg in [1 << 16, 1 << 18, 1 << 20, 300_000]:
         cfg = SieveConfig(x_max=x, q=4, segment_size=seg)
-        sums, dens = combined_run(cfg, chi4, threads=threads)
+        sums, dens = combined_run(cfg, chi4)
         assert np.array_equal(sums.omega, ref_sums.omega)
         assert np.array_equal(sums.big_omega, ref_sums.big_omega)
         # floating harmonic measures must be bit-identical, not just close
