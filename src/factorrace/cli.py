@@ -35,6 +35,7 @@ from .prediction import (
 from .sieve import SieveConfig, combined_run, density_scan, sieve_run, write_checkpoints_csv, write_twists_csv
 from .zeros import (
     MissedZeroError,
+    ZeroCache,
     cache_filename,
     count_check,
     load_cache,
@@ -296,22 +297,28 @@ def _read_twists(
     raise MissingInputError(f"{path} does not match this configuration ({problem}): rerun `sieve`")
 
 
+def _load_zero_cache(rc: RunConfig, chi: DirichletCharacter) -> ZeroCache:
+    """The zero cache of chi in the output directory; refuses one scanned below max(T0)."""
+    path = _path(rc, cache_filename(rc.q, chi.index))
+    if not os.path.exists(path):
+        raise MissingInputError(
+            f"{path} not found: run the `zeros` subcommand first (factorrace zeros ...)"
+        )
+    cache = load_cache(path)
+    if max(rc.t0_list) > cache.t_scanned:
+        raise ConfigError(
+            f"T0 up to {max(rc.t0_list)} requested but cache holds T={cache.t_scanned}; "
+            f"rerun `zeros` with a larger --T"
+        )
+    return cache
+
+
 def cmd_compare(rc: RunConfig) -> None:
     targets = _zero_targets(rc)
     twists = _read_twists(rc, targets)
     meansq_groups = []
     for chi in targets:
-        path = _path(rc, cache_filename(rc.q, chi.index))
-        if not os.path.exists(path):
-            raise MissingInputError(
-                f"{path} not found: run the `zeros` subcommand first (factorrace zeros ...)"
-            )
-        cache = load_cache(path)
-        if max(rc.t0_list) > cache.t_scanned:
-            raise ConfigError(
-                f"T0 up to {max(rc.t0_list)} requested but cache holds T={cache.t_scanned}; "
-                f"rerun `zeros` with a larger --T"
-            )
+        cache = _load_zero_cache(rc, chi)
         l_half = l_value(chi, 0.5)
         rows_for_chi = twists.get(chi.index, [])
         xs = [x for x, _, _ in rows_for_chi if x >= 2]
@@ -361,14 +368,9 @@ def cmd_density(rc: RunConfig, precomputed: dict[int, object] | None = None) -> 
             dens = density_scan(cfg, chi)
         traces.append(dens)
         if chi.is_primitive:
-            path = _path(rc, cache_filename(rc.q, chi.index))
-            if not os.path.exists(path):
-                raise MissingInputError(
-                    f"{path} not found: run the `zeros` subcommand first (factorrace zeros ...)"
-                )
-            cache = load_cache(path)
+            cache = _load_zero_cache(rc, chi)
             l_half = l_value(chi, 0.5)
-            t0 = min(max(rc.t0_list), cache.t_scanned)
+            t0 = max(rc.t0_list)
             y_grid = _mc_y_grid(cfg)
             for kind in rc.kinds:
                 model = build_model(chi, l_half, cache, t0, kind, rc.seed)

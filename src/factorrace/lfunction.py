@@ -18,8 +18,17 @@ would lose most digits there.
 
 N adapts to the height, N = max(12, ceil(1.3*|Im s|) + 10); M = 12 by
 default with Bernoulli numbers tabulated exactly as rationals before the
-single conversion to float.  Everything is binary64; main sums use exact
-(fsum) accumulation.  Design ceiling |Im s| <= 1e4.
+single conversion to float.  Design ceiling |Im s| <= 1e4.
+
+One kernel evaluates a whole (shift x term) block: a row per shift a,
+with the N head terms and the Euler-Maclaurin point N + a as columns, in
+whole-array numpy operations (binary64, numpy's pairwise summation along
+each row).  The rising factorials depend on s alone and are formed once
+per call, and the tail is a small matrix product over the rows.
+`hurwitz_zeta` is its one-row case and `l_value` the chi(a)-weighted sum
+of its rows, so q = 1 reproduces `hurwitz_zeta` bit for bit.  The unit
+shifts a/q with their weights chi(a), and the root-number phase of the
+rotated function, are computed once per character (q, index) and cached.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import loggamma
@@ -65,6 +75,10 @@ def _bernoulli_even_floats(count: int) -> tuple[float, ...]:
 _B_EVEN = _bernoulli_even_floats(_MAX_BERNOULLI_ORDER)
 # coefficient B_{2j} / (2j)! for j = 1.._MAX_BERNOULLI_ORDER
 _EM_COEFF = tuple(b / math.factorial(2 * j) for j, b in enumerate(_B_EVEN, start=1))
+# exponents e of z^e in the tail terms of _hurwitz_block: 1, 0, then -(2j - 1)
+_TAIL_EXPONENTS = np.array([1.0, 0.0] + [-(2.0 * j - 1) for j in range(1, _MAX_BERNOULLI_ORDER + 1)])
+# cap on rows * terms of one block, so memory stays bounded at large q * |Im s|
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,69 +110,81 @@ class LValue:
     err_hint: float  # heuristic magnitude of the last Euler-Maclaurin tail term
 
 
-def _csum(arr: np.ndarray) -> complex:
-    return complex(math.fsum(arr.real), math.fsum(arr.imag))
-
-
 def hurwitz_zeta(s: complex, a: float, params: EvalParams = DEFAULT_PARAMS) -> tuple[complex, complex]:
     """(zeta(s, a), d/ds zeta(s, a)) for Re s > 0, s != 1, a in (0, 1]."""
-    val, der, _ = _hurwitz_with_hint(s, a, params)
-    return val, der
+    if not 0 < a <= 1:
+        raise ValueError(f"require a in (0, 1], got {a}")
+    val, der, _ = _hurwitz_block(complex(s), np.array([float(a)]), params)
+    return complex(val[0]), complex(der[0])
 
 
-def _hurwitz_with_hint(s: complex, a: float, params: EvalParams) -> tuple[complex, complex, float]:
-    s = complex(s)
+def _hurwitz_block(
+    s: complex, shifts: np.ndarray, params: EvalParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row a of `shifts`: zeta(s, a), its s-derivative and the last tail term's size.
+
+    The (row x term) block is evaluated in whole-array operations, at most
+    _BLOCK_ELEMENTS entries at a time.  Each row's sums depend only on that
+    row, so the row chunking does not change any bit of the result.
+    """
     if s == 1:
         raise ValueError("zeta(s, a) has a pole at s = 1")
     if s.real <= 0:
         raise ValueError(f"require Re s > 0, got {s}")
     if abs(s.imag) > MAX_IM:
         raise ValueError(f"|Im s| exceeds design ceiling {MAX_IM}")
-    if not 0 < a <= 1:
-        raise ValueError(f"require a in (0, 1], got {a}")
 
     n = params.n_terms(s)
     m = params.bernoulli_order
-
-    ks = a + np.arange(n, dtype=np.float64)
-    logk = np.log(ks)
-    powers = np.exp(-s * logk)
-    val = _csum(powers)
-    der = _csum(-logk * powers)
-
-    z = a + n
-    lz = math.log(z)
-    zp = cmath.exp(-s * lz)  # z^{-s}
     sm1 = s - 1
 
-    # (N+a)^{1-s}/(s-1) and its derivative
-    t1 = z * zp / sm1
-    val += t1
-    der += t1 * (-lz - 1 / sm1)
-    # (N+a)^{-s}/2
-    val += zp / 2
-    der += -lz * zp / 2
+    # Every tail term is z^{-s} * c * z^e with z = N + a: c depends on s alone,
+    # so (value, derivative) coefficients for the powers z^e, e in _TAIL_EXPONENTS,
+    # are formed once per call.  Rows: (N+a)^{1-s}/(s-1), (N+a)^{-s}/2, then
+    # B_{2j}/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1} with the rising factorial (s)_m.
+    tail_coef = [(1 / sm1, -1 / (sm1 * sm1)), (0.5, 0j)]
+    p, dp = 1 + 0j, 0j
+    for i in range(2 * m - 1):
+        f = s + i
+        dp = dp * f + p
+        p = p * f
+        if i % 2 == 0:
+            c = _EM_COEFF[i // 2]
+            tail_coef.append((c * p, c * dp))
+    coef = np.array(tail_coef)
+    exponents = _TAIL_EXPONENTS[: m + 2]
 
-    # Bernoulli tail: c_j * (s)_{2j-1} * z^{-s-2j+1}
-    poch = 1 + 0j  # rising factorial, incrementally extended
-    dpoch = 0j
-    zpow = zp / z  # z^{-s-1}
-    z2 = z * z
-    last = 0.0
-    next_factor = 0  # next m in (s + m)
-    for j in range(1, m + 1):
-        target_len = 2 * j - 1
-        while next_factor < target_len:
-            f = s + next_factor
-            dpoch = dpoch * f + poch
-            poch = poch * f
-            next_factor += 1
-        term = _EM_COEFF[j - 1] * poch * zpow
-        val += term
-        der += _EM_COEFF[j - 1] * (dpoch - poch * lz) * zpow
-        last = abs(term)
-        zpow /= z2
-    return val, der, last
+    cols = np.arange(n + 1, dtype=np.float64)  # column n is the Euler-Maclaurin point z
+    val = np.empty(len(shifts), dtype=np.complex128)
+    der = np.empty_like(val)
+    hint = np.empty(len(shifts), dtype=np.float64)
+    step = max(1, _BLOCK_ELEMENTS // (n + 1))
+    for lo in range(0, len(shifts), step):
+        rows = slice(lo, lo + step)
+        logk = np.log(shifts[rows, None] + cols)
+        terms = np.exp(-s * logk)
+        z = shifts[rows] + n
+        lz = logk[:, n]
+        zp = terms[:, n]  # z^{-s}
+        zpow = z[:, None] ** exponents
+        tail = zpow @ coef  # columns: bracket of the tail value, its s-derivative
+        tv = tail[:, 0]
+        val[rows] = terms[:, :n].sum(axis=1) + zp * tv
+        der[rows] = zp * (tail[:, 1] - lz * tv) - (logk[:, :n] * terms[:, :n]).sum(axis=1)
+        hint[rows] = abs(coef[-1, 0]) * np.abs(zp) * zpow[:, -1]
+    return val, der, hint
+
+
+@lru_cache(maxsize=None)
+def _shifts_and_weights(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
+    """Shifts a/q over the units a in [1, q] and the weights chi(a), cached per (q, index)."""
+    q = chi.modulus
+    units = [a for a in range(1, q + 1) if chi.value_exponents[a % q] >= 0]
+    shifts = np.array([a / q for a in units])
+    weights = np.array([_root_of_unity(int(chi.value_exponents[a % q]), chi.order) for a in units])
+    shifts.setflags(write=False)
+    weights.setflags(write=False)
+    return shifts, weights
 
 
 def l_value(chi: DirichletCharacter, s: complex, params: EvalParams = DEFAULT_PARAMS) -> LValue:
@@ -169,26 +195,13 @@ def l_value(chi: DirichletCharacter, s: complex, params: EvalParams = DEFAULT_PA
     s = complex(s)
     if chi.is_principal and s == 1:
         raise ValueError("L(s, chi0) has a pole at s = 1")
-    q = chi.modulus
-    d = chi.order
-    exps = chi.value_exponents
-    zsum = 0j
-    dsum = 0j
-    tail = 0.0
-    for a in range(1, q + 1):
-        e = int(exps[a % q])
-        if e < 0:
-            continue
-        w = _root_of_unity(e, d)
-        zv, zd, hint = _hurwitz_with_hint(s, a / q, params)
-        zsum += w * zv
-        dsum += w * zd
-        tail += hint
-    lq = math.log(q)
+    shifts, weights = _shifts_and_weights(chi)
+    val, der, hint = _hurwitz_block(s, shifts, params)
+    lq = math.log(chi.modulus)
     qs = cmath.exp(-s * lq)
-    value = qs * zsum
-    derivative = -lq * value + qs * dsum
-    return LValue(value=value, derivative=derivative, err_hint=abs(qs) * tail)
+    value = qs * complex(weights @ val)
+    derivative = -lq * value + qs * complex(weights @ der)
+    return LValue(value=value, derivative=derivative, err_hint=abs(qs) * float(hint.sum()))
 
 
 def completed_lambda(chi: DirichletCharacter, s: complex, params: EvalParams = DEFAULT_PARAMS) -> complex:
@@ -202,17 +215,21 @@ def completed_lambda(chi: DirichletCharacter, s: complex, params: EvalParams = D
     return pref * lv.value
 
 
+@lru_cache(maxsize=None)
+def _root_phase(chi: DirichletCharacter) -> complex:
+    """epsilon^{-1/2} with the principal square root, cached per (q, index)."""
+    return 1 / cmath.sqrt(root_number(chi))
+
+
 def _rotation_phase(chi: DirichletCharacter, t: float) -> complex:
     """Unimodular factor making the rotated critical-line function real.
 
     The branch of epsilon^{-1/2} is the principal square root, fixed per
     character, so the result is continuous in t.
     """
-    eps = root_number(chi)
-    ph = 1 / cmath.sqrt(eps)
     g = complex(0.5 + chi.parity, t) / 2
     theta = (t / 2) * math.log(chi.modulus / math.pi) + complex(loggamma(g)).imag
-    return ph * cmath.exp(1j * theta)
+    return _root_phase(chi) * cmath.exp(1j * theta)
 
 
 def rotated_z_complex(chi: DirichletCharacter, t: float, params: EvalParams = DEFAULT_PARAMS) -> complex:

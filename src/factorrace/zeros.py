@@ -3,8 +3,9 @@
 Zeros rho = 1/2 + i*gamma are detected as sign changes of the rotated
 real-valued function Z_chi(t) on a grid whose step tracks the local mean
 zero gap, h(t) = 0.25 * 2*pi / log(q*(|t|+10)/(2*pi) + e), then refined by
-bisection plus a secant polish until |L(1/2 + i*gamma, chi)| drops below
-1e-10.  L'(rho, chi) is evaluated analytically at the refined point.
+Illinois regula falsi until the bracket is narrower than 1e-14 * max(1, |t|).
+L'(rho, chi) is evaluated analytically at the refined point, in the same
+L-evaluation that located it.
 
 Completeness is checked against the smooth counting function
 
@@ -50,7 +51,7 @@ __all__ = [
 
 FORMAT_VERSION = "1"
 MAX_SCAN_HEIGHT = 1.0e3
-REFINE_TARGET = 1e-10
+MAX_REFINE_STEPS = 64
 MIN_ZERO_GAP = 1e-6
 
 
@@ -122,40 +123,42 @@ def _scan_grid(chi, t_lo, t_hi, params, step_scale=1.0):
 
 
 def _refine(chi, a, b, za, zb, params):
-    """Bisection to near machine width, then secant; returns (gamma, LValue)."""
-    for _ in range(64):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
+    """Illinois regula falsi on a sign-change bracket; returns (gamma, LValue).
+
+    Each step evaluates the false-position point of [a, b], kept at least
+    half the stopping width inside it, and keeps the sub-bracket with the
+    sign change.  When the same end survives twice in a row, its Z value is
+    halved, so both ends converge.  Stops once the bracket is narrower
+    than 1e-14 * max(1, |t|) or Z vanishes exactly, and returns the
+    evaluated end with the smaller |L| together with its LValue.
+    """
+    ends = {}
+    side = 0
+    for _ in range(MAX_REFINE_STEPS):
+        tol = 1e-14 * max(1.0, abs(0.5 * (a + b)))
+        if ends and b - a < tol:
             break
-        if b - a < 1e-14 * max(1.0, abs(m)):
-            break
-        zm, _ = _z_and_l(chi, m, params)
+        m = b - zb * (b - a) / (zb - za)
+        # at least tol/2 inside, so a root next to an end closes the bracket
+        m = min(max(m, a + 0.5 * tol), b - 0.5 * tol)
+        if not a < m < b:
+            m = 0.5 * (a + b)
+        zm, lv = _z_and_l(chi, m, params)
         if zm == 0.0:
-            a = b = m
-            break
-        if (za < 0) != (zm < 0):
+            return m, lv
+        if (zm < 0) == (zb < 0):
             b, zb = m, zm
+            ends["b"] = (m, lv)
+            if side == -1:
+                za *= 0.5
+            side = -1
         else:
             a, za = m, zm
-    g = 0.5 * (a + b)
-    z_g, lv = _z_and_l(chi, g, params)
-    best_g, best_lv = g, lv
-    # secant polish, monitored through |L|
-    t0, z0 = a, za
-    t1, z1 = g, z_g
-    for _ in range(6):
-        if abs(best_lv.value) < REFINE_TARGET:
-            break
-        if z1 == z0:
-            break
-        t2 = t1 - z1 * (t1 - t0) / (z1 - z0)
-        if not (a - 1.0 <= t2 <= b + 1.0):
-            break
-        z2, lv2 = _z_and_l(chi, t2, params)
-        if abs(lv2.value) < abs(best_lv.value):
-            best_g, best_lv = t2, lv2
-        t0, z0, t1, z1 = t1, z1, t2, z2
-    return best_g, best_lv
+            ends["a"] = (m, lv)
+            if side == 1:
+                zb *= 0.5
+            side = 1
+    return min(ends.values(), key=lambda end: abs(end[1].value))
 
 
 def _brackets_from_grid(ts, zs):

@@ -138,3 +138,33 @@ def mertens_constants(limit: int) -> tuple[float, float]:
     inv, invsq = prime_harmonic_sums(limit)
     a = inv - math.log(math.log(limit))
     return a, a + invsq
+
+
+def mp_dirichlet_l(s: complex, characters, dps: int = 20) -> list[tuple[complex, complex]]:
+    """(L(s, chi), L'(s, chi)) for each character, by mpmath at `dps` digits.
+
+    The sum is the one `mpmath.dirichlet` forms, L = q^{-s} sum_p chi(p)
+    zeta(s, p/q) and L' = q^{-s} sum_p chi(p) (zeta'(s, p/q) - log q
+    zeta(s, p/q)), but each Hurwitz value is computed once and shared by
+    every character of the same modulus and by L and L'.
+    """
+    import mpmath
+
+    q = characters[0].modulus
+    with mpmath.workdps(dps):
+        s = mpmath.mpc(s)
+        values = [
+            [0 if e < 0 else mpmath.expjpi(mpmath.mpf(2 * int(e)) / chi.order) for e in chi.value_exponents]
+            for chi in characters
+        ]
+        sums = [[mpmath.mpc(0), mpmath.mpc(0)] for _ in characters]
+        for p in range(1, q + 1):
+            if all(v[p % q] == 0 for v in values):
+                continue
+            z = mpmath.zeta(s, (p, q))
+            dz = mpmath.zeta(s, (p, q), 1) - z * mpmath.log(q)
+            for v, acc in zip(values, sums):
+                acc[0] += v[p % q] * z
+                acc[1] += v[p % q] * dz
+        qs = mpmath.power(q, s)
+        return [(complex(val / qs), complex(der / qs)) for val, der in sums]

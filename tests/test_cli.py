@@ -100,6 +100,20 @@ def test_density_requires_zero_cache(tmp_path, capsys):
     assert "zeros" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["compare", "density"])
+def test_refuses_zero_cache_scanned_below_t0(tmp_path, capsys, cmd):
+    out = tmp_path / "o"
+    scanned = ["--out", str(out), "--xmax", "100000", "--T", "15", "--T0", "10"]
+    assert cli.main(["sieve"] + scanned) == 0
+    assert cli.main(["zeros"] + scanned) == 0
+    capsys.readouterr()
+    argv = [cmd, "--out", str(out), "--xmax", "100000", "--T", "50", "--T0", "50"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "rerun `zeros` with a larger --T" in capsys.readouterr().err
+    assert not (out / "mc.csv").exists()
+    assert not (out / "meansq.csv").exists()
+
+
 def test_compare_rows_per_checkpoint(tmp_path):
     out = tmp_path / "o"
     assert run(out, "sieve") == 0

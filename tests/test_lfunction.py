@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from factorrace.characters import conjugate_character, enumerate_characters, root_number
+from factorrace.characters import character, conjugate_character, enumerate_characters, root_number
 from factorrace.lfunction import (
     EvalParams,
     completed_lambda,
@@ -13,7 +13,7 @@ from factorrace.lfunction import (
     rotated_z,
     rotated_z_complex,
 )
-from oracles import beta_chi4, beta_prime_chi4, zeta_eta, zeta_prime_eta
+from oracles import beta_chi4, beta_prime_chi4, mp_dirichlet_l, zeta_eta, zeta_prime_eta
 
 # reference digits, frozen from the alternating-series oracles
 ZETA_HALF = -1.4603545088095868
@@ -202,3 +202,34 @@ def test_euler_maclaurin_stability_under_doubling(chi4):
 
 def test_err_hint_nonnegative(chi4):
     assert l_value(chi4, complex(0.5, 20.0)).err_hint >= 0.0
+
+
+def test_mp_oracle_is_mpmath_dirichlet(chi4):
+    import mpmath
+
+    s = complex(0.5, 14.1)
+    val, der = mp_dirichlet_l(s, [chi4])[0]
+    with mpmath.workdps(20):
+        assert abs(val - complex(mpmath.dirichlet(s, [0, 1, 0, -1]))) < 1e-15
+        assert abs(der - complex(mpmath.dirichlet(s, [0, 1, 0, -1], 1))) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "q, indices, heights",
+    [
+        (4, (1,), (0.3, 14.1, 200.0, 999.0)),
+        (5, (1,), (0.3, 14.1, 200.0, 999.0)),
+        # mpmath takes seconds per Hurwitz sum at q = 163, so lower heights only
+        (163, (81, 5), (0.3, 14.1, 30.0)),
+    ],
+    ids=["q4", "q5", "q163"],
+)
+def test_l_value_against_mpmath(q, indices, heights):
+    """Relative error (to max(1, |.|)) of L and L' at 1/2 + it against 20-digit mpmath."""
+    chars = [character(q, i) for i in indices]
+    for t in heights:
+        s = complex(0.5, t)
+        for chi, (ref, dref) in zip(chars, mp_dirichlet_l(s, chars)):
+            lv = l_value(chi, s)
+            assert abs(lv.value - ref) / max(1.0, abs(ref)) <= 1.3e-12, (chi, t)
+            assert abs(lv.derivative - dref) / max(1.0, abs(dref)) <= 1.3e-12, (chi, t)

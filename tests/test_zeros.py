@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from factorrace.characters import enumerate_characters
+from factorrace.characters import character, enumerate_characters
 from factorrace.lfunction import l_value, rotated_z
 from factorrace.zeros import (
     CacheFormatError,
@@ -201,3 +201,46 @@ def test_missed_zero_error_raised(chi4, monkeypatch):
     monkeypatch.setattr(zmod, "smooth_zero_count", lambda t, q: 50.0)
     with pytest.raises(MissedZeroError):
         scan_zeros(chi4, 15.0)
+
+
+@pytest.mark.parametrize(
+    "q, index, t_max, count",
+    [(5, 1, 50.0, 43), (7, 1, 50.0, 49), (11, 3, 50.0, 55), (163, 81, 30.0, 56)],
+)
+def test_zero_counts_and_ordinates(q, index, t_max, count):
+    chi = character(q, index)
+    cache = scan_zeros(chi, t_max)
+    assert cache.count == count
+    assert max(r.residual for r in cache.records) <= 1e-10
+    # independent fine-grid bisection of the rotated function around a subsample
+    for r in cache.records[::7]:
+        oracle = bisect_sign_change(lambda t: rotated_z(chi, t), r.gamma - 0.01, r.gamma + 0.01)
+        assert oracle is not None
+        assert abs(r.gamma - oracle) < 1e-11 * max(1.0, abs(r.gamma)), r.gamma
+
+
+def test_refinement_evals_per_zero(monkeypatch):
+    """The bracketing solver needs few L-evals per zero (64-step bisection took about 42)."""
+    import factorrace.zeros as zmod
+
+    orig_refine, orig_l_value = zmod._refine, zmod.l_value
+    counts = {"refines": 0, "evals": 0}
+    inside = []
+
+    def counting_refine(*args):
+        counts["refines"] += 1
+        inside.append(True)
+        try:
+            return orig_refine(*args)
+        finally:
+            inside.pop()
+
+    def counting_l_value(*args, **kwargs):
+        counts["evals"] += bool(inside)
+        return orig_l_value(*args, **kwargs)
+
+    monkeypatch.setattr(zmod, "_refine", counting_refine)
+    monkeypatch.setattr(zmod, "l_value", counting_l_value)
+    scan_zeros(character(5, 1), 50.0)
+    assert counts["refines"] > 0
+    assert counts["evals"] / counts["refines"] <= 12
