@@ -231,13 +231,17 @@ def cmd_zeros(rc: RunConfig) -> dict[int, "object"]:
         if os.path.exists(path):
             try:
                 existing = load_cache(path)
+                # a cache scanned at least as high holds every zero below T
                 if (
                     existing.q == rc.q
                     and existing.chi_index == chi.index
-                    and existing.t_scanned == float(rc.t_scan)
+                    and existing.t_scanned >= float(rc.t_scan)
                 ):
                     cache = existing
-                    print(f"zeros: q={rc.q} chi={chi.index} T={rc.t_scan} cached ({cache.count} zeros)")
+                    print(
+                        f"zeros: q={rc.q} chi={chi.index} T={rc.t_scan} cached "
+                        f"(scanned to T={existing.t_scanned}, {cache.count} zeros)"
+                    )
             except ValueError:
                 cache = None
         if cache is None:

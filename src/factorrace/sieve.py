@@ -50,6 +50,7 @@ __all__ = [
 BLOCK = 1 << 16  # harmonic-accumulation granularity, aligned to absolute n
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
 DEFAULT_SEGMENT = 1 << 20
+FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 
 
 def default_checkpoints(x_max: int, ratio: float = 1.02) -> tuple[int, ...]:
@@ -178,18 +179,28 @@ def _sieve_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.
     return omega, bomega
 
 
+def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
+    """Per-class int64 sums of `piece`, whose first entry is n = u.
+
+    The piece is folded as rows of a width that is a multiple of q near
+    FOLD_WIDTH (a plain `reshape(-1, q)` is several times slower at small
+    q), the row sums and the short tail are folded to q columns, and the
+    roll puts n = u at residue u mod q.
+    """
+    width = q * max(1, round(FOLD_WIDTH / q))
+    nrows = len(piece) // width
+    acc = piece[: nrows * width].reshape(nrows, width).sum(axis=0, dtype=np.int64)
+    tail = piece[nrows * width :]
+    acc[: len(tail)] += tail
+    return np.roll(acc.reshape(-1, q).sum(axis=0), u % q)
+
+
 def _class_range_sums(omega, bomega, lo, u, v, q):
     """Per-class integer sums over n in [u, v) inside a segment starting at lo."""
-    dw = np.zeros(q, dtype=np.int64)
-    dW = np.zeros(q, dtype=np.int64)
-    for a in range(q):
-        first = u + (a - u) % q
-        if first >= v:
-            continue
-        i0 = first - lo
-        dw[a] = omega[i0 : v - lo : q].sum(dtype=np.int64)
-        dW[a] = bomega[i0 : v - lo : q].sum(dtype=np.int64)
-    return dw, dW
+    return (
+        _fold_classes(omega[u - lo : v - lo], u, q),
+        _fold_classes(bomega[u - lo : v - lo], u, q),
+    )
 
 
 def _class_pieces(omega, bomega, lo, hi, q, cps_inside):
@@ -421,36 +432,54 @@ def combined_run(
     return _execute(cfg, chi)
 
 
+def _twist_block(
+    rows: np.ndarray, chi: DirichletCharacter, roots: dict[int, list[complex]]
+) -> np.ndarray:
+    """psi(chi) = sum_a chi(a) rows[:, a] for every row of int64 class sums.
+
+    The exact exponent counts acc[:, e] (the sum over units a with
+    e(a) = e) come from one `reduceat` over the unit columns sorted by
+    exponent; chi maps the units onto all d-th roots of unity, so every
+    exponent below d starts a run.  Real characters stay exact integers;
+    otherwise psi is the e-ascending left fold of acc[:, e] * exp(2 pi i
+    e / d).  The roots come from the scalar `_root_of_unity` (`np.cos` may
+    differ in the last bit), built once per order d into `roots`.
+    """
+    if chi.modulus != rows.shape[1]:
+        raise ValueError(f"character modulus {chi.modulus} does not match sums q={rows.shape[1]}")
+    d = chi.order
+    exps = chi.value_exponents
+    units = np.flatnonzero(exps >= 0)
+    by_exp = units[np.argsort(exps[units])]
+    starts = np.flatnonzero(np.diff(exps[by_exp], prepend=-1))
+    acc = np.add.reduceat(rows[:, by_exp], starts, axis=1)  # column e: exponent e
+    if chi.is_real:
+        return (acc[:, 0] - acc[:, 1] if d == 2 else acc[:, 0]).astype(np.complex128)
+    if d not in roots:
+        roots[d] = [_root_of_unity(e, d) for e in range(d)]
+    psi = np.zeros(len(rows), dtype=np.complex128)
+    for e, root in enumerate(roots[d]):
+        psi += acc[:, e] * root
+    return psi
+
+
 def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, complex]:
     """psi_f(x, chi) = sum_a chi(a) S_f(x; a) for f = omega and Omega.
 
     Integer arithmetic up to the final root-of-unity combination; for real
-    characters the results are exact integers.
+    characters the results are exact integers.  The one-checkpoint case of
+    the batched routine behind `write_twists_csv`.
     """
-    if chi.modulus != sums.q:
-        raise ValueError(f"character modulus {chi.modulus} does not match sums q={sums.q}")
     k = sums.row(x)
-    d = chi.order
-    exps = chi.value_exponents
-    units = exps >= 0
-    acc_w = np.zeros(d, dtype=np.int64)
-    acc_W = np.zeros(d, dtype=np.int64)
-    np.add.at(acc_w, exps[units], sums.omega[k][units])
-    np.add.at(acc_W, exps[units], sums.big_omega[k][units])
-    if chi.is_real:
-        pw = int(acc_w[0]) - (int(acc_w[1]) if d == 2 else 0)
-        pW = int(acc_W[0]) - (int(acc_W[1]) if d == 2 else 0)
-        return complex(pw, 0.0), complex(pW, 0.0)
-    psi_w = sum(int(acc_w[e]) * _root_of_unity(e, d) for e in range(d) if acc_w[e])
-    psi_W = sum(int(acc_W[e]) * _root_of_unity(e, d) for e in range(d) if acc_W[e])
-    return complex(psi_w), complex(psi_W)
+    pw, pW = _twist_block(np.stack([sums.omega[k], sums.big_omega[k]]), chi, {}).tolist()
+    return pw, pW
 
 
 def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None) -> None:
     rows = (
-        f"{x},{a},{int(sums.omega[i, a])},{int(sums.big_omega[i, a])}"
-        for i, x in enumerate(sums.checkpoints)
-        for a in range(sums.q)
+        f"{x},{a},{w},{b}"
+        for x, ws, bs in zip(sums.checkpoints, sums.omega, sums.big_omega)
+        for a, (w, b) in enumerate(zip(ws.tolist(), bs.tolist()))
     )
     write_csv(path, "x,a,S_omega,S_Omega", rows, comment)
 
@@ -458,13 +487,24 @@ def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None
 def write_twists_csv(
     sums: ClassSums, chis: list[DirichletCharacter], path: str, comment: str | None = None
 ) -> None:
-    rows = []
-    for x in sums.checkpoints:
-        for chi in chis:
-            pw, pW = twist(sums, chi, x)
-            rows.append(
-                f"{x},{sums.q},{chi.index},{fmt_float(pw.real)},{fmt_float(pw.imag)},"
-                f"{fmt_float(pW.real)},{fmt_float(pW.imag)}"
-            )
+    """One row per (checkpoint, character), checkpoint-major; every psi of a
+    character comes from one `_twist_block` over all checkpoints."""
+    n = len(sums.checkpoints)
+    both = np.concatenate([sums.omega, sums.big_omega])
+    roots: dict[int, list[complex]] = {}
+    by_chi = []  # per character: its row at every checkpoint
+    for chi in chis:
+        psi = _twist_block(both, chi, roots)
+        by_chi.append(
+            [
+                f"{x},{sums.q},{chi.index},{fmt_float(rw)},{fmt_float(iw)},{fmt_float(rb)},{fmt_float(ib)}"
+                for x, rw, iw, rb, ib in zip(
+                    sums.checkpoints,
+                    psi.real[:n].tolist(), psi.imag[:n].tolist(),
+                    psi.real[n:].tolist(), psi.imag[n:].tolist(),
+                )
+            ]
+        )
+    rows = (chi_rows[k] for k in range(n) for chi_rows in by_chi)
     header = "x,q,chi_index,re_psi_omega,im_psi_omega,re_psi_Omega,im_psi_Omega"
     write_csv(path, header, rows, comment)

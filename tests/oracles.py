@@ -110,6 +110,35 @@ def bisect_sign_change(f, lo: float, hi: float, step: float = 1e-4) -> float | N
     return None
 
 
+def twist_reference(sums, chi, x: int) -> tuple[complex, complex]:
+    """psi_f(x, chi) for one checkpoint and one character, the unbatched way.
+
+    Exponent counts by `np.add.at`, then the e-ascending Python `sum` of
+    count * root over the nonzero counts; real characters stay integers.
+    On an interpreter whose `sum` compensates complex additions this can
+    differ from a plain left fold in the last bit.
+    """
+    from factorrace.characters import _root_of_unity
+
+    if chi.modulus != sums.q:
+        raise ValueError(f"character modulus {chi.modulus} does not match sums q={sums.q}")
+    k = sums.row(x)
+    d = chi.order
+    exps = chi.value_exponents
+    units = exps >= 0
+    acc_w = np.zeros(d, dtype=np.int64)
+    acc_W = np.zeros(d, dtype=np.int64)
+    np.add.at(acc_w, exps[units], sums.omega[k][units])
+    np.add.at(acc_W, exps[units], sums.big_omega[k][units])
+    if chi.is_real:
+        pw = int(acc_w[0]) - (int(acc_w[1]) if d == 2 else 0)
+        pW = int(acc_W[0]) - (int(acc_W[1]) if d == 2 else 0)
+        return complex(pw, 0.0), complex(pW, 0.0)
+    psi_w = sum(int(acc_w[e]) * _root_of_unity(e, d) for e in range(d) if acc_w[e])
+    psi_W = sum(int(acc_W[e]) * _root_of_unity(e, d) for e in range(d) if acc_W[e])
+    return complex(psi_w), complex(psi_W)
+
+
 def prime_harmonic_sums(limit: int) -> tuple[float, float]:
     """(sum_{p<=limit} 1/p, sum_{p<=limit} 1/(p(p-1))) from an odd-only sieve."""
     if limit < 2:

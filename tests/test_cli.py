@@ -57,6 +57,19 @@ def test_zeros_counts_and_idempotence(tmp_path, capsys):
     assert (out / "zeros_q4_chi1.csv").read_bytes() == first
 
 
+def test_zeros_reuses_a_cache_scanned_higher(tmp_path, capsys):
+    out = tmp_path / "o"
+    common = ["--out", str(out), "--xmax", "50000", "--q", "4"]
+    assert cli.main(["zeros"] + common + ["--T", "15", "--T0", "10"]) == 0
+    scanned = (out / "zeros_q4_chi1.csv").read_bytes()
+    capsys.readouterr()
+    assert cli.main(["zeros"] + common + ["--T", "10", "--T0", "10"]) == 0
+    assert "cached" in capsys.readouterr().out
+    assert (out / "zeros_q4_chi1.csv").read_bytes() == scanned
+    assert cli.main(["sieve"] + common) == 0
+    assert cli.main(["compare"] + common + ["--T", "15", "--T0", "15"]) == 0
+
+
 def test_zeros_t5_empty(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["zeros", "--out", str(out), "--q", "4", "--T", "5", "--T0", "1"]) == 0

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from factorrace.characters import enumerate_characters
+from factorrace import sieve as sieve_module
+from factorrace._csvio import fmt_float
+from factorrace.characters import _root_of_unity, enumerate_characters
 from factorrace.density import windowed_density
 from factorrace.sieve import (
+    BLOCK,
     ClassSums,
     SieveConfig,
     combined_run,
@@ -17,7 +20,7 @@ from factorrace.sieve import (
     write_checkpoints_csv,
     write_twists_csv,
 )
-from oracles import mertens_constants, trial_factor_counts, trial_factor_table
+from oracles import mertens_constants, trial_factor_counts, trial_factor_table, twist_reference
 
 
 def primes_upto(n):
@@ -178,6 +181,59 @@ def test_twist_complex_character_brute_force():
     brute_W = sum(evaluate(chi, n) * int(tbig[n]) for n in range(1, x + 1))
     assert abs(pw - brute_w) < 1e-9
     assert abs(pW - brute_W) < 1e-9
+
+
+@pytest.mark.parametrize("q", [1, 4, 5, 8, 24, 60, 63, 163, 1000])
+def test_twists_csv_matches_unbatched_reference(tmp_path, q):
+    # checkpoints below q leave classes empty, so zero exponent counts occur
+    cps = (1, 2, 10, 100, 999, 5000, 30_000)
+    sums = sieve_run(SieveConfig(x_max=30_000, q=q, checkpoints=cps))
+    chis = enumerate_characters(q)
+    path = tmp_path / "twists.csv"
+    write_twists_csv(sums, chis, str(path))
+    expected = []
+    for x in cps:
+        for chi in chis:
+            pw, pW = twist_reference(sums, chi, x)
+            expected.append(
+                f"{x},{q},{chi.index},{fmt_float(pw.real)},{fmt_float(pw.imag)},"
+                f"{fmt_float(pW.real)},{fmt_float(pW.imag)}"
+            )
+    assert path.read_text().splitlines()[1:] == expected
+    for x in (1, 999, 30_000):
+        for chi in chis[:: max(1, len(chis) // 7)]:
+            assert twist(sums, chi, x) == twist_reference(sums, chi, x)
+
+
+def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
+    q = 1000
+    sums = sieve_run(SieveConfig(x_max=20_000, q=q, checkpoints=(5000, 10_000, 20_000)))
+    chis = enumerate_characters(q)
+    calls = []
+
+    def counted(e, d):
+        calls.append(d)
+        return _root_of_unity(e, d)
+
+    monkeypatch.setattr(sieve_module, "_root_of_unity", counted)
+    write_twists_csv(sums, chis, str(tmp_path / "twists.csv"))
+    # a fold per (x, chi) calls it once per nonzero count: tens of thousands here
+    assert len(calls) <= sum({chi.order for chi in chis})
+
+
+@pytest.mark.parametrize("q", [1, 4, 163, 1000])
+def test_class_sums_match_factor_counts(q):
+    x_max = 3 * BLOCK + 500
+    # BLOCK - 1 ends the first segment of size BLOCK; the pieces ending at
+    # BLOCK, BLOCK + 1 and BLOCK + 4 are 1, 1 and 3 long, shorter than q > 4
+    cps = (7, 999, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 4, 2 * BLOCK, 3 * BLOCK + 17)
+    omega, bomega = factor_counts(x_max)
+    ref_w = np.array([[omega[a : x + 1 : q].sum(dtype=np.int64) for a in range(q)] for x in cps])
+    ref_W = np.array([[bomega[a : x + 1 : q].sum(dtype=np.int64) for a in range(q)] for x in cps])
+    for seg in (BLOCK, 2 * BLOCK, 1 << 20):
+        sums = sieve_run(SieveConfig(x_max=x_max, q=q, segment_size=seg, checkpoints=cps))
+        assert np.array_equal(sums.omega, ref_w)
+        assert np.array_equal(sums.big_omega, ref_W)
 
 
 def test_density_trace_brute_force(chi4):
