@@ -34,6 +34,7 @@ from .prediction import (
 )
 from .sieve import SieveConfig, combined_run, density_scan, sieve_run, write_checkpoints_csv, write_twists_csv
 from .zeros import (
+    CacheFormatError,
     MissedZeroError,
     ZeroCache,
     cache_filename,
@@ -265,8 +266,9 @@ def _read_twists(
 ) -> dict[int, list[tuple[int, complex, complex]]]:
     """twists.csv rows keyed by character index: (x, psi_omega, psi_Omega).
 
-    Refuses a file that another configuration wrote: a different q, a
-    checkpoint set other than this config's, or no rows for a target.
+    Refuses a file with a malformed row, or one that another configuration
+    wrote: a different q, a checkpoint set other than this config's, or no
+    rows for a target.
     """
     path = _path(rc, "twists.csv")
     if not os.path.exists(path):
@@ -279,12 +281,15 @@ def _read_twists(
         for line in fh:
             if line.startswith("#") or line.startswith("x,"):
                 continue
-            x, q, idx, rw, iw, rb, ib = line.strip().split(",")
-            qs.add(int(q))
-            xs.add(int(x))
-            out.setdefault(int(idx), []).append(
-                (int(x), complex(float(rw), float(iw)), complex(float(rb), float(ib)))
-            )
+            try:
+                x, q, idx, rw, iw, rb, ib = line.strip().split(",")
+                row = (int(x), complex(float(rw), float(iw)), complex(float(rb), float(ib)))
+                q, idx = int(q), int(idx)
+            except ValueError:
+                raise MissingInputError(f"{path}: bad row {line.rstrip()!r}: rerun `sieve`") from None
+            qs.add(q)
+            xs.add(row[0])
+            out.setdefault(idx, []).append(row)
     cps = _sieve_config(rc).checkpoints
     missing = [chi.index for chi in targets if chi.index not in out]
     if qs - {rc.q}:
@@ -302,13 +307,17 @@ def _read_twists(
 
 
 def _load_zero_cache(rc: RunConfig, chi: DirichletCharacter) -> ZeroCache:
-    """The zero cache of chi in the output directory; refuses one scanned below max(T0)."""
+    """The zero cache of chi in the output directory; refuses a corrupt one and
+    one scanned below max(T0)."""
     path = _path(rc, cache_filename(rc.q, chi.index))
     if not os.path.exists(path):
         raise MissingInputError(
             f"{path} not found: run the `zeros` subcommand first (factorrace zeros ...)"
         )
-    cache = load_cache(path)
+    try:
+        cache = load_cache(path)
+    except CacheFormatError as exc:
+        raise MissingInputError(f"{exc}: rerun `zeros`") from None
     if max(rc.t0_list) > cache.t_scanned:
         raise ConfigError(
             f"T0 up to {max(rc.t0_list)} requested but cache holds T={cache.t_scanned}; "

@@ -13,18 +13,19 @@ once per power level (peeling p from the cofactor), and whatever cofactor
 stays > 1 at the end is the single prime factor > sqrt(x_max), adding one
 to both counters.
 
-The same pass can drive the sign-bias measurement for one real character:
-running psi_f(n) = sum_{m<=n} chi(m) f(m) is carried as an exact integer,
-and the harmonically weighted measures H_f = sum 1/n over the biased
-thresholds are accumulated in fixed 2^16-aligned blocks (pairwise-summed
-per block, Neumaier-compensated across blocks).  Because the block
-structure is anchored to absolute n, the floating results are bit-identical
-for every segment size.
+The same pass can feed the sign fold of one real character: per segment
+the character's sign table is tiled over n, an int64 cumsum of chi(n) f(n)
+carries the exact running psi_f(n) = sum_{m<=n} chi(m) f(m), and the
+harmonic measures H_f = sum 1/n over the biased n (psi_omega < 0,
+psi_Omega > 0) are pairwise-summed per BLOCK = 2^16 block of absolute n
+and Neumaier-added across blocks.  Because the blocks are anchored to
+absolute n, the floating results are bit-identical for every segment size.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,78 +196,6 @@ def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
     return np.roll(acc.reshape(-1, q).sum(axis=0), u % q)
 
 
-def _class_range_sums(omega, bomega, lo, u, v, q):
-    """Per-class integer sums over n in [u, v) inside a segment starting at lo."""
-    return (
-        _fold_classes(omega[u - lo : v - lo], u, q),
-        _fold_classes(bomega[u - lo : v - lo], u, q),
-    )
-
-
-def _class_pieces(omega, bomega, lo, hi, q, cps_inside):
-    """Split [lo, hi) at checkpoints; yield (checkpoint-or-None, dw, dW) pieces."""
-    out = []
-    prev = lo
-    for x in cps_inside:
-        out.append((x, *_class_range_sums(omega, bomega, lo, prev, x + 1, q)))
-        prev = x + 1
-    if prev < hi:
-        out.append((None, *_class_range_sums(omega, bomega, lo, prev, hi, q)))
-    return out
-
-
-def _signed_values(omega, bomega, lo, hi, q, sgn_tab):
-    r = np.remainder(np.arange(lo, hi, dtype=np.int64), q)
-    sgn = sgn_tab[r].astype(np.int64)
-    return sgn * omega, sgn * bomega
-
-
-def _density_segment(omega, bomega, lo, hi, q, sgn_tab, entry_w, entry_W, cps_inside):
-    """Block sums of masked 1/n plus checkpoint partials for one segment.
-
-    Returns (block_sums_w, block_sums_W, checkpoint_rows, exit_w, exit_W)
-    where checkpoint_rows are (x, local_complete_blocks, partial_w, partial_W).
-    """
-    dw, dW = _signed_values(omega, bomega, lo, hi, q, sgn_tab)
-    cw = np.cumsum(dw)
-    cw += entry_w
-    cW = np.cumsum(dW)
-    cW += entry_W
-    inv = np.zeros(hi - lo, dtype=np.float64)
-    ns = np.arange(lo, hi, dtype=np.float64)
-    if lo == 0:
-        inv[1:] = 1.0 / ns[1:]
-    else:
-        inv[:] = 1.0 / ns
-    terms_w = inv * (cw < 0)
-    terms_W = inv * (cW > 0)
-
-    length = hi - lo
-    nfull = length // BLOCK
-    bw = terms_w[: nfull * BLOCK].reshape(nfull, BLOCK).sum(axis=1).tolist()
-    bW = terms_W[: nfull * BLOCK].reshape(nfull, BLOCK).sum(axis=1).tolist()
-    if nfull * BLOCK < length:
-        bw.append(float(terms_w[nfull * BLOCK :].sum()))
-        bW.append(float(terms_W[nfull * BLOCK :].sum()))
-
-    rows = []
-    base_block = lo // BLOCK
-    for x in cps_inside:
-        local = x // BLOCK - base_block
-        start = local * BLOCK
-        rows.append(
-            (
-                x,
-                local,
-                float(terms_w[start : x - lo + 1].sum()),
-                float(terms_W[start : x - lo + 1].sum()),
-            )
-        )
-    exit_w = int(cw[-1]) if length else entry_w
-    exit_W = int(cW[-1]) if length else entry_W
-    return bw, bW, rows, exit_w, exit_W
-
-
 def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:
     t = s + x
     if abs(s) >= abs(x):
@@ -276,124 +205,116 @@ def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:
     return t, c
 
 
-class _DensityFold:
-    """Folds per-segment block sums in order; evaluates H(x) at checkpoints."""
-
-    def __init__(self):
-        self.sw = self.cw = 0.0
-        self.sW = self.cW = 0.0
-        self.trace = []  # (x, H_w, H_W)
-
-    def fold_segment(self, bw, bW, rows):
-        ptr = 0
-        for x, local, pw, pW in rows:
-            while ptr < local:
-                self.sw, self.cw = _neumaier(self.sw, self.cw, bw[ptr])
-                self.sW, self.cW = _neumaier(self.sW, self.cW, bW[ptr])
-                ptr += 1
-            self.trace.append((x, (self.sw + self.cw) + pw, (self.sW + self.cW) + pW))
-        while ptr < len(bw):
-            self.sw, self.cw = _neumaier(self.sw, self.cw, bw[ptr])
-            self.sW, self.cW = _neumaier(self.sW, self.cW, bW[ptr])
-            ptr += 1
-
-
 def _delta(h: float, x: int) -> float:
     return h / math.log(x) if x > 1 else 0.0
 
 
-def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):
-    """Shared driver: one serial sieve pass filling class sums and, optionally,
-    the density accumulator for one real character."""
-    sgn_tab = None
-    if density_chi is not None:
-        if density_chi.modulus != cfg.q:
-            raise ValueError(
-                f"character modulus {density_chi.modulus} does not match sieve q={cfg.q}"
-            )
-        if not density_chi.is_real:
+class _SignFold:
+    """Running psi_f(n) = sum_{m<=n} chi(m) f(m) and the harmonic measures
+    H_f for one real non-principal character, fed one segment at a time.
+
+    H_omega sums 1/n over the n with psi_omega(n) < 0, H_Omega over the n
+    with psi_Omega(n) > 0.  The 1/n terms are pairwise-summed per
+    BLOCK-aligned block of absolute n and the block sums Neumaier-added in
+    order, so no bit depends on the segment size.  H at a mark x is the
+    running sum before x's block plus the pairwise sum of that block up
+    to x; the marks are the checkpoints and x_max.
+    """
+
+    def __init__(self, cfg: SieveConfig, chi: DirichletCharacter):
+        if chi.modulus != cfg.q:
+            raise ValueError(f"character modulus {chi.modulus} does not match sieve q={cfg.q}")
+        if not chi.is_real:
             raise ValueError("density scan requires a real character (sign test undefined otherwise)")
-        if density_chi.is_principal:
+        if chi.is_principal:
             raise ValueError("density scan requires a non-principal character")
-        sgn_tab = real_sign_table(density_chi)
+        self.cfg = cfg
+        self.chi = chi
+        self.signs = real_sign_table(chi).astype(np.int64)
+        self.marks = sorted(set(cfg.checkpoints) | {cfg.x_max})
+        self.psi = [0, 0]  # psi_omega, psi_Omega
+        self.acc = [(0.0, 0.0), (0.0, 0.0)]  # Neumaier (sum, comp) per f
+        self.h = {x: [0.0, 0.0] for x in self.marks}  # mark -> [H_omega, H_Omega]
 
-    q = cfg.q
-    x_max = cfg.x_max
-    cps = cfg.checkpoints
-    n_cp = len(cps)
-    s_omega = np.zeros((n_cp, q), dtype=np.int64)
-    s_big = np.zeros((n_cp, q), dtype=np.int64)
+    def add(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
+        """Fold the segment [lo, lo + len(omega)); lo is a multiple of BLOCK."""
+        n = len(omega)
+        marks = self.marks[bisect_left(self.marks, lo) : bisect_left(self.marks, lo + n)]
+        sgn = np.tile(np.roll(self.signs, -lo), n // len(self.signs) + 1)[:n]
+        inv = np.arange(lo, lo + n, dtype=np.float64)
+        if lo == 0:
+            inv[0] = np.inf  # n = 0 adds nothing
+        np.divide(1.0, inv, out=inv)
+        run = np.empty(n, dtype=np.int64)  # reused by both f: fewer fresh pages per segment
+        terms = np.empty(n)
+        nfull = n // BLOCK
+        for f, values in enumerate((omega, bomega)):
+            np.multiply(sgn, values, out=run)
+            np.cumsum(run, out=run)
+            run += self.psi[f]
+            self.psi[f] = int(run[-1])
+            np.multiply(inv, run < 0 if f == 0 else run > 0, out=terms)
+            block_sums = terms[: nfull * BLOCK].reshape(nfull, BLOCK).sum(axis=1).tolist()
+            if nfull * BLOCK < n:
+                block_sums.append(float(terms[nfull * BLOCK :].sum()))
+            s, c = self.acc[f]
+            k = 0
+            for b, block_sum in enumerate(block_sums):
+                while k < len(marks) and marks[k] < lo + (b + 1) * BLOCK:
+                    self.h[marks[k]][f] = (s + c) + float(terms[b * BLOCK : marks[k] - lo + 1].sum())
+                    k += 1
+                s, c = _neumaier(s, c, block_sum)
+            self.acc[f] = (s, c)
 
-    if x_max == 0:
-        sums = ClassSums(q, 0, cps, s_omega, s_big)
-        return sums, (None if density_chi is None else _empty_trace(cfg, density_chi))
+    def result(self) -> DensityTrace:
+        x_max, h = self.cfg.x_max, self.h
+        h_w, h_W = h[x_max]
+        return DensityTrace(
+            q=self.cfg.q,
+            chi_index=self.chi.index,
+            x_max=x_max,
+            h_omega=h_w,
+            h_big_omega=h_W,
+            delta_omega=_delta(h_w, x_max),
+            delta_big_omega=_delta(h_W, x_max),
+            trace=tuple((x, _delta(h[x][0], x), _delta(h[x][1], x)) for x in self.cfg.checkpoints),
+            psi_omega_final=self.psi[0],
+            psi_big_omega_final=self.psi[1],
+        )
 
-    eff = max(BLOCK, (cfg.segment_size // BLOCK) * BLOCK)
+
+def _segments(x_max: int, size: int):
+    """(lo, hi, omega, Omega) for consecutive segments [lo, hi) covering [0, x_max]."""
     primes = _primes_upto(math.isqrt(x_max))
-
-    density_cps = tuple(sorted(set(cps) | {x_max})) if density_chi is not None else ()
-
-    def inside(seq, lo, hi):
-        return [x for x in seq if lo <= x < hi]
-
-    running_w = np.zeros(q, dtype=np.int64)
-    running_W = np.zeros(q, dtype=np.int64)
-    cp_pos = {x: i for i, x in enumerate(cps)}
-    fold = _DensityFold()
-    psi_w = psi_W = 0
-
-    for lo in range(0, x_max + 1, eff):
-        hi = min(lo + eff, x_max + 1)
-        omega, bomega = _sieve_segment(lo, hi, primes)
-        for marker, dw, dW in _class_pieces(omega, bomega, lo, hi, q, inside(cps, lo, hi)):
-            np.add(running_w, dw, out=running_w)
-            np.add(running_W, dW, out=running_W)
-            if marker is not None:
-                i = cp_pos[marker]
-                s_omega[i] = running_w
-                s_big[i] = running_W
-        if sgn_tab is not None:
-            bw, bW, rows, psi_w, psi_W = _density_segment(
-                omega, bomega, lo, hi, q, sgn_tab, psi_w, psi_W,
-                inside(density_cps, lo, hi),
-            )
-            fold.fold_segment(bw, bW, rows)
-
-    sums = ClassSums(q, x_max, cps, s_omega, s_big)
-    if density_chi is None:
-        return sums, None
-
-    h_by_x = {x: (hw, hW) for x, hw, hW in fold.trace}
-    h_w, h_W = h_by_x[x_max]
-    trace = tuple((x, _delta(h_by_x[x][0], x), _delta(h_by_x[x][1], x)) for x in cps)
-    dens = DensityTrace(
-        q=q,
-        chi_index=density_chi.index,
-        x_max=x_max,
-        h_omega=h_w,
-        h_big_omega=h_W,
-        delta_omega=_delta(h_w, x_max),
-        delta_big_omega=_delta(h_W, x_max),
-        trace=trace,
-        psi_omega_final=psi_w,
-        psi_big_omega_final=psi_W,
-    )
-    return sums, dens
+    for lo in range(0, x_max + 1, size):
+        hi = min(lo + size, x_max + 1)
+        yield lo, hi, *_sieve_segment(lo, hi, primes)
 
 
-def _empty_trace(cfg: SieveConfig, chi: DirichletCharacter) -> DensityTrace:
-    return DensityTrace(
-        q=cfg.q,
-        chi_index=chi.index,
-        x_max=0,
-        h_omega=0.0,
-        h_big_omega=0.0,
-        delta_omega=0.0,
-        delta_big_omega=0.0,
-        trace=(),
-        psi_omega_final=0,
-        psi_big_omega_final=0,
-    )
+def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):
+    """Shared driver: one serial sieve pass filling the class sums and,
+    optionally, the sign fold of one real character."""
+    fold = None if density_chi is None else _SignFold(cfg, density_chi)
+    q = cfg.q
+    cps = cfg.checkpoints
+    sums = np.zeros((2, len(cps), q), dtype=np.int64)  # omega, Omega at each checkpoint
+    running = np.zeros((2, q), dtype=np.int64)
+    k = 0  # the next checkpoint
+    eff = max(BLOCK, (cfg.segment_size // BLOCK) * BLOCK)
+    for lo, hi, omega, bomega in _segments(cfg.x_max, eff):
+        u = lo
+        while u < hi:  # class sums piece by piece, split after each checkpoint
+            at_cp = k < len(cps) and cps[k] < hi
+            v = cps[k] + 1 if at_cp else hi
+            running[0] += _fold_classes(omega[u - lo : v - lo], u, q)
+            running[1] += _fold_classes(bomega[u - lo : v - lo], u, q)
+            if at_cp:
+                sums[:, k] = running
+                k += 1
+            u = v
+        if fold is not None:
+            fold.add(lo, omega, bomega)
+    return ClassSums(q, cfg.x_max, cps, *sums), (None if fold is None else fold.result())
 
 
 def factor_counts(x_max: int, segment_size: int = DEFAULT_SEGMENT) -> tuple[np.ndarray, np.ndarray]:
@@ -403,13 +324,9 @@ def factor_counts(x_max: int, segment_size: int = DEFAULT_SEGMENT) -> tuple[np.n
     """
     if x_max < 0 or x_max > MAX_X:
         raise ValueError("x_max out of range")
-    primes = _primes_upto(math.isqrt(x_max)) if x_max >= 4 else []
     omega = np.zeros(x_max + 1, dtype=np.int8)
     bomega = np.zeros(x_max + 1, dtype=np.int8)
-    step = max(2, segment_size)
-    for lo in range(0, x_max + 1, step):
-        hi = min(lo + step, x_max + 1)
-        w, b = _sieve_segment(lo, hi, primes)
+    for lo, hi, w, b in _segments(x_max, max(2, segment_size)):
         omega[lo:hi] = w
         bomega[lo:hi] = b
     return omega, bomega

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter
-from .lfunction import DEFAULT_PARAMS, EvalParams, _rotation_phase, l_value
+from .lfunction import _rotation_phase, l_value
 
 __all__ = [
     "FORMAT_VERSION",
@@ -106,23 +106,23 @@ def _grid_step(t: float, q: int) -> float:
     return 0.5 * math.pi / math.log(q * (abs(t) + 10) / (2 * math.pi) + math.e)
 
 
-def _z_and_l(chi, t, params):
-    lv = l_value(chi, complex(0.5, t), params)
+def _z_and_l(chi, t):
+    lv = l_value(chi, complex(0.5, t))
     z = (_rotation_phase(chi, t) * lv.value).real
     return z, lv
 
 
-def _scan_grid(chi, t_lo, t_hi, params, step_scale=1.0):
+def _scan_grid(chi, t_lo, t_hi, step_scale=1.0):
     ts = [t_lo]
     t = t_lo
     while t < t_hi:
         t = min(t_hi, t + step_scale * _grid_step(t, chi.modulus))
         ts.append(t)
-    zs = [_z_and_l(chi, t, params)[0] for t in ts]
+    zs = [_z_and_l(chi, t)[0] for t in ts]
     return ts, zs
 
 
-def _refine(chi, a, b, za, zb, params):
+def _refine(chi, a, b, za, zb):
     """Illinois regula falsi on a sign-change bracket; returns (gamma, LValue).
 
     Each step evaluates the false-position point of [a, b], kept at least
@@ -143,7 +143,7 @@ def _refine(chi, a, b, za, zb, params):
         m = min(max(m, a + 0.5 * tol), b - 0.5 * tol)
         if not a < m < b:
             m = 0.5 * (a + b)
-        zm, lv = _z_and_l(chi, m, params)
+        zm, lv = _z_and_l(chi, m)
         if zm == 0.0:
             return m, lv
         if (zm < 0) == (zb < 0):
@@ -191,22 +191,20 @@ def _warn_even_order(ts, zs):
             )
 
 
-def _find_side_zeros(chi, t_lo, t_hi, params, step_scale=1.0):
-    ts, zs = _scan_grid(chi, t_lo, t_hi, params, step_scale)
+def _find_side_zeros(chi, t_lo, t_hi, step_scale=1.0):
+    ts, zs = _scan_grid(chi, t_lo, t_hi, step_scale)
     _warn_even_order(ts, zs)
     found = []
     for a, b, za, zb, exact in _brackets_from_grid(ts, zs):
         if exact is not None:
-            lv = l_value(chi, complex(0.5, exact), params)
+            lv = l_value(chi, complex(0.5, exact))
             found.append((exact, lv))
         else:
-            found.append(_refine(chi, a, b, za, zb, params))
+            found.append(_refine(chi, a, b, za, zb))
     return found
 
 
-def scan_zeros(
-    chi: DirichletCharacter, t_max: float, params: EvalParams = DEFAULT_PARAMS
-) -> ZeroCache:
+def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
     """All zeros with |gamma| <= t_max for a primitive non-principal character."""
     if not chi.is_primitive:
         raise ValueError("zero scan requires a primitive character")
@@ -217,9 +215,9 @@ def scan_zeros(
 
     q = chi.modulus
     if chi.is_real:
-        found = _find_side_zeros(chi, 0.0, t_max, params)
+        found = _find_side_zeros(chi, 0.0, t_max)
     else:
-        found = _find_side_zeros(chi, -t_max, t_max, params)
+        found = _find_side_zeros(chi, -t_max, t_max)
 
     def dedupe_add(pool, new):
         for g, lv in new:
@@ -249,9 +247,9 @@ def scan_zeros(
     for n in suspects:
         lo = max(0.0 if chi.is_real else -t_max, n - 0.3)
         hi = min(t_max, n + 1.3)
-        dedupe_add(found, _find_side_zeros(chi, lo, hi, params, step_scale=0.25))
+        dedupe_add(found, _find_side_zeros(chi, lo, hi, step_scale=0.25))
         if not chi.is_real:
-            dedupe_add(found, _find_side_zeros(chi, -hi, -lo, params, step_scale=0.25))
+            dedupe_add(found, _find_side_zeros(chi, -hi, -lo, step_scale=0.25))
 
     deviation = abs(total_count(found) - smooth_zero_count(t_max, q))
     if deviation > 2 + math.log(q * t_max):

@@ -127,6 +127,33 @@ def test_refuses_zero_cache_scanned_below_t0(tmp_path, capsys, cmd):
     assert not (out / "meansq.csv").exists()
 
 
+def test_compare_refuses_a_truncated_twists_row(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(out, "sieve") == 0
+    assert run(out, "zeros") == 0
+    path = out / "twists.csv"
+    text = path.read_text()
+    path.write_text(text[: text.rindex(",", 0, len(text) - 1)] + "\n")  # drop the last field
+    capsys.readouterr()
+    assert run(out, "compare") == cli.EXIT_IO
+    assert "rerun `sieve`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["compare", "density"])
+def test_refuses_a_zero_cache_missing_its_last_row(tmp_path, capsys, cmd):
+    out = tmp_path / "o"
+    assert run(out, "sieve") == 0
+    assert run(out, "zeros") == 0
+    path = out / "zeros_q4_chi1.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    capsys.readouterr()
+    assert run(out, cmd) == cli.EXIT_IO
+    assert "rerun `zeros`" in capsys.readouterr().err
+    assert not (out / "mc.csv").exists()
+    assert not (out / "meansq.csv").exists()
+
+
 def test_compare_rows_per_checkpoint(tmp_path):
     out = tmp_path / "o"
     assert run(out, "sieve") == 0

@@ -308,6 +308,32 @@ def test_density_bounds(chi4):
         assert 0.0 <= dW <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("segment_size", [BLOCK, 1 << 20])
+@pytest.mark.parametrize(
+    "q, index, x_max, h_omega, h_big_omega, psi_omega, psi_big_omega",
+    [
+        (4, 1, 10**6, "0x1.69ee14b51a50dp+3", "0x1.30524d2dd5736p+3", -54, 56),
+        (24, 3, 10**6, "0x1.1ecbad7196708p+3", "0x1.7be934337b116p+3", -117, 199),
+        # the first of these sizes where a plain sum of the block sums differs
+        (4, 1, 2 * 10**6, "0x1.801c572ddccffp+3", "0x1.46808fa697f28p+3", -70, 78),
+    ],
+)
+def test_density_bits(q, index, x_max, h_omega, h_big_omega, psi_omega, psi_big_omega, segment_size):
+    """The exact H_f bits of the block-pairwise, Neumaier-folded sums."""
+    chi = enumerate_characters(q)[index]
+    dens = density_scan(SieveConfig(x_max=x_max, q=q, segment_size=segment_size), chi)
+    assert (dens.h_omega.hex(), dens.h_big_omega.hex()) == (h_omega, h_big_omega)
+    assert (dens.psi_omega_final, dens.psi_big_omega_final) == (psi_omega, psi_big_omega)
+
+
+@pytest.mark.parametrize("x_max, trace", [(0, ()), (1, ((1, 0.0, 0.0),))])
+def test_density_of_an_empty_range(chi4, x_max, trace):
+    dens = density_scan(SieveConfig(x_max=x_max, q=4), chi4)
+    assert (dens.h_omega, dens.h_big_omega, dens.delta_omega, dens.delta_big_omega) == (0.0,) * 4
+    assert dens.trace == trace
+    assert (dens.psi_omega_final, dens.psi_big_omega_final) == (0, 0)
+
+
 def test_hardy_ramanujan_drift_at_1e6():
     x = 10**6
     sums = sieve_run(SieveConfig(x_max=x, q=1, checkpoints=(x,)))
