@@ -16,6 +16,12 @@ Monte Carlo model.
 
 __version__ = "0.1.0"
 
+import os
+
+# The BLAS calls here are small, so OpenBLAS worker threads would only spin on
+# other CPUs for ~0.1 s after numpy loads.  Acts only before numpy's first import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .characters import (
     DirichletCharacter,
     character,

@@ -385,13 +385,15 @@ def cmd_density(rc: RunConfig, precomputed: dict[int, object] | None = None) -> 
             l_half = l_value(chi, 0.5)
             t0 = max(rc.t0_list)
             y_grid = _mc_y_grid(cfg)
-            for kind in rc.kinds:
-                model = build_model(chi, l_half, cache, t0, kind, rc.seed)
-                estimates.append(li_monte_carlo(model, y_grid, rc.trials))
+            own = [
+                li_monte_carlo(build_model(chi, l_half, cache, t0, kind, rc.seed), y_grid, rc.trials)
+                for kind in rc.kinds
+            ]
+            estimates.extend(own)
             rep = report(
                 dens,
-                next((m for m in estimates if m.kind == "omega"), None),
-                next((m for m in estimates if m.kind == "Omega"), None),
+                next((m for m in own if m.kind == "omega"), None),
+                next((m for m in own if m.kind == "Omega"), None),
             )
             flags = []
             if rep.flag_omega:

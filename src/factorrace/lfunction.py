@@ -29,6 +29,11 @@ per call, and the tail is a small matrix product over the rows.
 of its rows, so q = 1 reproduces `hurwitz_zeta` bit for bit.  The unit
 shifts a/q with their weights chi(a), and the root-number phase of the
 rotated function, are computed once per character (q, index) and cached.
+
+`_loggamma` shifts z up to |z| >= 15 through one running product, sums
+Stirling's series with B_2..B_16 (first omitted term < 1e-20) by Horner's
+rule in 1/z^2 and subtracts the product's log: log Gamma modulo 2 pi i,
+all the callers need, as they use exp(log Gamma) and exp(i Im log Gamma).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 from .characters import DirichletCharacter, _root_of_unity, root_number
 
@@ -204,14 +208,27 @@ def l_value(chi: DirichletCharacter, s: complex, params: EvalParams = DEFAULT_PA
     return LValue(value=value, derivative=derivative, err_hint=abs(qs) * float(hint.sum()))
 
 
-def completed_lambda(chi: DirichletCharacter, s: complex, params: EvalParams = DEFAULT_PARAMS) -> complex:
+def _loggamma(z: complex) -> complex:
+    """log Gamma(z) modulo 2*pi*i for Re z > 0, by Stirling's series after an upward shift."""
+    prod = 1 + 0j
+    while abs(z) < 15:
+        prod *= z
+        z += 1
+    w = 1 / (z * z)
+    series = 0.0
+    for k in range(8, 0, -1):
+        series = series * w + _B_EVEN[k - 1] / (2 * k * (2 * k - 1))
+    return (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + series / z - cmath.log(prod)
+
+
+def completed_lambda(chi: DirichletCharacter, s: complex) -> complex:
     """Lambda(s, chi) = (q/pi)^{(s+parity)/2} Gamma((s+parity)/2) L(s, chi), chi primitive."""
     if not chi.is_primitive:
         raise ValueError("completed L-function requires a primitive character")
     s = complex(s)
     g = (s + chi.parity) / 2
-    lv = l_value(chi, s, params)
-    pref = cmath.exp(g * math.log(chi.modulus / math.pi) + complex(loggamma(g)))
+    lv = l_value(chi, s)
+    pref = cmath.exp(g * math.log(chi.modulus / math.pi) + _loggamma(g))
     return pref * lv.value
 
 
@@ -228,18 +245,18 @@ def _rotation_phase(chi: DirichletCharacter, t: float) -> complex:
     character, so the result is continuous in t.
     """
     g = complex(0.5 + chi.parity, t) / 2
-    theta = (t / 2) * math.log(chi.modulus / math.pi) + complex(loggamma(g)).imag
+    theta = (t / 2) * math.log(chi.modulus / math.pi) + _loggamma(g).imag
     return _root_phase(chi) * cmath.exp(1j * theta)
 
 
-def rotated_z_complex(chi: DirichletCharacter, t: float, params: EvalParams = DEFAULT_PARAMS) -> complex:
+def rotated_z_complex(chi: DirichletCharacter, t: float) -> complex:
     """Full complex rotated value; its imaginary part is a numerical residual."""
     if not chi.is_primitive:
         raise ValueError("rotated Z-function requires a primitive character")
-    lv = l_value(chi, complex(0.5, t), params)
+    lv = l_value(chi, complex(0.5, t))
     return _rotation_phase(chi, t) * lv.value
 
 
-def rotated_z(chi: DirichletCharacter, t: float, params: EvalParams = DEFAULT_PARAMS) -> float:
+def rotated_z(chi: DirichletCharacter, t: float) -> float:
     """Real-valued rotation of L(1/2 + it, chi); vanishes exactly at the zeros."""
-    return rotated_z_complex(chi, t, params).real
+    return rotated_z_complex(chi, t).real

@@ -1,9 +1,12 @@
 import filecmp
 import os
+import subprocess
+import sys
 
 import pytest
 
-from factorrace import cli
+from factorrace import cli, density
+from factorrace.characters import enumerate_characters
 from factorrace.zeros import MissedZeroError
 
 BASE = ["--xmax", "50000", "--q", "4", "--T", "15", "--T0", "10", "--trials", "1000"]
@@ -194,6 +197,55 @@ def test_density_outputs(tmp_path, capsys):
     assert mc_rows[0] == "y,p_neg,trials,seed,kind\n"
     assert any(",omega" in r for r in mc_rows[1:])
     assert any(",Omega" in r for r in mc_rows[1:])
+
+
+def test_density_reports_each_character_against_its_own_model(tmp_path, monkeypatch):
+    """At q = 24 two primitive real characters share one run; each is reported against its own MC."""
+    current, built, reported = {}, [], []
+
+    def build_model(chi, *args):
+        current["chi"] = chi.index
+        return density.build_model(chi, *args)
+
+    def li_monte_carlo(*args):
+        est = density.li_monte_carlo(*args)
+        built.append((current["chi"], est))
+        return est
+
+    def report(dens, mc_omega, mc_big_omega):
+        reported.append((current["chi"], mc_omega, mc_big_omega))
+        return density.report(dens, mc_omega, mc_big_omega)
+
+    for fn in (build_model, li_monte_carlo, report):
+        monkeypatch.setattr(cli, fn.__name__, fn)
+    argv = ["--out", str(tmp_path), "--q", "24", "--chi", "all", "--xmax", "50000", "--T", "15", "--T0", "15"]
+    assert cli.main(["zeros"] + argv) == 0
+    assert cli.main(["density", "--trials", "1000"] + argv) == 0
+    primitive = [c.index for c in enumerate_characters(24) if c.is_real and c.is_primitive]
+    assert [chi for chi, _, _ in reported] == primitive and len(primitive) == 2
+    for chi, mc_omega, mc_big_omega in reported:
+        own = [est for c, est in built if c == chi]
+        assert [m.kind for m in own] == ["omega", "Omega"]
+        assert mc_omega is own[0] and mc_big_omega is own[1]
+
+
+def test_cli_run_loads_no_scipy(tmp_path):
+    """A `zeros` run works with every scipy import made to fail, and loads no scipy module."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from factorrace import cli\n"
+        "argv = ['zeros', '--q', '5', '--chi', '1', '--T', '10', '--T0', '10', '--out', sys.argv[1]]\n"
+        "assert cli.main(argv) == 0\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(
