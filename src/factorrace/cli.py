@@ -38,7 +38,6 @@ from .zeros import (
     MissedZeroError,
     ZeroCache,
     cache_filename,
-    count_check,
     load_cache,
     scan_zeros,
     store_cache,
@@ -86,6 +85,7 @@ class RunConfig:
                 f"ratio={self.ratio!r}",
                 f"segment={self.segment_size}",
                 f"seed={self.seed}",
+                f"trials={self.trials}",
                 f"version={__version__}",
             ]
         )
@@ -224,38 +224,18 @@ def cmd_sieve(rc: RunConfig, sums=None) -> None:
     print(f"sieve: x_max={rc.x_max} q={rc.q} checkpoints={len(sums.checkpoints)} -> {rc.out}")
 
 
-def cmd_zeros(rc: RunConfig) -> dict[int, "object"]:
+def cmd_zeros(rc: RunConfig) -> dict[int, ZeroCache]:
     caches = {}
     for chi in _zero_targets(rc):
-        path = _path(rc, cache_filename(rc.q, chi.index))
-        cache = None
-        if os.path.exists(path):
-            try:
-                existing = load_cache(path)
-                # a cache scanned at least as high holds every zero below T
-                if (
-                    existing.q == rc.q
-                    and existing.chi_index == chi.index
-                    and existing.t_scanned >= float(rc.t_scan)
-                ):
-                    cache = existing
-                    print(
-                        f"zeros: q={rc.q} chi={chi.index} T={rc.t_scan} cached "
-                        f"(scanned to T={existing.t_scanned}, {cache.count} zeros)"
-                    )
-            except ValueError:
-                cache = None
-        if cache is None:
+        try:
+            cache = _load_zero_cache(rc, chi, rc.t_scan)
+            print(
+                f"zeros: q={rc.q} chi={chi.index} T={rc.t_scan} cached "
+                f"(scanned to T={cache.t_scanned}, {cache.count} zeros)"
+            )
+        except (MissingInputError, ConfigError):
             cache = scan_zeros(chi, rc.t_scan)
-            rep = count_check(cache)
-            if not rep.passed:
-                raise MissedZeroError(
-                    f"zero-count check failed for q={rc.q} chi={chi.index}: "
-                    f"count={rep.count} expected={rep.expected:.2f} deviation={rep.deviation:.2f} "
-                    f"allowed={rep.allowed:.2f} bad_windows={rep.bad_windows}",
-                    windows=list(rep.bad_windows),
-                )
-            store_cache(cache, path)
+            store_cache(cache, _path(rc, cache_filename(rc.q, chi.index)))
             print(f"zeros: q={rc.q} chi={chi.index} T={rc.t_scan} -> {cache.count} zeros")
         caches[chi.index] = cache
     return caches
@@ -306,9 +286,10 @@ def _read_twists(
     raise MissingInputError(f"{path} does not match this configuration ({problem}): rerun `sieve`")
 
 
-def _load_zero_cache(rc: RunConfig, chi: DirichletCharacter) -> ZeroCache:
-    """The zero cache of chi in the output directory; refuses a corrupt one and
-    one scanned below max(T0)."""
+def _load_zero_cache(rc: RunConfig, chi: DirichletCharacter, height: float) -> ZeroCache:
+    """The zero cache of chi in the output directory, if it holds every zero up to
+    `height`.  Refuses a missing, corrupt or other character's file
+    (MissingInputError) and one scanned below `height` (ConfigError)."""
     path = _path(rc, cache_filename(rc.q, chi.index))
     if not os.path.exists(path):
         raise MissingInputError(
@@ -318,9 +299,14 @@ def _load_zero_cache(rc: RunConfig, chi: DirichletCharacter) -> ZeroCache:
         cache = load_cache(path)
     except CacheFormatError as exc:
         raise MissingInputError(f"{exc}: rerun `zeros`") from None
-    if max(rc.t0_list) > cache.t_scanned:
+    if (cache.q, cache.chi_index) != (rc.q, chi.index):
+        raise MissingInputError(
+            f"{path} holds the zeros of q={cache.q} chi={cache.chi_index}, "
+            f"not q={rc.q} chi={chi.index}: rerun `zeros`"
+        )
+    if height > cache.t_scanned:
         raise ConfigError(
-            f"T0 up to {max(rc.t0_list)} requested but cache holds T={cache.t_scanned}; "
+            f"zeros up to T={height} requested but {path} holds T={cache.t_scanned}; "
             f"rerun `zeros` with a larger --T"
         )
     return cache
@@ -331,7 +317,7 @@ def cmd_compare(rc: RunConfig) -> None:
     twists = _read_twists(rc, targets)
     meansq_groups = []
     for chi in targets:
-        cache = _load_zero_cache(rc, chi)
+        cache = _load_zero_cache(rc, chi, max(rc.t0_list))
         l_half = l_value(chi, 0.5)
         rows_for_chi = twists.get(chi.index, [])
         xs = [x for x, _, _ in rows_for_chi if x >= 2]
@@ -367,7 +353,8 @@ def _mc_y_grid(cfg: SieveConfig) -> list[float]:
     return [math.log(x) for x in xs]
 
 
-def cmd_density(rc: RunConfig, precomputed: dict[int, object] | None = None) -> None:
+def cmd_density(rc: RunConfig, first=None) -> None:
+    """`first`, if given, is the DensityTrace of one target from `cmd_all`'s sieve pass."""
     cfg = _sieve_config(rc)
     targets = _density_targets(rc)
     if not targets:
@@ -375,13 +362,13 @@ def cmd_density(rc: RunConfig, precomputed: dict[int, object] | None = None) -> 
     traces = []
     estimates = []
     for chi in targets:
-        if precomputed and chi.index in precomputed:
-            dens = precomputed[chi.index]
+        if first is not None and first.chi_index == chi.index:
+            dens = first
         else:
             dens = density_scan(cfg, chi)
         traces.append(dens)
         if chi.is_primitive:
-            cache = _load_zero_cache(rc, chi)
+            cache = _load_zero_cache(rc, chi, max(rc.t0_list))
             l_half = l_value(chi, 0.5)
             t0 = max(rc.t0_list)
             y_grid = _mc_y_grid(cfg)
@@ -413,20 +400,15 @@ def cmd_density(rc: RunConfig, precomputed: dict[int, object] | None = None) -> 
 def cmd_all(rc: RunConfig) -> None:
     cfg = _sieve_config(rc)
     targets = _density_targets(rc)
-    dens_map = {}
     if targets:
-        first = targets[0]
-        sums, dens = combined_run(cfg, first)
-        dens_map[first.index] = dens
-        for chi in targets[1:]:
-            dens_map[chi.index] = density_scan(cfg, chi)
+        sums, first = combined_run(cfg, targets[0])
     else:
         sums = sieve_run(cfg)
     cmd_sieve(rc, sums=sums)
     cmd_zeros(rc)
     cmd_compare(rc)
     if targets:
-        cmd_density(rc, precomputed=dens_map)
+        cmd_density(rc, first)
 
 
 def _make_parser() -> argparse.ArgumentParser:

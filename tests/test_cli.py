@@ -130,6 +130,26 @@ def test_refuses_zero_cache_scanned_below_t0(tmp_path, capsys, cmd):
     assert not (out / "meansq.csv").exists()
 
 
+@pytest.mark.parametrize("cmd, target", [("compare", 1), ("density", 2)])
+def test_refuses_another_characters_zero_cache(tmp_path, capsys, cmd, target):
+    """At q=5 the cache of chi 3 copied over the target's file is refused (exit 4),
+    and `zeros` rescans the target instead of reusing it."""
+    out = tmp_path / "o"
+    argv = ["--out", str(out), "--q", "5", "--xmax", "50000", "--T", "15", "--T0", "10", "--trials", "1000"]
+    assert cli.main(["sieve"] + argv) == 0
+    assert cli.main(["zeros"] + argv) == 0
+    target_file = out / f"zeros_q5_chi{target}.csv"
+    target_file.write_bytes((out / "zeros_q5_chi3.csv").read_bytes())
+    capsys.readouterr()
+    assert cli.main([cmd, "--chi", str(target)] + argv) == cli.EXIT_IO
+    assert "rerun `zeros`" in capsys.readouterr().err
+    assert not (out / "mc.csv").exists()
+    assert not (out / "meansq.csv").exists()
+    assert cli.main(["zeros", "--chi", str(target)] + argv) == 0
+    assert "cached" not in capsys.readouterr().out
+    assert target_file.read_text().startswith(f"# q=5 chi={target} T=15 ")
+
+
 def test_compare_refuses_a_truncated_twists_row(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(out, "sieve") == 0
@@ -307,3 +327,12 @@ def test_config_hash_stable_across_threads_and_out(tmp_path):
         cli._make_parser().parse_args(["all", "--out", "x", "--seed", "7"] + BASE)
     )
     assert rc3.hash() != rc1.hash()
+
+
+def test_config_hash_covers_trials():
+    """mc.csv depends on --trials, so the hash does too."""
+    hashes = {
+        cli._build_run_config(cli._make_parser().parse_args(["all", "--trials", n])).hash()
+        for n in ("1000", "50000")
+    }
+    assert len(hashes) == 2

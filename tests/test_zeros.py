@@ -152,6 +152,20 @@ def test_cache_parse_errors(tmp_path, cache15):
         load_cache(str(unsorted))
 
 
+def test_cache_bad_height_or_bytes_is_a_format_error(tmp_path, cache15):
+    """A header height float() rejects, or bytes that are not UTF-8, fail as
+    CacheFormatError (which callers refuse or rescan), not as a bare ValueError."""
+    path = tmp_path / "zc.csv"
+    store_cache(cache15, str(path))
+    text = path.read_text()
+    path.write_text(text.replace("T=15 ", "T=1e ", 1))
+    with pytest.raises(CacheFormatError):
+        load_cache(str(path))
+    path.write_bytes(b"\xff\xfe" + text.encode())
+    with pytest.raises(CacheFormatError):
+        load_cache(str(path))
+
+
 def test_complex_character_scan():
     chi = enumerate_characters(5)[1]
     cache = scan_zeros(chi, 15.0)
@@ -201,6 +215,20 @@ def test_missed_zero_error_raised(chi4, monkeypatch):
     monkeypatch.setattr(zmod, "smooth_zero_count", lambda t, q: 50.0)
     with pytest.raises(MissedZeroError):
         scan_zeros(chi4, 15.0)
+
+
+def test_scan_refuses_a_crowded_window(monkeypatch):
+    """30 zeros in one unit window fail the completeness check even when the
+    total matches the smooth count (about 31.3 at q=5, T=40)."""
+    import factorrace.zeros as zmod
+    from factorrace.lfunction import LValue
+    from factorrace.zeros import MissedZeroError
+
+    crowd = [(7.0 + 0.01 * k, LValue(1e-13, complex(1.0, 0.0), 0.0)) for k in range(30)]
+    monkeypatch.setattr(zmod, "_find_side_zeros", lambda chi, lo, hi, step_scale=1.0: list(crowd))
+    with pytest.raises(MissedZeroError) as info:
+        scan_zeros(character(5, 1), 40.0)
+    assert 7 in info.value.windows
 
 
 @pytest.mark.parametrize(
