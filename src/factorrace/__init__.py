@@ -40,8 +40,8 @@ from .density import (
     report,
     windowed_density,
 )
-from .lfunction import EvalParams, LValue, completed_lambda, hurwitz_zeta, l_value, rotated_z
-from .prediction import Prediction, ResidualSeries, figure_table, predict, residual_series
+from .lfunction import LValue, completed_lambda, hurwitz_zeta, l_value, rotated_z
+from .prediction import mean_square, predict, residual
 from .sieve import (
     ClassSums,
     DensityTrace,
@@ -72,7 +72,6 @@ __all__ = [
     "evaluate",
     "gauss_sum",
     "root_number",
-    "EvalParams",
     "LValue",
     "hurwitz_zeta",
     "l_value",
@@ -94,11 +93,9 @@ __all__ = [
     "load_cache",
     "MissedZeroError",
     "CacheFormatError",
-    "Prediction",
-    "ResidualSeries",
     "predict",
-    "residual_series",
-    "figure_table",
+    "residual",
+    "mean_square",
     "LiModel",
     "MonteCarloEstimates",
     "DensityReport",

@@ -24,16 +24,10 @@ from . import __version__
 from .characters import DirichletCharacter, enumerate_characters
 from .density import build_model, li_monte_carlo, report, write_density_csv, write_mc_csv
 from .lfunction import l_value
-from .prediction import (
-    KINDS,
-    figure_table,
-    predict,
-    residual_series,
-    write_compare_csv,
-    write_meansq_csv,
-)
+from .prediction import KINDS, SIGN, mean_square, predict, residual, write_compare_csv, write_meansq_csv
 from .sieve import SieveConfig, combined_run, density_scan, sieve_run, write_checkpoints_csv, write_twists_csv
 from .zeros import (
+    MAX_SCAN_HEIGHT,
     CacheFormatError,
     MissedZeroError,
     ZeroCache,
@@ -170,15 +164,21 @@ def _validate(rc: RunConfig) -> None:
     for kind in rc.kinds:
         if kind not in KINDS:
             raise ConfigError(f"kind must be in {KINDS}, got {kind!r}")
+    if len(set(rc.kinds)) < len(rc.kinds):
+        raise ConfigError(f"each kind may be given once, got {','.join(rc.kinds)}")
     if rc.chi != "all":
         try:
             int(rc.chi)
         except ValueError:
             raise ConfigError(f"--chi must be 'all' or an integer index, got {rc.chi!r}") from None
+    if rc.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if not 0 < rc.t_scan <= MAX_SCAN_HEIGHT:
+        raise ConfigError(f"T must be in (0, {MAX_SCAN_HEIGHT}], got {rc.t_scan}")
     if not rc.t0_list:
         raise ConfigError("at least one T0 is required")
-    if max(rc.t0_list) > rc.t_scan:
-        raise ConfigError(f"every T0 must be <= T={rc.t_scan}")
+    if not all(0 <= t0 <= rc.t_scan for t0 in rc.t0_list):
+        raise ConfigError(f"every T0 must be in [0, T={rc.t_scan}]")
     try:
         _sieve_config(rc)
         _characters(rc)
@@ -319,24 +319,22 @@ def cmd_compare(rc: RunConfig) -> None:
     for chi in targets:
         cache = _load_zero_cache(rc, chi, max(rc.t0_list))
         l_half = l_value(chi, 0.5)
-        rows_for_chi = twists.get(chi.index, [])
-        xs = [x for x, _, _ in rows_for_chi if x >= 2]
-        psi = {
-            "omega": [w for x, w, _ in rows_for_chi if x >= 2],
-            "Omega": [b for x, _, b in rows_for_chi if x >= 2],
-        }
-        for kind in rc.kinds:
-            entries = []
-            for t0 in rc.t0_list:
-                preds = [predict(x, chi, kind, l_half, cache, t0) for x in xs]
-                rows = figure_table(xs, psi[kind], preds)
+        rows = [row for row in twists.get(chi.index, []) if row[0] >= 2]
+        xs = [x for x, _, _ in rows]
+        psi = {"omega": [w for _, w, _ in rows], "Omega": [b for _, _, b in rows]}
+        entries = {kind: [] for kind in rc.kinds}
+        for t0 in rc.t0_list:
+            secular, zero_sum = predict(xs, chi, l_half, cache, t0)
+            for kind in rc.kinds:
+                main = SIGN[kind] * secular
+                full = main + zero_sum
+                sigma = residual(xs, psi[kind], full)
                 name = f"compare_{kind}_q{rc.q}_chi{chi.index}_T{_fmt_t0(t0)}.csv"
-                write_compare_csv(rows, _path(rc, name), rc.comment())
-                series = residual_series(xs, psi[kind], preds)
-                if len(series.y) >= 2:
-                    entries.append((t0, float(series.y[-1]), series.mean_square))
-            if entries:
-                meansq_groups.append((f"kind={kind} q={rc.q} chi={chi.index}", entries))
+                write_compare_csv(xs, psi[kind], main, full, sigma, _path(rc, name), rc.comment())
+                ms = mean_square(xs, sigma)
+                if ms is not None:
+                    entries[kind].append((t0, *ms))
+        meansq_groups += [(f"kind={kind} q={rc.q} chi={chi.index}", e) for kind, e in entries.items() if e]
         print(f"compare: q={rc.q} chi={chi.index} kinds={','.join(rc.kinds)} T0s={rc.t0_list}")
     write_meansq_csv(meansq_groups, _path(rc, "meansq.csv"), rc.comment())
 

@@ -128,9 +128,7 @@ class MonteCarloEstimates:
     points: tuple[tuple[float, float, float], ...]  # (y, p_hat, std_error)
 
 
-def li_monte_carlo(
-    model: LiModel, y_grid, trials: int, rng: np.random.Generator | None = None
-) -> MonteCarloEstimates:
+def li_monte_carlo(model: LiModel, y_grid, trials: int) -> MonteCarloEstimates:
     """Bias probability of the race at each y, under the random-phase model.
 
     One set of phase samples is drawn per call and reused across the y grid;
@@ -141,11 +139,9 @@ def li_monte_carlo(
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if not model.amplitudes and model.drift_slope == 0 and model.drift_intercept == 0:
         raise ValueError("degenerate model: no oscillation amplitudes and zero drift")
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
     if model.amplitudes:
         amps = np.asarray(model.amplitudes)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=(trials, len(amps)))
+        phases = np.random.default_rng(model.seed).uniform(0.0, 2.0 * math.pi, size=(trials, len(amps)))
         osc = np.cos(phases) @ amps
     else:
         osc = np.zeros(trials)

@@ -16,9 +16,9 @@ plus the product rule on the rising factorial), so L'(s, chi) stays
 accurate at points where L itself nearly vanishes -- finite differences
 would lose most digits there.
 
-N adapts to the height, N = max(12, ceil(1.3*|Im s|) + 10); M = 12 by
-default with Bernoulli numbers tabulated exactly as rationals before the
-single conversion to float.  Design ceiling |Im s| <= 1e4.
+N adapts to the height, N = max(12, ceil(1.3*|Im s|) + 10); M = 12, with
+Bernoulli numbers tabulated exactly as rationals before the single
+conversion to float.  Design ceiling |Im s| <= 1e4.
 
 One kernel evaluates a whole (shift x term) block: a row per shift a,
 with the N head terms and the Euler-Maclaurin point N + a as columns, in
@@ -49,9 +49,7 @@ import numpy as np
 from .characters import DirichletCharacter, _root_of_unity, root_number
 
 __all__ = [
-    "EvalParams",
     "LValue",
-    "DEFAULT_PARAMS",
     "hurwitz_zeta",
     "l_value",
     "completed_lambda",
@@ -60,7 +58,7 @@ __all__ = [
 ]
 
 MAX_IM = 1.0e4
-_MAX_BERNOULLI_ORDER = 30
+_BERNOULLI_ORDER = 12  # M
 
 
 def _bernoulli_even_floats(count: int) -> tuple[float, ...]:
@@ -76,56 +74,31 @@ def _bernoulli_even_floats(count: int) -> tuple[float, ...]:
     return tuple(float(b[2 * j]) for j in range(1, count + 1))
 
 
-_B_EVEN = _bernoulli_even_floats(_MAX_BERNOULLI_ORDER)
-# coefficient B_{2j} / (2j)! for j = 1.._MAX_BERNOULLI_ORDER
+_B_EVEN = _bernoulli_even_floats(_BERNOULLI_ORDER)
+# coefficient B_{2j} / (2j)! for j = 1..M
 _EM_COEFF = tuple(b / math.factorial(2 * j) for j, b in enumerate(_B_EVEN, start=1))
 # exponents e of z^e in the tail terms of _hurwitz_block: 1, 0, then -(2j - 1)
-_TAIL_EXPONENTS = np.array([1.0, 0.0] + [-(2.0 * j - 1) for j in range(1, _MAX_BERNOULLI_ORDER + 1)])
+_TAIL_EXPONENTS = np.array([1.0, 0.0] + [-(2.0 * j - 1) for j in range(1, _BERNOULLI_ORDER + 1)])
 # cap on rows * terms of one block, so memory stays bounded at large q * |Im s|
 _BLOCK_ELEMENTS = 1 << 16
-
-
-@dataclass(frozen=True)
-class EvalParams:
-    """Truncation parameters for the Euler-Maclaurin evaluation."""
-
-    bernoulli_order: int = 12  # M
-    em_terms: int | None = None  # N; None means adaptive in |Im s|
-
-    def __post_init__(self):
-        if not 1 <= self.bernoulli_order <= _MAX_BERNOULLI_ORDER:
-            raise ValueError(f"bernoulli_order must be in [1, {_MAX_BERNOULLI_ORDER}]")
-        if self.em_terms is not None and self.em_terms < 1:
-            raise ValueError("em_terms must be >= 1")
-
-    def n_terms(self, s: complex) -> int:
-        if self.em_terms is not None:
-            return self.em_terms
-        return max(12, math.ceil(1.3 * abs(s.imag)) + 10)
-
-
-DEFAULT_PARAMS = EvalParams()
 
 
 @dataclass(frozen=True)
 class LValue:
     value: complex
     derivative: complex
-    err_hint: float  # heuristic magnitude of the last Euler-Maclaurin tail term
 
 
-def hurwitz_zeta(s: complex, a: float, params: EvalParams = DEFAULT_PARAMS) -> tuple[complex, complex]:
+def hurwitz_zeta(s: complex, a: float) -> tuple[complex, complex]:
     """(zeta(s, a), d/ds zeta(s, a)) for Re s > 0, s != 1, a in (0, 1]."""
     if not 0 < a <= 1:
         raise ValueError(f"require a in (0, 1], got {a}")
-    val, der, _ = _hurwitz_block(complex(s), np.array([float(a)]), params)
+    val, der = _hurwitz_block(complex(s), np.array([float(a)]))
     return complex(val[0]), complex(der[0])
 
 
-def _hurwitz_block(
-    s: complex, shifts: np.ndarray, params: EvalParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row a of `shifts`: zeta(s, a), its s-derivative and the last tail term's size.
+def _hurwitz_block(s: complex, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row a of `shifts`: zeta(s, a) and its s-derivative.
 
     The (row x term) block is evaluated in whole-array operations, at most
     _BLOCK_ELEMENTS entries at a time.  Each row's sums depend only on that
@@ -138,8 +111,7 @@ def _hurwitz_block(
     if abs(s.imag) > MAX_IM:
         raise ValueError(f"|Im s| exceeds design ceiling {MAX_IM}")
 
-    n = params.n_terms(s)
-    m = params.bernoulli_order
+    n = max(12, math.ceil(1.3 * abs(s.imag)) + 10)
     sm1 = s - 1
 
     # Every tail term is z^{-s} * c * z^e with z = N + a: c depends on s alone,
@@ -148,7 +120,7 @@ def _hurwitz_block(
     # B_{2j}/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1} with the rising factorial (s)_m.
     tail_coef = [(1 / sm1, -1 / (sm1 * sm1)), (0.5, 0j)]
     p, dp = 1 + 0j, 0j
-    for i in range(2 * m - 1):
+    for i in range(2 * _BERNOULLI_ORDER - 1):
         f = s + i
         dp = dp * f + p
         p = p * f
@@ -156,12 +128,10 @@ def _hurwitz_block(
             c = _EM_COEFF[i // 2]
             tail_coef.append((c * p, c * dp))
     coef = np.array(tail_coef)
-    exponents = _TAIL_EXPONENTS[: m + 2]
 
     cols = np.arange(n + 1, dtype=np.float64)  # column n is the Euler-Maclaurin point z
     val = np.empty(len(shifts), dtype=np.complex128)
     der = np.empty_like(val)
-    hint = np.empty(len(shifts), dtype=np.float64)
     step = max(1, _BLOCK_ELEMENTS // (n + 1))
     for lo in range(0, len(shifts), step):
         rows = slice(lo, lo + step)
@@ -170,13 +140,11 @@ def _hurwitz_block(
         z = shifts[rows] + n
         lz = logk[:, n]
         zp = terms[:, n]  # z^{-s}
-        zpow = z[:, None] ** exponents
-        tail = zpow @ coef  # columns: bracket of the tail value, its s-derivative
+        tail = z[:, None] ** _TAIL_EXPONENTS @ coef  # columns: bracket of the tail value, its s-derivative
         tv = tail[:, 0]
         val[rows] = terms[:, :n].sum(axis=1) + zp * tv
         der[rows] = zp * (tail[:, 1] - lz * tv) - (logk[:, :n] * terms[:, :n]).sum(axis=1)
-        hint[rows] = abs(coef[-1, 0]) * np.abs(zp) * zpow[:, -1]
-    return val, der, hint
+    return val, der
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +159,7 @@ def _shifts_and_weights(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray
     return shifts, weights
 
 
-def l_value(chi: DirichletCharacter, s: complex, params: EvalParams = DEFAULT_PARAMS) -> LValue:
+def l_value(chi: DirichletCharacter, s: complex) -> LValue:
     """L(s, chi) and L'(s, chi) via the Hurwitz-zeta decomposition.
 
     For q = 1 this collapses to the Riemann zeta path, identically.
@@ -200,12 +168,12 @@ def l_value(chi: DirichletCharacter, s: complex, params: EvalParams = DEFAULT_PA
     if chi.is_principal and s == 1:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     shifts, weights = _shifts_and_weights(chi)
-    val, der, hint = _hurwitz_block(s, shifts, params)
+    val, der = _hurwitz_block(s, shifts)
     lq = math.log(chi.modulus)
     qs = cmath.exp(-s * lq)
     value = qs * complex(weights @ val)
     derivative = -lq * value + qs * complex(weights @ der)
-    return LValue(value=value, derivative=derivative, err_hint=abs(qs) * float(hint.sum()))
+    return LValue(value=value, derivative=derivative)
 
 
 def _loggamma(z: complex) -> complex:

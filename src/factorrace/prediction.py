@@ -9,10 +9,19 @@ decomposition is
                                           + Sigma(x, T0) },
 
 with the secular block negative for omega and positive for Omega, and
-a(chi) = 1 exactly when chi is real.  The truncation remainder Sigma is not
-computable in closed form; here it is measured empirically as everything
-the explicit terms miss (which also absorbs the O(sqrt(x)/log^3 x) blocks),
-and its size is tracked through the mean square
+a(chi) = 1 exactly when chi is real.  Everything is computed on the whole
+checkpoint grid at once: `predict` returns the unsigned secular block and
+the truncated zero sum as arrays over x, once per (chi, T0), and both kinds
+share them; a kind's main term is SIGN[kind] times the secular block.
+
+The truncation remainder Sigma is not computable in closed form; here it
+is measured empirically as everything the explicit terms miss (which also
+absorbs the O(sqrt(x)/log^3 x) blocks),
+
+    Sigma_emp(x, T0) = (psi_f(x) - main - zero sum) * log^2 x / sqrt(x),
+
+one array (`residual`) that fills the residual columns of the comparison
+table and, through `mean_square`,
 
     M(Y, T0) = 1/(Y - y0) * integral_{y0}^{Y} |Sigma(e^y, T0)|^2 dy
 
@@ -22,9 +31,7 @@ small-x noise).
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,194 +42,85 @@ from .zeros import ZeroCache
 
 __all__ = [
     "KINDS",
-    "Prediction",
-    "ResidualSeries",
-    "FigureRow",
+    "SIGN",
     "predict",
-    "zero_oscillation",
-    "residual_series",
-    "figure_table",
+    "residual",
+    "mean_square",
     "write_compare_csv",
     "write_meansq_csv",
 ]
 
-KINDS = ("omega", "Omega")
+SIGN = {"omega": -1.0, "Omega": 1.0}
+KINDS = tuple(SIGN)
 Y_MIN = math.log(1.0e3)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    x: float
-    kind: str
-    a_chi: int
-    main_deterministic: complex
-    zero_sum: complex
-    t0: float
-
-    @property
-    def total(self) -> complex:
-        return self.main_deterministic + self.zero_sum
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-def zero_oscillation(x: float, chi: DirichletCharacter, cache: ZeroCache, t0: float) -> complex:
-    """sqrt(x)/log^2 x * sum over cached zeros with |gamma| <= t0.
-
-    For real characters the terms are combined in (gamma, -gamma) pairs so
-    the sum is exactly real before any float rounding.
-    """
-    if (cache.q, cache.chi_index) != (chi.modulus, chi.index):
-        raise ValueError("zero cache does not belong to this character")
-    lx = math.log(x)
-    scale = math.sqrt(x) / lx**2
-    if chi.is_real:
-        acc = 0.0
-        for rec in cache.select(t0):
-            if rec.gamma <= 0:
-                continue
-            term = rec.l_prime * cmath.exp(1j * rec.gamma * lx) / complex(0.5, rec.gamma)
-            acc += 2.0 * term.real
-        return complex(scale * acc, 0.0)
-    acc = 0j
-    for rec in cache.select(t0):
-        acc += rec.l_prime * cmath.exp(1j * rec.gamma * lx) / complex(0.5, rec.gamma)
-    return scale * acc
+# cap on checkpoints * zeros of one block of the zero sum, so memory stays bounded
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def predict(
-    x: float,
-    chi: DirichletCharacter,
-    kind: str,
-    l_half: LValue,
-    cache: ZeroCache,
-    t0: float,
-) -> Prediction:
-    """Assemble the explicit terms (secular block + truncated zero sum) at x."""
-    _check_kind(kind)
-    if x < 2:
-        raise ValueError("x must be >= 2")
+    xs, chi: DirichletCharacter, l_half: LValue, cache: ZeroCache, t0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(secular block, truncated zero sum) at every x of the grid `xs`.
+
+    The zero sum runs over the cached zeros with |gamma| <= t0.  For a real
+    character it pairs gamma with -gamma, taking twice the real part of the
+    gamma > 0 terms, so it is exactly real.  Each row of the (checkpoint x
+    zero) block is summed by numpy's reduction, at most _BLOCK_ELEMENTS
+    entries at a time; a row's sum depends only on that row, so the
+    chunking does not change any bit of the result.
+    """
+    if (cache.q, cache.chi_index) != (chi.modulus, chi.index):
+        raise ValueError("zero cache does not belong to this character")
     if chi.is_principal:
         raise ValueError("predictions are defined for non-principal characters")
     if t0 > cache.t_scanned:
         raise ValueError(f"T0={t0} exceeds scanned height {cache.t_scanned}")
-    a_chi = 1 if chi.is_real else 0
-    sign = -1.0 if kind == "omega" else 1.0
-    lx = math.log(x)
-    sx = math.sqrt(x)
-    main = sign * a_chi * (
-        l_half.value * sx / lx + (2 * l_half.value - l_half.derivative) * sx / lx**2
-    )
-    return Prediction(
-        x=float(x),
-        kind=kind,
-        a_chi=a_chi,
-        main_deterministic=main,
-        zero_sum=zero_oscillation(x, chi, cache, t0),
-        t0=float(t0),
-    )
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.all(xs >= 2):
+        raise ValueError("x must be >= 2")
+    lx = np.log(xs)
+    sx = np.sqrt(xs)
+    a_chi = 1.0 if chi.is_real else 0.0
+    secular = a_chi * (l_half.value * sx / lx + (2 * l_half.value - l_half.derivative) * sx / lx**2)
+
+    zeros = [r for r in cache.records if abs(r.gamma) <= t0 and (r.gamma > 0 or not chi.is_real)]
+    gamma = np.array([r.gamma for r in zeros])
+    coef = np.array([r.l_prime / complex(0.5, r.gamma) for r in zeros], dtype=np.complex128)
+    zero_sum = np.empty(len(xs), dtype=np.complex128)
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(zeros)))
+    for lo in range(0, len(xs), step):
+        rows = slice(lo, lo + step)
+        terms = coef * np.exp(1j * np.outer(lx[rows], gamma))
+        zero_sum[rows] = 2.0 * terms.real.sum(axis=1) if chi.is_real else terms.sum(axis=1)
+    return secular, sx / lx**2 * zero_sum
 
 
-@dataclass(frozen=True)
-class ResidualSeries:
-    """Empirical truncation remainder on the y = log x grid."""
-
-    y: np.ndarray  # strictly increasing
-    sigma: np.ndarray  # complex, Sigma_emp(e^y, T0)
-    t0: float
-
-    @property
-    def mean_square(self) -> float:
-        if len(self.y) < 2:
-            raise ValueError("mean square needs at least two grid points")
-        span = self.y[-1] - self.y[0]
-        return float(np.trapezoid(np.abs(self.sigma) ** 2, self.y) / span)
-
-
-def residual_series(
-    xs,
-    observed,
-    predictions: list[Prediction],
-    y_min: float = Y_MIN,
-) -> ResidualSeries:
-    """Sigma_emp(x, T0) = (psi_f(x) - main - zero_sum) * log^2 x / sqrt(x).
-
-    `xs`, `observed` and `predictions` must share one checkpoint grid.
-    """
-    xs = list(xs)
-    observed = list(observed)
-    if not (len(xs) == len(observed) == len(predictions)):
+def residual(xs, observed, full) -> np.ndarray:
+    """Sigma_emp(x, T0) = (psi_f(x) - full) * log^2 x / sqrt(x) on the grid `xs`,
+    where `full` is the main term plus the zero sum."""
+    xs = np.asarray(xs, dtype=np.float64)
+    observed = np.asarray(observed, dtype=np.complex128)
+    if not xs.shape == observed.shape == np.shape(full):
         raise ValueError("checkpoint grids do not match")
-    t0 = predictions[0].t0 if predictions else 0.0
-    ys = []
-    sig = []
-    for x, psi, pred in zip(xs, observed, predictions):
-        if pred.x != float(x):
-            raise ValueError(f"prediction grid mismatch at x={x} vs {pred.x}")
-        if pred.t0 != t0:
-            raise ValueError("predictions mix different T0 values")
-        y = math.log(x)
-        if y < y_min - 1e-12:
-            continue
-        ys.append(y)
-        sig.append((complex(psi) - pred.total) * y**2 / math.sqrt(x))
-    return ResidualSeries(np.array(ys), np.array(sig, dtype=complex), t0)
+    return (observed - full) * (np.log(xs) ** 2 / np.sqrt(xs))
 
 
-@dataclass(frozen=True)
-class FigureRow:
-    x: int
-    observed: complex
-    main: complex
-    full: complex  # main + zero sum
-    resid_norm: complex  # (observed - full) * log^2 x / sqrt(x)
+def mean_square(xs, sigma) -> tuple[float, float] | None:
+    """(Y, M(Y, T0)) over the grid points with x >= 1e3, Y the last one's log;
+    None when there are fewer than two such points."""
+    y = np.log(np.asarray(xs, dtype=np.float64))
+    keep = y >= Y_MIN - 1e-12
+    y = y[keep]
+    if len(y) < 2:
+        return None
+    return float(y[-1]), float(np.trapezoid(np.abs(np.asarray(sigma)[keep]) ** 2, y) / (y[-1] - y[0]))
 
 
-def figure_table(xs, observed, predictions: list[Prediction]) -> list[FigureRow]:
-    """Per-checkpoint comparison rows: the data behind the race plots."""
-    if not (len(xs) == len(observed) == len(predictions)):
-        raise ValueError("checkpoint grids do not match")
-    rows = []
-    for x, psi, pred in zip(xs, observed, predictions):
-        if pred.x != float(x):
-            raise ValueError(f"prediction grid mismatch at x={x} vs {pred.x}")
-        norm = math.log(x) ** 2 / math.sqrt(x)
-        psi = complex(psi)
-        rows.append(
-            FigureRow(
-                x=int(x),
-                observed=psi,
-                main=pred.main_deterministic,
-                full=pred.total,
-                resid_norm=(psi - pred.total) * norm,
-            )
-        )
-    return rows
-
-
-def write_compare_csv(rows: list[FigureRow], path: str, comment: str | None = None) -> None:
-    lines = (
-        ",".join(
-            [str(r.x)]
-            + [
-                fmt_float(v)
-                for v in (
-                    r.observed.real,
-                    r.observed.imag,
-                    r.main.real,
-                    r.main.imag,
-                    r.full.real,
-                    r.full.imag,
-                    r.resid_norm.real,
-                    r.resid_norm.imag,
-                )
-            ]
-        )
-        for r in rows
-    )
+def write_compare_csv(xs, observed, main, full, sigma, path: str, comment: str | None = None) -> None:
+    """One row per checkpoint: x, then the real and imaginary parts of psi_f,
+    the main term, main + zero sum and Sigma_emp."""
+    cols = [part for arr in (observed, main, full, sigma) for part in (np.real(arr), np.imag(arr))]
+    lines = (",".join([str(int(x))] + [fmt_float(v) for v in vals]) for x, *vals in zip(xs, *cols))
     header = "x,re_obs,im_obs,re_main,im_main,re_full,im_full,re_resid_norm,im_resid_norm"
     write_csv(path, header, lines, comment)
 

@@ -19,7 +19,7 @@ from factorrace import cli
 from factorrace.characters import conjugate_character, enumerate_characters, root_number
 from factorrace.lfunction import completed_lambda, l_value, rotated_z
 from factorrace.density import build_model, li_monte_carlo, windowed_density
-from factorrace.prediction import predict, residual_series
+from factorrace.prediction import SIGN, mean_square, predict, residual
 from factorrace.sieve import SieveConfig, combined_run, factor_counts, twist
 from factorrace.zeros import count_check, scan_zeros
 from oracles import beta_chi4, bisect_sign_change, mertens_constants, trial_factor_table
@@ -152,13 +152,9 @@ def test_criterion_5_figure_reproduction(chi4, big_run, cache200):
     l_half = l_value(chi4, 0.5)
     xs = [x for x in cfg.checkpoints if x >= 1000]
     psi = {x: twist(sums, chi4, x) for x in xs}
-    worst = 0.0
-    for x in xs:
-        if x < 10**4:
-            continue
-        pred = predict(x, chi4, "Omega", l_half, cache200, 50.0)
-        norm = math.log(x) ** 2 / math.sqrt(x)
-        worst = max(worst, abs(psi[x][1] - pred.main_deterministic) * norm)
+    big = [x for x in xs if x >= 10**4]
+    secular, _ = predict(big, chi4, l_half, cache200, 50.0)
+    worst = float(np.max(np.abs(residual(big, [psi[x][1] for x in big], SIGN["Omega"] * secular))))
     bound_ok = worst <= 10.0
     neg = sum(1 for x in xs if psi[x][0].real < 0)
     frac = neg / len(xs)
@@ -180,8 +176,8 @@ def test_criterion_6_mean_square_trend(chi4, big_run, cache200):
     psi_W = [twist(sums, chi4, x)[1] for x in xs]
     ms = []
     for t0 in (10.0, 30.0, 100.0):
-        preds = [predict(x, chi4, "Omega", l_half, cache200, t0) for x in xs]
-        ms.append(residual_series(xs, psi_W, preds).mean_square)
+        secular, zero_sum = predict(xs, chi4, l_half, cache200, t0)
+        ms.append(mean_square(xs, residual(xs, psi_W, SIGN["Omega"] * secular + zero_sum))[1])
     ok = ms[0] >= ms[1] >= ms[2]
     assert report(
         6,

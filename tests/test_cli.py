@@ -279,6 +279,13 @@ def test_cli_run_loads_no_scipy(tmp_path):
         ["all", "--q", "4", "--trials", "10"],
         ["sieve", "--q", "4", "--threads", "0"],
         ["sieve", "--xmax", "ten", "--q", "4"],
+        ["zeros", "--q", "4", "--T", "2000"],  # above zeros.MAX_SCAN_HEIGHT
+        ["zeros", "--q", "4", "--T", "0", "--T0", "0"],
+        ["zeros", "--q", "4", "--T", "nan"],
+        ["zeros", "--q", "4", "--T0", "nan"],
+        ["zeros", "--q", "4", "--T0", "-5"],
+        ["all", "--q", "4", "--xmax", "1000", "--seed", "-1"],
+        ["compare", "--q", "4", "--kind", "omega", "--kind", "omega"],
     ],
 )
 def test_config_errors_exit_2(tmp_path, argv):

@@ -6,7 +6,6 @@ import pytest
 
 from factorrace.characters import character, conjugate_character, enumerate_characters, root_number
 from factorrace.lfunction import (
-    EvalParams,
     _loggamma,
     completed_lambda,
     hurwitz_zeta,
@@ -56,10 +55,6 @@ def test_hurwitz_domain_errors():
         hurwitz_zeta(-0.5, 1.0)
     with pytest.raises(ValueError):
         hurwitz_zeta(complex(0.5, 2e4), 1.0)
-    with pytest.raises(ValueError):
-        EvalParams(bernoulli_order=0)
-    with pytest.raises(ValueError):
-        EvalParams(bernoulli_order=31)
 
 
 def test_l_chi4_at_half(chi4):
@@ -212,19 +207,6 @@ def test_rotated_z_mod1_sees_riemann_zeros():
     assert rotated_z(chi1, 14.1) * rotated_z(chi1, 14.2) < 0
     assert rotated_z(chi1, 20.9) * rotated_z(chi1, 21.1) < 0
     assert rotated_z(chi1, 0.5) != 0.0
-
-
-def test_euler_maclaurin_stability_under_doubling(chi4):
-    for t in (0.5, 10.0, 50.0, 100.0):
-        s = complex(0.5, t)
-        n = EvalParams().n_terms(s)
-        a = l_value(chi4, s, EvalParams(em_terms=n)).value
-        b = l_value(chi4, s, EvalParams(em_terms=2 * n)).value
-        assert abs(a - b) < 1e-11, t
-
-
-def test_err_hint_nonnegative(chi4):
-    assert l_value(chi4, complex(0.5, 20.0)).err_hint >= 0.0
 
 
 def test_mp_oracle_is_mpmath_dirichlet(chi4):

@@ -224,7 +224,7 @@ def test_scan_refuses_a_crowded_window(monkeypatch):
     from factorrace.lfunction import LValue
     from factorrace.zeros import MissedZeroError
 
-    crowd = [(7.0 + 0.01 * k, LValue(1e-13, complex(1.0, 0.0), 0.0)) for k in range(30)]
+    crowd = [(7.0 + 0.01 * k, LValue(1e-13, complex(1.0, 0.0))) for k in range(30)]
     monkeypatch.setattr(zmod, "_find_side_zeros", lambda chi, lo, hi, step_scale=1.0: list(crowd))
     with pytest.raises(MissedZeroError) as info:
         scan_zeros(character(5, 1), 40.0)
