@@ -101,8 +101,11 @@ def _hurwitz_block(s: complex, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Per row a of `shifts`: zeta(s, a) and its s-derivative.
 
     The (row x term) block is evaluated in whole-array operations, at most
-    _BLOCK_ELEMENTS entries at a time.  Each row's sums depend only on that
-    row, so the row chunking does not change any bit of the result.
+    _BLOCK_ELEMENTS entries at a time.  The term sums (`.sum(axis=1)`) of a
+    row depend only on that row, but the Euler-Maclaurin tail is a BLAS
+    matrix product whose bits can depend on how many rows share it, so the
+    row chunking (the block cap and the number of shifts) can move the last
+    bits of a row's value and derivative.
     """
     if s == 1:
         raise ValueError("zeta(s, a) has a pole at s = 1")

@@ -6,17 +6,20 @@ accumulates exact integer sums
     S_f(x; a) = sum_{n <= x, n = a mod q} f(n),    f in {omega, Omega},
 
 at the configured checkpoints; twisting by a character is a closing
-root-of-unity combination done afterwards.  Per segment the sieve keeps an
-additive omega counter, an additive Omega counter and a residual cofactor:
-each prime p <= sqrt(x_max) bumps omega once on its multiples and Omega
-once per power level (peeling p from the cofactor), and whatever cofactor
-stays > 1 at the end is the single prime factor > sqrt(x_max), adding one
-to both counters.
+root-of-unity combination done afterwards.  Per segment the kernel keeps
+an int8 omega counter, an int8 counter `extra` of the power levels p^k,
+k >= 2, and a float32 array holding log n minus the logs of the primes
+and prime powers <= x_max found to divide n.  The primes up to 13 come
+from one precomputed periodic pattern (period at most 30030); every
+larger p <= sqrt(x_max) bumps omega and subtracts log p on its multiples,
+and every p^k <= x_max bumps `extra` and subtracts log p.  Whatever log
+is left is either about 0 or the log of the single prime factor
+> sqrt(x_max), which adds one to omega; then Omega = omega + extra.
 
 The same pass can feed the sign fold of one real character: per segment
-the character's sign table is tiled over n, an int64 cumsum of chi(n) f(n)
-carries the exact running psi_f(n) = sum_{m<=n} chi(m) f(m), and the
-harmonic measures H_f = sum 1/n over the biased n (psi_omega < 0,
+the character's int8 sign table is tiled over n, an int64 cumsum of
+chi(n) f(n) carries the exact running psi_f(n) = sum_{m<=n} chi(m) f(m),
+and the harmonic measures H_f = sum 1/n over the biased n (psi_omega < 0,
 psi_Omega > 0) are pairwise-summed per BLOCK = 2^16 block of absolute n
 and Neumaier-added across blocks.  Because the blocks are anchored to
 absolute n, the floating results are bit-identical for every segment size.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +56,7 @@ BLOCK = 1 << 16  # harmonic-accumulation granularity, aligned to absolute n
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
 DEFAULT_SEGMENT = 1 << 20
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
+WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
 
 
 def default_checkpoints(x_max: int, ratio: float = 1.02) -> tuple[int, ...]:
@@ -151,33 +156,90 @@ def _primes_upto(n: int) -> list[int]:
     return np.flatnonzero(sieve).tolist()
 
 
-def _sieve_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, Omega) as int8 arrays for n in [lo, hi)."""
-    length = hi - lo
-    omega = np.zeros(length, dtype=np.int8)
-    bomega = np.zeros(length, dtype=np.int8)
-    cof = np.arange(lo, hi, dtype=np.int64)
+class _Tables(NamedTuple):
+    """What the segment kernel needs to know of x_max, built once per run."""
+
+    threshold: np.float32  # 0.5 * log(isqrt(x_max) + 1)
+    wheel_omega: np.ndarray  # int8 omega of the wheel primes over two periods
+    wheel_lg: np.ndarray  # float32 sum of their logs, same layout
+    primes: list[int]  # the primes in (WHEEL_MAX, isqrt(x_max)]
+    logs: list[np.float32]  # float32(log p) for each of them
+    powers: np.ndarray  # int64: every p^k <= x_max with k >= 2, ascending
+    power_logs: np.ndarray  # float32(log p) for each power
+
+
+def _tables(x_max: int) -> _Tables:
+    root = math.isqrt(x_max)
+    primes = _primes_upto(root)
+    wheel = [p for p in primes if p <= WHEEL_MAX]
+    period = math.prod(wheel)
+    wheel_omega = np.zeros(2 * period, dtype=np.int8)
+    wheel_lg = np.zeros(2 * period, dtype=np.float32)
+    for p in wheel:
+        wheel_omega[::p] += 1
+        wheel_lg[::p] += np.float32(math.log(p))
+    powers = []
     for p in primes:
-        start = max(p, -(-lo // p) * p)
-        if start < hi:
-            i0 = start - lo
-            omega[i0::p] += 1
-            bomega[i0::p] += 1
-            view = cof[i0::p]
-            np.floor_divide(view, p, out=view)
         pk = p * p
-        while pk < hi:
-            start = max(pk, -(-lo // pk) * pk)
-            if start < hi:
-                i0 = start - lo
-                bomega[i0::pk] += 1
-                view = cof[i0::pk]
-                np.floor_divide(view, p, out=view)
+        while pk <= x_max:
+            powers.append((pk, p))
             pk *= p
-    big = cof > 1  # exactly the n with one prime factor > sqrt(x_max)
-    omega[big] += 1
-    bomega[big] += 1
-    return omega, bomega
+    powers.sort()
+    rest = primes[len(wheel) :]
+    return _Tables(
+        threshold=np.float32(0.5 * math.log(root + 1)),
+        wheel_omega=wheel_omega,
+        wheel_lg=wheel_lg,
+        primes=rest,
+        logs=[np.float32(math.log(p)) for p in rest],
+        powers=np.array([pk for pk, _ in powers], dtype=np.int64),
+        power_logs=np.array([math.log(p) for _, p in powers], dtype=np.float32),
+    )
+
+
+def _sieve_segment(lo: int, hi: int, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, Omega) as int8 arrays for n in [lo, hi).
+
+    `lg` starts at log n and loses float32(log p) wherever p or a power p^k
+    <= x_max divides n.  Then lg = log r, with r the part of n made of
+    primes > s = isqrt(x_max); since n <= x_max < (s+1)^2, r is 1 or a
+    single prime >= s+1.  So exact lg is either 0 or at least log(s+1), and
+    the float32 error (the log, one rounding per subtraction, at most about
+    40 of them below 2^40) stays under 1e-4, far from the midpoint test
+    lg > 0.5 * log(s+1), which is at least 0.34 once x_max >= 1.
+    """
+    length = hi - lo
+    period = len(t.wheel_omega) // 2
+    off = lo % period
+    omega = np.tile(t.wheel_omega[off : off + period], -(-length // period))[:length]
+    lg = np.arange(length, dtype=np.float32)
+    lg += np.float32(lo)
+    if lo == 0:
+        omega[0] = 0  # the wheel marks n = 0, which every p divides
+        lg[0] = 1  # log 1: n = 0 has no large factor
+    np.log(lg, out=lg)
+    full = length - length % period
+    rows = lg[:full].reshape(-1, period)
+    rows -= t.wheel_lg[off : off + period]
+    lg[full:] -= t.wheel_lg[off : off + length - full]
+    for p, logp in zip(t.primes, t.logs):
+        i0 = max(p, -(-lo // p) * p) - lo
+        omega[i0::p] += 1
+        lg[i0::p] -= logp
+    extra = np.zeros(length, dtype=np.int8)
+    short = int(np.searchsorted(t.powers, length))  # powers that may have several multiples
+    for pk, logp in zip(t.powers[:short].tolist(), t.power_logs[:short]):
+        i0 = max(pk, -(-lo // pk) * pk) - lo
+        extra[i0::pk] += 1
+        lg[i0::pk] -= logp
+    powers = t.powers[short:]  # at most one multiple each
+    first = np.maximum(powers, -(-lo // powers) * powers)
+    hit = first < hi
+    at = first[hit] - lo
+    np.add.at(extra, at, 1)
+    np.subtract.at(lg, at, t.power_logs[short:][hit])
+    omega += (lg > t.threshold).view(np.int8)
+    return omega, omega + extra
 
 
 def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
@@ -230,7 +292,7 @@ class _SignFold:
             raise ValueError("density scan requires a non-principal character")
         self.cfg = cfg
         self.chi = chi
-        self.signs = real_sign_table(chi).astype(np.int64)
+        self.signs = real_sign_table(chi)
         self.marks = sorted(set(cfg.checkpoints) | {cfg.x_max})
         self.psi = [0, 0]  # psi_omega, psi_Omega
         self.acc = [(0.0, 0.0), (0.0, 0.0)]  # Neumaier (sum, comp) per f
@@ -285,10 +347,10 @@ class _SignFold:
 
 def _segments(x_max: int, size: int):
     """(lo, hi, omega, Omega) for consecutive segments [lo, hi) covering [0, x_max]."""
-    primes = _primes_upto(math.isqrt(x_max))
+    tables = _tables(x_max)
     for lo in range(0, x_max + 1, size):
         hi = min(lo + size, x_max + 1)
-        yield lo, hi, *_sieve_segment(lo, hi, primes)
+        yield lo, hi, *_sieve_segment(lo, hi, tables)
 
 
 def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):

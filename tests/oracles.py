@@ -1,9 +1,9 @@
 """Independent reference computations used to validate the library.
 
 These deliberately avoid the code paths they check: factor counts come from
-plain trial division, L-values from accelerated alternating series, zero
-locations from a dumb fine-grid bisection, and the Mertens-type constants
-from direct prime sums.
+plain trial division and from the former cofactor sieve kernel, L-values
+from accelerated alternating series, zero locations from a dumb fine-grid
+bisection, and the Mertens-type constants from direct prime sums.
 """
 
 from __future__ import annotations
@@ -41,6 +41,41 @@ def trial_factor_table(x_max: int) -> tuple[np.ndarray, np.ndarray]:
         w, b = trial_factor_counts(n)
         omega[n] = w
         bomega[n] = b
+    return omega, bomega
+
+
+def cofactor_sieve_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, Omega) as int8 arrays for n in [lo, hi), the cofactor way.
+
+    The segment kernel `factorrace.sieve` used before its log-sum test:
+    every prime p <= sqrt(x_max) bumps omega on its multiples and Omega
+    once per power level while it is peeled from an int64 cofactor, and a
+    cofactor still > 1 is the single prime factor > sqrt(x_max).
+    """
+    length = hi - lo
+    omega = np.zeros(length, dtype=np.int8)
+    bomega = np.zeros(length, dtype=np.int8)
+    cof = np.arange(lo, hi, dtype=np.int64)
+    for p in primes:
+        start = max(p, -(-lo // p) * p)
+        if start < hi:
+            i0 = start - lo
+            omega[i0::p] += 1
+            bomega[i0::p] += 1
+            view = cof[i0::p]
+            np.floor_divide(view, p, out=view)
+        pk = p * p
+        while pk < hi:
+            start = max(pk, -(-lo // pk) * pk)
+            if start < hi:
+                i0 = start - lo
+                bomega[i0::pk] += 1
+                view = cof[i0::pk]
+                np.floor_divide(view, p, out=view)
+            pk *= p
+    big = cof > 1  # exactly the n with one prime factor > sqrt(x_max)
+    omega[big] += 1
+    bomega[big] += 1
     return omega, bomega
 
 

@@ -20,7 +20,13 @@ from factorrace.sieve import (
     write_checkpoints_csv,
     write_twists_csv,
 )
-from oracles import mertens_constants, trial_factor_counts, trial_factor_table, twist_reference
+from oracles import (
+    cofactor_sieve_segment,
+    mertens_constants,
+    trial_factor_counts,
+    trial_factor_table,
+    twist_reference,
+)
 
 
 def primes_upto(n):
@@ -64,6 +70,39 @@ def test_factor_counts_match_trial_division():
     tw, tbig = trial_factor_table(n_max)
     assert np.array_equal(w, tw)
     assert np.array_equal(big, tbig)
+
+
+def _assert_kernel_matches_reference(x_max, size):
+    primes = primes_upto(math.isqrt(x_max)).tolist()
+    for lo, hi, w, big in sieve_module._segments(x_max, size):
+        rw, rbig = cofactor_sieve_segment(lo, hi, primes)
+        assert w.dtype == big.dtype == np.int8
+        assert np.array_equal(w, rw) and np.array_equal(big, rbig), (x_max, size, lo)
+
+
+# every isqrt(x_max) crossing of the wheel primes 2..13 lies below 400
+SMALL_X = list(range(400)) + list(range(400, 3000, 37))
+
+
+def test_kernel_matches_cofactor_reference():
+    for x_max in SMALL_X:
+        for size in (97, 65536):
+            _assert_kernel_matches_reference(x_max, size)
+    for x_max in list(range(170)) + [2999]:  # 13^2 = 169
+        _assert_kernel_matches_reference(x_max, 2)
+    _assert_kernel_matches_reference(10**6, 1 << 20)
+    _assert_kernel_matches_reference(2 * 10**6 + 17, 1 << 20)
+
+
+def test_kernel_at_the_design_ceiling():
+    x_max = sieve_module.MAX_X
+    lo = x_max + 1 - (1 << 16)
+    w, big = sieve_module._sieve_segment(lo, x_max + 1, sieve_module._tables(x_max))
+    rw, rbig = cofactor_sieve_segment(lo, x_max + 1, primes_upto(math.isqrt(x_max)).tolist())
+    assert np.array_equal(w, rw) and np.array_equal(big, rbig)
+    largest_prime = lo + int(np.flatnonzero(big == 1)[-1])
+    for n in (x_max, x_max - 1, largest_prime):
+        assert (w[n - lo], big[n - lo]) == trial_factor_counts(n)
 
 
 def test_class_sums_toy_x10():
