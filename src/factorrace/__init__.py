@@ -31,15 +31,7 @@ from .characters import (
     gauss_sum,
     root_number,
 )
-from .density import (
-    DensityReport,
-    LiModel,
-    MonteCarloEstimates,
-    build_model,
-    li_monte_carlo,
-    report,
-    windowed_density,
-)
+from .density import LiModel, MonteCarloEstimates, build_model, disagrees, li_monte_carlo, windowed_density
 from .lfunction import LValue, completed_lambda, hurwitz_zeta, l_value, rotated_z
 from .prediction import mean_square, predict, residual
 from .sieve import (
@@ -98,9 +90,8 @@ __all__ = [
     "mean_square",
     "LiModel",
     "MonteCarloEstimates",
-    "DensityReport",
     "build_model",
+    "disagrees",
     "li_monte_carlo",
-    "report",
     "windowed_density",
 ]

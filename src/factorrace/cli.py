@@ -22,10 +22,27 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .characters import DirichletCharacter, enumerate_characters
-from .density import build_model, li_monte_carlo, report, write_density_csv, write_mc_csv
+from .density import (
+    DISAGREE_TOL,
+    MIN_TRIALS,
+    build_model,
+    disagrees,
+    li_monte_carlo,
+    write_density_csv,
+    write_mc_csv,
+)
 from .lfunction import l_value
-from .prediction import KINDS, SIGN, mean_square, predict, residual, write_compare_csv, write_meansq_csv
-from .sieve import SieveConfig, combined_run, density_scan, sieve_run, write_checkpoints_csv, write_twists_csv
+from .prediction import mean_square, predict, residual, write_compare_csv, write_meansq_csv
+from .sieve import (
+    KINDS,
+    SIGN,
+    SieveConfig,
+    combined_run,
+    density_scan,
+    sieve_run,
+    write_checkpoints_csv,
+    write_twists_csv,
+)
 from .zeros import (
     MAX_SCAN_HEIGHT,
     CacheFormatError,
@@ -56,7 +73,7 @@ class RunConfig:
     x_max: int = 10**6
     q: int = 4
     chi: str = "all"  # "all" or an index
-    kinds: tuple[str, ...] = ("omega", "Omega")
+    kinds: tuple[str, ...] = KINDS
     t_scan: float = 50.0
     t0_list: tuple[float, ...] = (50.0,)
     ratio: float = 1.02
@@ -159,8 +176,8 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 def _validate(rc: RunConfig) -> None:
     if rc.threads < 1:
         raise ConfigError("threads must be >= 1")
-    if rc.trials < 1000:
-        raise ConfigError("trials must be >= 1000")
+    if rc.trials < MIN_TRIALS:
+        raise ConfigError(f"trials must be >= {MIN_TRIALS}")
     for kind in rc.kinds:
         if kind not in KINDS:
             raise ConfigError(f"kind must be in {KINDS}, got {kind!r}")
@@ -321,7 +338,7 @@ def cmd_compare(rc: RunConfig) -> None:
         l_half = l_value(chi, 0.5)
         rows = [row for row in twists.get(chi.index, []) if row[0] >= 2]
         xs = [x for x, _, _ in rows]
-        psi = {"omega": [w for _, w, _ in rows], "Omega": [b for _, _, b in rows]}
+        psi = {kind: [row[1 + k] for row in rows] for k, kind in enumerate(KINDS)}
         entries = {kind: [] for kind in rc.kinds}
         for t0 in rc.t0_list:
             secular, zero_sum = predict(xs, chi, l_half, cache, t0)
@@ -375,18 +392,9 @@ def cmd_density(rc: RunConfig, first=None) -> None:
                 for kind in rc.kinds
             ]
             estimates.extend(own)
-            rep = report(
-                dens,
-                next((m for m in own if m.kind == "omega"), None),
-                next((m for m in own if m.kind == "Omega"), None),
-            )
-            flags = []
-            if rep.flag_omega:
-                flags.append("omega")
-            if rep.flag_big_omega:
-                flags.append("Omega")
+            flags = [m.kind for m in own if disagrees(dens, m)]
             if flags:
-                print(f"density: WARNING empirical vs Monte Carlo disagree (> 0.1) for {flags}")
+                print(f"density: WARNING empirical vs Monte Carlo disagree (> {DISAGREE_TOL}) for {flags}")
         print(
             f"density: q={rc.q} chi={chi.index} X={rc.x_max} "
             f"delta_omega={dens.delta_omega:.4f} delta_Omega={dens.delta_big_omega:.4f}"

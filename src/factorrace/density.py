@@ -27,11 +27,12 @@ normalization the secular part grows linearly in y = log x,
 
 while the oscillation stays bounded, which is what drives the densities
 toward 1.  The Monte Carlo estimates P[-drift(y) + X < 0] for the omega
-race and the mirrored P[drift(y) + X > 0] for the Omega race.
+race and the mirrored P[drift(y) + X > 0] for the Omega race, both as
+P[SIGN * X > -drift(y)] with SIGN the race's side from `sieve.SIGN`.
 
-`report` compares like with like: the mean of the model's P(y) over its y
-grid against the windowed empirical density over the same range of x,
-x0 being the checkpoint at the grid's smallest y.
+`disagrees` compares like with like: the mean of the model's P(y) over its
+y grid against the windowed empirical density of the same race over the
+same range of x, x0 being the checkpoint at the grid's smallest y.
 """
 
 from __future__ import annotations
@@ -44,16 +45,15 @@ import numpy as np
 from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter
 from .lfunction import LValue
-from .sieve import DensityTrace
+from .sieve import KINDS, SIGN, DensityTrace
 from .zeros import ZeroCache
 
 __all__ = [
     "LiModel",
     "MonteCarloEstimates",
-    "DensityReport",
     "build_model",
+    "disagrees",
     "li_monte_carlo",
-    "report",
     "windowed_density",
     "write_density_csv",
     "write_mc_csv",
@@ -64,7 +64,8 @@ DISAGREE_TOL = 0.1
 
 
 def windowed_density(trace: DensityTrace, x0: int) -> tuple[float, float]:
-    """(delta_omega, delta_Omega) over the window (x0, X], X = trace.x_max.
+    """(delta_omega, delta_Omega), in KINDS order, over the window (x0, X],
+    X = trace.x_max.
 
     Each is (H_f(X) - H_f(x0)) / log(X / x0); H_f(x0) comes from the trace
     row at x0 (delta times log x0), so x0 must be a checkpoint below X.
@@ -105,8 +106,8 @@ def build_model(
     kind: str,
     seed: int,
 ) -> LiModel:
-    if kind not in ("omega", "Omega"):
-        raise ValueError(f"kind must be 'omega' or 'Omega', got {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be in {KINDS}, got {kind!r}")
     if (cache.q, cache.chi_index) != (chi.modulus, chi.index):
         raise ValueError("zero cache does not belong to this character")
     a_chi = 1 if chi.is_real else 0
@@ -145,40 +146,28 @@ def li_monte_carlo(model: LiModel, y_grid, trials: int) -> MonteCarloEstimates:
         osc = np.cos(phases) @ amps
     else:
         osc = np.zeros(trials)
+    lean = SIGN[model.kind] * osc  # exact: a sign flip or a copy
     points = []
     for y in y_grid:
-        d = model.drift(float(y))
-        if model.kind == "omega":
-            p = float(np.count_nonzero(osc < d)) / trials  # -drift + X < 0
-        else:
-            p = float(np.count_nonzero(osc > -d)) / trials  # drift + X > 0
+        p = float(np.count_nonzero(lean > -model.drift(float(y)))) / trials
         se = math.sqrt(p * (1.0 - p) / trials)
         points.append((float(y), p, se))
     return MonteCarloEstimates(model.kind, trials, model.seed, tuple(points))
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Empirical and model densities side by side, with a disagreement flag."""
-
-    x_max: int | None
-    delta_omega: float | None
-    delta_big_omega: float | None
-    mc_omega: MonteCarloEstimates | None
-    mc_big_omega: MonteCarloEstimates | None
-    flag_omega: bool | None
-    flag_big_omega: bool | None
-
-
-def _compared_pair(trace: DensityTrace, mc: MonteCarloEstimates, which: int) -> tuple[float, float]:
-    """(empirical, model) densities over one range of x.
+def disagrees(trace: DensityTrace, mc: MonteCarloEstimates) -> bool:
+    """Whether the model and the empirical density of the race `mc.kind`
+    differ by more than DISAGREE_TOL over one range of x.
 
     The model side is the mean of P(y) over the grid points with y <= log X
     (all points if none); the empirical side is the windowed density from
     the last checkpoint at or below the smallest of those y.  Without such
     a checkpoint below X the window is empty and the full-range estimate
-    is used.
+    is used.  A model with no grid point compares nothing.
     """
+    if not mc.points:
+        return False
+    column = KINDS.index(mc.kind)
     y_max = math.log(trace.x_max) if trace.x_max > 1 else float("inf")
     grid = [(y, p) for y, p, _ in mc.points if y <= y_max + 1e-9]
     if not grid:
@@ -187,41 +176,10 @@ def _compared_pair(trace: DensityTrace, mc: MonteCarloEstimates, which: int) -> 
     y0 = min(y for y, _ in grid)
     starts = [x for x, _, _ in trace.trace if math.log(x) <= y0 + 1e-9]
     if starts and starts[-1] < trace.x_max:
-        empirical = windowed_density(trace, starts[-1])[which]
+        empirical = windowed_density(trace, starts[-1])[column]
     else:
-        empirical = (trace.delta_omega, trace.delta_big_omega)[which]
-    return empirical, model
-
-
-def report(
-    empirical: DensityTrace | None,
-    mc_omega: MonteCarloEstimates | None = None,
-    mc_big_omega: MonteCarloEstimates | None = None,
-) -> DensityReport:
-    """Merge the sieve estimate and the Monte Carlo estimate for one character.
-
-    A flag is raised when the model's grid mean and the empirical density
-    over the same range of x differ by more than DISAGREE_TOL.
-    """
-    x_max = empirical.x_max if empirical is not None else None
-    d_w = empirical.delta_omega if empirical is not None else None
-    d_W = empirical.delta_big_omega if empirical is not None else None
-
-    def flag(mc, which):
-        if empirical is None or mc is None:
-            return None
-        emp, model = _compared_pair(empirical, mc, which)
-        return abs(emp - model) > DISAGREE_TOL
-
-    return DensityReport(
-        x_max=x_max,
-        delta_omega=d_w,
-        delta_big_omega=d_W,
-        mc_omega=mc_omega,
-        mc_big_omega=mc_big_omega,
-        flag_omega=flag(mc_omega, 0),
-        flag_big_omega=flag(mc_big_omega, 1),
-    )
+        empirical = (trace.delta_omega, trace.delta_big_omega)[column]
+    return abs(empirical - model) > DISAGREE_TOL
 
 
 def write_density_csv(trace: DensityTrace, path: str, comment: str | None = None) -> None:

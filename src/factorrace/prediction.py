@@ -12,7 +12,8 @@ with the secular block negative for omega and positive for Omega, and
 a(chi) = 1 exactly when chi is real.  Everything is computed on the whole
 checkpoint grid at once: `predict` returns the unsigned secular block and
 the truncated zero sum as arrays over x, once per (chi, T0), and both kinds
-share them; a kind's main term is SIGN[kind] times the secular block.
+share them; a kind's main term is SIGN[kind] times the secular block, with
+SIGN the table of bias directions kept in `sieve`.
 
 The truncation remainder Sigma is not computable in closed form; here it
 is measured empirically as everything the explicit terms miss (which also
@@ -38,10 +39,10 @@ import numpy as np
 from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter
 from .lfunction import LValue
+from .sieve import SIGN
 from .zeros import ZeroCache
 
 __all__ = [
-    "KINDS",
     "SIGN",
     "predict",
     "residual",
@@ -50,8 +51,6 @@ __all__ = [
     "write_meansq_csv",
 ]
 
-SIGN = {"omega": -1.0, "Omega": 1.0}
-KINDS = tuple(SIGN)
 Y_MIN = math.log(1.0e3)
 # cap on checkpoints * zeros of one block of the zero sum, so memory stays bounded
 _BLOCK_ELEMENTS = 1 << 16

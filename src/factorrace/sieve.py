@@ -17,12 +17,17 @@ is left is either about 0 or the log of the single prime factor
 > sqrt(x_max), which adds one to omega; then Omega = omega + extra.
 
 The same pass can feed the sign fold of one real character: per segment
-the character's int8 sign table is tiled over n, an int64 cumsum of
-chi(n) f(n) carries the exact running psi_f(n) = sum_{m<=n} chi(m) f(m),
-and the harmonic measures H_f = sum 1/n over the biased n (psi_omega < 0,
-psi_Omega > 0) are pairwise-summed per BLOCK = 2^16 block of absolute n
-and Neumaier-added across blocks.  Because the blocks are anchored to
-absolute n, the floating results are bit-identical for every segment size.
+the character's int8 sign table, times SIGN[f], is tiled over n, an int64
+cumsum carries the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n}
+chi(m) f(m), and the harmonic measures H_f = sum 1/n over the biased n
+(those where SIGN[f] * psi_f(n) > 0) are pairwise-summed per BLOCK = 2^16
+block of absolute n and Neumaier-added across blocks.  Because the blocks
+are anchored to absolute n, the floating results are bit-identical for
+every segment size.
+
+SIGN states each race's bias direction once: the omega race leans to
+psi_omega < 0 and the Omega race to psi_Omega > 0.  Its key order, KINDS,
+fixes the order of every (omega, Omega) pair in the package.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter, _root_of_unity, real_sign_table
 
 __all__ = [
+    "KINDS",
+    "SIGN",
     "BLOCK",
     "MAX_X",
     "SieveConfig",
@@ -52,6 +59,8 @@ __all__ = [
     "write_twists_csv",
 ]
 
+SIGN = {"omega": -1, "Omega": 1}  # the side each race leans to
+KINDS = tuple(SIGN)
 BLOCK = 1 << 16  # harmonic-accumulation granularity, aligned to absolute n
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
 DEFAULT_SEGMENT = 1 << 20
@@ -275,12 +284,12 @@ class _SignFold:
     """Running psi_f(n) = sum_{m<=n} chi(m) f(m) and the harmonic measures
     H_f for one real non-principal character, fed one segment at a time.
 
-    H_omega sums 1/n over the n with psi_omega(n) < 0, H_Omega over the n
-    with psi_Omega(n) > 0.  The 1/n terms are pairwise-summed per
-    BLOCK-aligned block of absolute n and the block sums Neumaier-added in
-    order, so no bit depends on the segment size.  H at a mark x is the
-    running sum before x's block plus the pairwise sum of that block up
-    to x; the marks are the checkpoints and x_max.
+    The fold carries SIGN[f] * psi_f, and H_f sums 1/n over the n where that
+    is positive (psi_omega(n) < 0, psi_Omega(n) > 0).  The 1/n terms are
+    pairwise-summed per BLOCK-aligned block of absolute n and the block
+    sums Neumaier-added in order, so no bit depends on the segment size.
+    H at a mark x is the running sum before x's block plus the pairwise
+    sum of that block up to x; the marks are the checkpoints and x_max.
     """
 
     def __init__(self, cfg: SieveConfig, chi: DirichletCharacter):
@@ -292,9 +301,10 @@ class _SignFold:
             raise ValueError("density scan requires a non-principal character")
         self.cfg = cfg
         self.chi = chi
-        self.signs = real_sign_table(chi)
+        table = real_sign_table(chi)
+        self.signs = [sign * table for sign in SIGN.values()]  # SIGN[f] * chi(n) per f
         self.marks = sorted(set(cfg.checkpoints) | {cfg.x_max})
-        self.psi = [0, 0]  # psi_omega, psi_Omega
+        self.run = [0, 0]  # SIGN[f] * psi_f at the end of the folded range
         self.acc = [(0.0, 0.0), (0.0, 0.0)]  # Neumaier (sum, comp) per f
         self.h = {x: [0.0, 0.0] for x in self.marks}  # mark -> [H_omega, H_Omega]
 
@@ -302,7 +312,6 @@ class _SignFold:
         """Fold the segment [lo, lo + len(omega)); lo is a multiple of BLOCK."""
         n = len(omega)
         marks = self.marks[bisect_left(self.marks, lo) : bisect_left(self.marks, lo + n)]
-        sgn = np.tile(np.roll(self.signs, -lo), n // len(self.signs) + 1)[:n]
         inv = np.arange(lo, lo + n, dtype=np.float64)
         if lo == 0:
             inv[0] = np.inf  # n = 0 adds nothing
@@ -310,12 +319,13 @@ class _SignFold:
         run = np.empty(n, dtype=np.int64)  # reused by both f: fewer fresh pages per segment
         terms = np.empty(n)
         nfull = n // BLOCK
-        for f, values in enumerate((omega, bomega)):
+        for f, (signs, values) in enumerate(zip(self.signs, (omega, bomega))):
+            sgn = np.tile(np.roll(signs, -lo), n // len(signs) + 1)[:n]
             np.multiply(sgn, values, out=run)
             np.cumsum(run, out=run)
-            run += self.psi[f]
-            self.psi[f] = int(run[-1])
-            np.multiply(inv, run < 0 if f == 0 else run > 0, out=terms)
+            run += self.run[f]
+            self.run[f] = int(run[-1])
+            np.multiply(inv, run > 0, out=terms)
             block_sums = terms[: nfull * BLOCK].reshape(nfull, BLOCK).sum(axis=1).tolist()
             if nfull * BLOCK < n:
                 block_sums.append(float(terms[nfull * BLOCK :].sum()))
@@ -331,6 +341,7 @@ class _SignFold:
     def result(self) -> DensityTrace:
         x_max, h = self.cfg.x_max, self.h
         h_w, h_W = h[x_max]
+        psi_w, psi_W = (sign * run for sign, run in zip(SIGN.values(), self.run))
         return DensityTrace(
             q=self.cfg.q,
             chi_index=self.chi.index,
@@ -340,8 +351,8 @@ class _SignFold:
             delta_omega=_delta(h_w, x_max),
             delta_big_omega=_delta(h_W, x_max),
             trace=tuple((x, _delta(h[x][0], x), _delta(h[x][1], x)) for x in self.cfg.checkpoints),
-            psi_omega_final=self.psi[0],
-            psi_big_omega_final=self.psi[1],
+            psi_omega_final=psi_w,
+            psi_big_omega_final=psi_W,
         )
 
 

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import os
 import subprocess
 import sys
@@ -220,8 +221,8 @@ def test_density_outputs(tmp_path, capsys):
 
 
 def test_density_reports_each_character_against_its_own_model(tmp_path, monkeypatch):
-    """At q = 24 two primitive real characters share one run; each is reported against its own MC."""
-    current, built, reported = {}, [], []
+    """At q = 24 two primitive real characters share one run; each is judged against its own MC."""
+    current, built, judged = {}, [], []
 
     def build_model(chi, *args):
         current["chi"] = chi.index
@@ -232,21 +233,59 @@ def test_density_reports_each_character_against_its_own_model(tmp_path, monkeypa
         built.append((current["chi"], est))
         return est
 
-    def report(dens, mc_omega, mc_big_omega):
-        reported.append((current["chi"], mc_omega, mc_big_omega))
-        return density.report(dens, mc_omega, mc_big_omega)
+    def disagrees(dens, mc):
+        judged.append((current["chi"], dens.chi_index, mc))
+        return density.disagrees(dens, mc)
 
-    for fn in (build_model, li_monte_carlo, report):
+    for fn in (build_model, li_monte_carlo, disagrees):
         monkeypatch.setattr(cli, fn.__name__, fn)
     argv = ["--out", str(tmp_path), "--q", "24", "--chi", "all", "--xmax", "50000", "--T", "15", "--T0", "15"]
     assert cli.main(["zeros"] + argv) == 0
     assert cli.main(["density", "--trials", "1000"] + argv) == 0
     primitive = [c.index for c in enumerate_characters(24) if c.is_real and c.is_primitive]
-    assert [chi for chi, _, _ in reported] == primitive and len(primitive) == 2
-    for chi, mc_omega, mc_big_omega in reported:
+    assert len(primitive) == 2
+    assert [chi for chi, _, _ in judged] == [chi for chi in primitive for _ in range(2)]
+    for chi in primitive:
         own = [est for c, est in built if c == chi]
+        mine = [(trace_chi, mc) for c, trace_chi, mc in judged if c == chi]
         assert [m.kind for m in own] == ["omega", "Omega"]
-        assert mc_omega is own[0] and mc_big_omega is own[1]
+        assert all(trace_chi == chi and mc is est for (trace_chi, mc), est in zip(mine, own))
+
+
+@pytest.mark.parametrize("cmd, xmax", [("all", "1"), ("all", "0"), ("density", "1")])
+def test_run_below_x_2_compares_nothing(tmp_path, cmd, xmax):
+    """Below x = 2 the Monte Carlo grid is empty: the run still writes density.csv
+    and a header-only mc.csv, and exits 0."""
+    argv = ["--out", str(tmp_path), "--q", "4", "--xmax", xmax, "--T", "10", "--T0", "10", "--trials", "1000"]
+    if cmd == "density":
+        assert cli.main(["zeros"] + argv) == 0
+    assert cli.main([cmd] + argv) == 0
+    assert read_data_rows(tmp_path / "mc.csv") == ["y,p_neg,trials,seed,kind\n"]
+    assert read_data_rows(tmp_path / "density.csv")[0] == "X,delta_omega,delta_Omega\n"
+
+
+# sha256 of every CSV of GOLDEN_RUN.  A change that moves output bits on
+# purpose updates these digests and says so.
+GOLDEN_RUN = ["all", "--q", "24", "--chi", "all", "--xmax", "20000", "--T", "15", "--T0", "15", "--trials", "1000"]
+GOLDEN_SHA256 = {
+    "checkpoints.csv": "424b1faaae06d27437161f15d4c4457210f395a5600d4f2d28904645a2dc7003",
+    "compare_Omega_q24_chi3_T15.csv": "7cb52380de026035c33da19a7bd8c343897f4345e0ec6728d7e452123818afe0",
+    "compare_Omega_q24_chi7_T15.csv": "4f53b76a92fbd06627cf05704f1ba5126d8c5cbf2b6c6eef89af4f3999239124",
+    "compare_omega_q24_chi3_T15.csv": "beb5881fb7f6b146b52db7fc4844b6573501b378c7dd224348d3066ae5b98c66",
+    "compare_omega_q24_chi7_T15.csv": "002fd0fdff5ec1ce695854a08f0a1fb8fec30f40882cce37a5bff9d1b0ae80df",
+    "density.csv": "8c8b1a70e70d9da1aaf11494138b5f623feb1d72e07cd7d9591473aa26dd0e03",
+    "mc.csv": "c0574e2c1fc66d2725dab9c952f3cdf5bb1ddebfc64098d21f94bdcd861236c7",
+    "meansq.csv": "03de6a6b88bab9038ffed6b5c804a714df10f64f52630c901a31b1b2396db480",
+    "twists.csv": "d7d526360b316ea3e8737251b80732306dd36185c61c8a23dea1b76a2091ab65",
+    "zeros_q24_chi3.csv": "0e4b6e6118afe5493a212ffb3667a11be7a659fb3b59e0b8e262048b9e144e43",
+    "zeros_q24_chi7.csv": "a46f2bda4b565f88dcf394c9b488730b8df2cf9a0d2f893e07113b43e2b0d0b7",
+}
+
+
+def test_golden_bytes(tmp_path):
+    assert cli.main(GOLDEN_RUN + ["--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert digests == GOLDEN_SHA256
 
 
 def test_cli_run_loads_no_scipy(tmp_path):

@@ -7,8 +7,8 @@ from factorrace.characters import enumerate_characters
 from factorrace.density import (
     LiModel,
     build_model,
+    disagrees,
     li_monte_carlo,
-    report,
     windowed_density,
     MonteCarloEstimates,
 )
@@ -41,6 +41,16 @@ def test_zero_drift_single_amplitude_symmetric():
     _, p, se = mc.points[0]
     assert abs(p - 0.5) <= 4 * se
     assert se <= 0.5 / math.sqrt(20000)
+
+
+def test_the_two_races_split_one_sample():
+    """At zero drift the omega race counts the samples with X < 0 and the
+    Omega race those with X > 0, so the two estimates add up to 1."""
+    kw = dict(amplitudes=(1.0, 0.6), drift_slope=0.0, drift_intercept=0.0, seed=11, t0=10.0)
+    p_w = li_monte_carlo(LiModel(kind="omega", **kw), [1.0], 20001).points[0][1]
+    p_W = li_monte_carlo(LiModel(kind="Omega", **kw), [1.0], 20001).points[0][1]
+    assert p_w != p_W  # an odd trial count cannot split evenly
+    assert p_w + p_W == pytest.approx(1.0, abs=1e-12)
 
 
 def test_seed_determinism():
@@ -91,25 +101,26 @@ def test_mc_chi4_at_large_y(chi4, chi4_l_half, cache100):
     assert se <= 0.005
 
 
-def test_report_merges_toy_empirical(chi4):
+def test_disagrees_on_the_toy_trace(chi4):
     dens = density_scan(SieveConfig(x_max=10, q=4, checkpoints=(10,)), chi4)
-    rep = report(dens)
-    assert rep.x_max == 10
-    assert rep.delta_big_omega == pytest.approx((1 / 9 + 1 / 10) / math.log(10), rel=1e-12)
-    assert rep.flag_omega is None and rep.flag_big_omega is None
+    assert dens.x_max == 10
+    assert dens.delta_big_omega == pytest.approx((1 / 9 + 1 / 10) / math.log(10), rel=1e-12)
+    assert dens.delta_omega == pytest.approx((1 / 3 + 1 / 4 + 1 / 7 + 1 / 8) / math.log(10), rel=1e-12)
+    point = ((math.log(10), dens.delta_big_omega, 0.0),)
+    assert not disagrees(dens, MonteCarloEstimates("Omega", 1000, 1, point))
+    # the same model read as the omega race meets delta_omega, 0.37 against 0.09
+    assert disagrees(dens, MonteCarloEstimates("omega", 1000, 1, point))
 
 
-def test_report_disagreement_flag(chi4):
+def test_disagrees_flags_a_wrong_model(chi4):
     dens = density_scan(SieveConfig(x_max=10, q=4, checkpoints=(10,)), chi4)
     fake_high = MonteCarloEstimates("Omega", 1000, 1, ((math.log(10), 1.0, 0.0),))
-    rep = report(dens, mc_big_omega=fake_high)
-    assert rep.flag_big_omega is True  # 0.09 vs 1.0
-    close = MonteCarloEstimates("Omega", 1000, 1, ((math.log(10), dens.delta_big_omega, 0.0),))
-    rep2 = report(dens, mc_big_omega=close)
-    assert rep2.flag_big_omega is False
+    assert disagrees(dens, fake_high)  # 0.09 vs 1.0
+    close = MonteCarloEstimates("Omega", 1000, 1, ((math.log(10), dens.delta_big_omega + 0.05, 0.0),))
+    assert not disagrees(dens, close)
 
 
-def test_report_compares_over_the_same_window(chi4):
+def test_disagrees_compares_over_the_same_window(chi4):
     # full-range delta_Omega(1e5) is about 0.63 because of the harmonic mass
     # below the first checkpoint; over [1000, 1e5] it is about 0.98
     cfg = SieveConfig(x_max=10**5, q=4)
@@ -123,17 +134,6 @@ def test_report_compares_over_the_same_window(chi4):
 
     assert abs(dens.delta_big_omega - 1.0) > 0.1 and abs(win_W - 1.0) <= 0.1
     assert abs(dens.delta_omega - 1.0) > 0.1 and abs(win_w - 1.0) <= 0.1
-    rep = report(dens, model("omega", 1.0), model("Omega", 1.0))
-    assert rep.flag_omega is False and rep.flag_big_omega is False
-    assert rep.delta_big_omega == dens.delta_big_omega  # the reported value stays full-range
-    low = report(dens, model("omega", win_w - 0.15), model("Omega", win_W - 0.15))
-    assert low.flag_omega is True and low.flag_big_omega is True
+    assert not disagrees(dens, model("omega", 1.0)) and not disagrees(dens, model("Omega", 1.0))
+    assert disagrees(dens, model("omega", win_w - 0.15)) and disagrees(dens, model("Omega", win_W - 0.15))
 
-
-def test_report_empirical_absent():
-    mc = MonteCarloEstimates("omega", 1000, 1, ((1.0, 1.0, 0.0),))
-    rep = report(None, mc_omega=mc)
-    assert rep.x_max is None
-    assert rep.delta_omega is None and rep.delta_big_omega is None
-    assert rep.flag_omega is None
-    assert rep.mc_omega is mc
