@@ -1,0 +1,120 @@
+"""Per-layer sieve timings on one fixed in-memory segment.
+
+Sieves the 2^20-wide segment [lo, lo + 2^20) of a run to `--xmax` once
+and times, `--repeat` times each, the three layers a sieve pass runs per
+segment: the kernel `_sieve_segment`, the class fold `_fold_classes` (the
+omega and the Omega call together) and the sign fold `_SignFold.add` of
+one real character.  Each sign-fold call starts from a fresh fold whose
+running psi_f is the exact psi_f(lo - 1), so the fold sees the same sign
+runs as inside a full pass.  Prints one JSON object with the median
+milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
+the segment are biased throughout, unbiased throughout or mixed.  It is
+offline; the test suite does not collect it.
+
+    PYTHONPATH=src python scripts/layer_times.py --xmax 100000000 --q 4 --chi 1 --lo 50331648
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+import numpy as np
+
+from factorrace.characters import enumerate_characters, real_sign_table
+from factorrace.sieve import (
+    BLOCK,
+    SIGN,
+    SieveConfig,
+    _fold_classes,
+    _sieve_segment,
+    _SignFold,
+    _tables,
+    sieve_run,
+    twist,
+)
+
+SEGMENT = 1 << 20
+
+
+def _median_ms(fn, repeat: int) -> float:
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def _block_kinds(run: int, steps: np.ndarray) -> dict[str, int]:
+    """How many blocks have every, no, or some n with run + cumsum > 0."""
+    walk = run + np.cumsum(steps, dtype=np.int64)
+    pad = -len(walk) % BLOCK
+    rows = np.concatenate([walk, np.full(pad, walk[-1])]).reshape(-1, BLOCK)
+    biased = (rows.min(axis=1) > 0).sum()
+    unbiased = (rows.max(axis=1) <= 0).sum()
+    return {"biased": int(biased), "unbiased": int(unbiased), "mixed": len(rows) - int(biased + unbiased)}
+
+
+def main(argv: list[str] | None = None) -> dict:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--xmax", type=int, default=100_000_000)
+    ap.add_argument("--q", type=int, default=4)
+    ap.add_argument("--chi", type=int, default=1, help="index of a real non-principal character mod q")
+    ap.add_argument("--lo", type=int, default=48 * SEGMENT, help="segment start, a multiple of 2^16")
+    ap.add_argument("--repeat", type=int, default=15)
+    args = ap.parse_args(argv)
+    x_max, q, lo = args.xmax, args.q, args.lo
+    if lo % BLOCK or not 0 <= lo <= x_max:
+        ap.error("--lo must be a multiple of 2^16 in [0, xmax]")
+    hi = min(lo + SEGMENT, x_max + 1)
+    chi = enumerate_characters(q)[args.chi]
+    cfg = SieveConfig(x_max=x_max, q=q)
+    tables = _tables(x_max)
+    omega, bomega = _sieve_segment(lo, hi, tables)
+    psi = [0, 0]
+    if lo > 0:
+        before = sieve_run(SieveConfig(x_max=lo - 1, q=q, checkpoints=(lo - 1,)))
+        psi = [int(p.real) for p in twist(before, chi, lo - 1)]
+    start = [sign * p for sign, p in zip(SIGN.values(), psi)]  # the fold's running SIGN[f] * psi_f
+
+    folds = []  # a fresh fold per call, set up outside the timed region
+    for _ in range(args.repeat):
+        folds.append(_SignFold(cfg, chi))
+        folds[-1].run = list(start)
+    unused = iter(folds)
+
+    def class_fold():
+        _fold_classes(omega, lo, q)
+        _fold_classes(bomega, lo, q)
+
+    table = np.roll(real_sign_table(chi), -lo)
+    chi_n = np.tile(table, -(-(hi - lo) // q))[: hi - lo].astype(np.int64)
+    result = {
+        "x_max": x_max,
+        "q": q,
+        "chi_index": chi.index,
+        "lo": lo,
+        "length": hi - lo,
+        "repeat": args.repeat,
+        "sieve_segment_ms": _median_ms(lambda: _sieve_segment(lo, hi, tables), args.repeat),
+        "fold_classes_ms": _median_ms(class_fold, args.repeat),
+        "sign_fold_ms": _median_ms(lambda: next(unused).add(lo, omega, bomega), args.repeat),
+        "blocks": {
+            kind: _block_kinds(run, sign * chi_n * values)
+            for (kind, sign), run, values in zip(SIGN.items(), start, (omega, bomega))
+        },
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    print(json.dumps(result, indent=2))
+    return result
+
+
+if __name__ == "__main__":
+    main()

@@ -16,14 +16,17 @@ and every p^k <= x_max bumps `extra` and subtracts log p.  Whatever log
 is left is either about 0 or the log of the single prime factor
 > sqrt(x_max), which adds one to omega; then Omega = omega + extra.
 
-The same pass can feed the sign fold of one real character: per segment
-the character's int8 sign table, times SIGN[f], is tiled over n, an int64
-cumsum carries the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n}
-chi(m) f(m), and the harmonic measures H_f = sum 1/n over the biased n
-(those where SIGN[f] * psi_f(n) > 0) are pairwise-summed per BLOCK = 2^16
-block of absolute n and Neumaier-added across blocks.  Because the blocks
-are anchored to absolute n, the floating results are bit-identical for
-every segment size.
+The same pass can feed the sign fold of one real character.  It carries
+the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n} chi(m) f(m),
+and the harmonic measures H_f = sum 1/n over the biased n (those where
+SIGN[f] * psi_f(n) > 0), one BLOCK = 2^16 block of absolute n at a time:
+an int32 cumsum of the int8 steps SIGN[f] chi(n) f(n) gives the block's
+local prefix, and its extremes plus the exact run before the block say
+whether every n of the block is biased (the block adds its pairwise 1/n
+sum, formed once for both kinds), none is (it adds 0.0), or some are
+(only then is 1/n masked).  The block sums are Neumaier-added.  Because
+the blocks are anchored to absolute n, the floating results are
+bit-identical for every segment size.
 
 SIGN states each race's bias direction once: the omega race leans to
 psi_omega < 0 and the Omega race to psi_Omega > 0.  Its key order, KINDS,
@@ -290,6 +293,13 @@ class _SignFold:
     sums Neumaier-added in order, so no bit depends on the segment size.
     H at a mark x is the running sum before x's block plus the pairwise
     sum of that block up to x; the marks are the checkpoints and x_max.
+
+    Per block and kind, the int32 prefix sum of the steps never exceeds
+    40 * BLOCK in size, and the run before the block stays a Python int.
+    A block whose prefix minimum keeps the run positive takes the plain
+    1/n sum, one whose maximum keeps it <= 0 adds 0.0, and only a mixed
+    block multiplies 1/n by its mask; every term is the one a whole-range
+    mask gives (x * 1.0 == x), so every sum has the same bits.
     """
 
     def __init__(self, cfg: SieveConfig, chi: DirichletCharacter):
@@ -310,33 +320,39 @@ class _SignFold:
 
     def add(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
         """Fold the segment [lo, lo + len(omega)); lo is a multiple of BLOCK."""
-        n = len(omega)
-        marks = self.marks[bisect_left(self.marks, lo) : bisect_left(self.marks, lo + n)]
-        inv = np.arange(lo, lo + n, dtype=np.float64)
-        if lo == 0:
-            inv[0] = np.inf  # n = 0 adds nothing
-        np.divide(1.0, inv, out=inv)
-        run = np.empty(n, dtype=np.int64)  # reused by both f: fewer fresh pages per segment
-        terms = np.empty(n)
-        nfull = n // BLOCK
-        for f, (signs, values) in enumerate(zip(self.signs, (omega, bomega))):
-            sgn = np.tile(np.roll(signs, -lo), n // len(signs) + 1)[:n]
-            np.multiply(sgn, values, out=run)
-            np.cumsum(run, out=run)
-            run += self.run[f]
-            self.run[f] = int(run[-1])
-            np.multiply(inv, run > 0, out=terms)
-            block_sums = terms[: nfull * BLOCK].reshape(nfull, BLOCK).sum(axis=1).tolist()
-            if nfull * BLOCK < n:
-                block_sums.append(float(terms[nfull * BLOCK :].sum()))
-            s, c = self.acc[f]
-            k = 0
-            for b, block_sum in enumerate(block_sums):
-                while k < len(marks) and marks[k] < lo + (b + 1) * BLOCK:
-                    self.h[marks[k]][f] = (s + c) + float(terms[b * BLOCK : marks[k] - lo + 1].sum())
-                    k += 1
-                s, c = _neumaier(s, c, block_sum)
-            self.acc[f] = (s, c)
+        q = self.cfg.q
+        periodic = [np.tile(signs, BLOCK // q + 2) for signs in self.signs]  # SIGN[f] chi(n) from n = 0
+        local = np.empty(BLOCK, dtype=np.int32)
+        for start in range(0, len(omega), BLOCK):
+            first, end = lo + start, min(start + BLOCK, len(omega))
+            prefix = local[: end - start]
+            marks = self.marks[bisect_left(self.marks, first) : bisect_left(self.marks, lo + end)]
+            off = first % q
+            inv = None  # 1/n over the block and its pairwise sum, formed once for both kinds
+            for f, values in enumerate((omega, bomega)):
+                np.multiply(periodic[f][off : off + len(prefix)], values[start:end], out=prefix)
+                np.cumsum(prefix, out=prefix)  # block-local, |prefix| <= 40 * BLOCK
+                run = self.run[f]  # SIGN[f] * psi_f(first - 1)
+                if run + int(prefix.max()) <= 0:  # no n of the block is biased
+                    terms, block_sum = None, 0.0
+                else:
+                    if inv is None:
+                        inv = np.arange(first, lo + end, dtype=np.float64)
+                        if first == 0:
+                            inv[0] = np.inf  # n = 0 adds nothing
+                        np.divide(1.0, inv, out=inv)
+                        whole = float(inv.sum())
+                    if run + int(prefix.min()) > 0:  # every n is biased
+                        terms, block_sum = inv, whole
+                    else:  # -run lies within the prefix's range, so it fits int32
+                        terms = inv * (prefix > -run)
+                        block_sum = float(terms.sum())
+                s, c = self.acc[f]
+                for x in marks:
+                    part = 0.0 if terms is None else float(terms[: x - first + 1].sum())
+                    self.h[x][f] = (s + c) + part
+                self.acc[f] = _neumaier(s, c, block_sum)
+                self.run[f] = run + int(prefix[-1])
 
     def result(self) -> DensityTrace:
         x_max, h = self.cfg.x_max, self.h

@@ -1,7 +1,8 @@
 """Independent reference computations used to validate the library.
 
 These deliberately avoid the code paths they check: factor counts come from
-plain trial division and from the former cofactor sieve kernel, L-values
+plain trial division and from the former cofactor sieve kernel, harmonic
+sign-set measures from the former whole-segment sign fold, L-values
 from accelerated alternating series, zero locations from a dumb fine-grid
 bisection, and the Mertens-type constants from direct prime sums.
 """
@@ -77,6 +78,47 @@ def cofactor_sieve_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndar
     omega[big] += 1
     bomega[big] += 1
     return omega, bomega
+
+
+def sign_fold_reference(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
+    """`factorrace.sieve._SignFold.add` as it was before its block-extreme
+    test: call it as `sign_fold_reference(fold, lo, omega, bomega)`.
+
+    Per kind it forms the whole segment's int64 running SIGN[f] * psi_f,
+    masks every 1/n with `run > 0` and pairwise-sums the masked terms per
+    BLOCK of absolute n, Neumaier-adding the block sums.
+    """
+    from bisect import bisect_left
+
+    from factorrace.sieve import BLOCK, _neumaier
+
+    n = len(omega)
+    marks = self.marks[bisect_left(self.marks, lo) : bisect_left(self.marks, lo + n)]
+    inv = np.arange(lo, lo + n, dtype=np.float64)
+    if lo == 0:
+        inv[0] = np.inf  # n = 0 adds nothing
+    np.divide(1.0, inv, out=inv)
+    run = np.empty(n, dtype=np.int64)  # reused by both f: fewer fresh pages per segment
+    terms = np.empty(n)
+    nfull = n // BLOCK
+    for f, (signs, values) in enumerate(zip(self.signs, (omega, bomega))):
+        sgn = np.tile(np.roll(signs, -lo), n // len(signs) + 1)[:n]
+        np.multiply(sgn, values, out=run)
+        np.cumsum(run, out=run)
+        run += self.run[f]
+        self.run[f] = int(run[-1])
+        np.multiply(inv, run > 0, out=terms)
+        block_sums = terms[: nfull * BLOCK].reshape(nfull, BLOCK).sum(axis=1).tolist()
+        if nfull * BLOCK < n:
+            block_sums.append(float(terms[nfull * BLOCK :].sum()))
+        s, c = self.acc[f]
+        k = 0
+        for b, block_sum in enumerate(block_sums):
+            while k < len(marks) and marks[k] < lo + (b + 1) * BLOCK:
+                self.h[marks[k]][f] = (s + c) + float(terms[b * BLOCK : marks[k] - lo + 1].sum())
+                k += 1
+            s, c = _neumaier(s, c, block_sum)
+        self.acc[f] = (s, c)
 
 
 def alternating_sum(term, n: int = 50) -> float:

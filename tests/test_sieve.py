@@ -5,10 +5,11 @@ import pytest
 
 from factorrace import sieve as sieve_module
 from factorrace._csvio import fmt_float
-from factorrace.characters import _root_of_unity, enumerate_characters
+from factorrace.characters import _root_of_unity, enumerate_characters, real_sign_table
 from factorrace.density import windowed_density
 from factorrace.sieve import (
     BLOCK,
+    SIGN,
     ClassSums,
     SieveConfig,
     combined_run,
@@ -23,6 +24,7 @@ from factorrace.sieve import (
 from oracles import (
     cofactor_sieve_segment,
     mertens_constants,
+    sign_fold_reference,
     trial_factor_counts,
     trial_factor_table,
     twist_reference,
@@ -371,6 +373,86 @@ def test_density_of_an_empty_range(chi4, x_max, trace):
     assert (dens.h_omega, dens.h_big_omega, dens.delta_omega, dens.delta_big_omega) == (0.0,) * 4
     assert dens.trace == trace
     assert (dens.psi_omega_final, dens.psi_big_omega_final) == (0, 0)
+
+
+def _walks(chi, counts, start):
+    """SIGN[f] * psi_f(n) for every n the counts cover, from `start`, by int64 cumsums."""
+    chi_n = np.resize(real_sign_table(chi).astype(np.int64), len(counts[0]))
+    return [s + np.cumsum(sign * chi_n * f, dtype=np.int64) for s, sign, f in zip(start, SIGN.values(), counts)]
+
+
+def _block_kind(walk):
+    return "biased" if walk.min() > 0 else "unbiased" if walk.max() <= 0 else "mixed"
+
+
+def _fold_both(cfg, chi, segments, start):
+    """The sign fold and its reference over the same segments from the same running psi."""
+    fold, ref = sieve_module._SignFold(cfg, chi), sieve_module._SignFold(cfg, chi)
+    fold.run, ref.run = list(start), list(start)
+    for lo, _, w, big in segments:
+        fold.add(lo, w, big)
+        sign_fold_reference(ref, lo, w, big)
+    return fold.result(), ref.result()
+
+
+def _assert_same_bits(got, want, where):
+    def bits(d):
+        trace = [(x, dw.hex(), dW.hex()) for x, dw, dW in d.trace]
+        return d.h_omega.hex(), d.h_big_omega.hex(), trace, d.psi_omega_final, d.psi_big_omega_final
+
+    assert bits(got) == bits(want), where
+
+
+def test_sign_fold_matches_reference():
+    """Every H_f bit, the trace and psi_f as the whole-segment fold gives them.
+
+    Each race runs twice: from psi = 0, and with the running SIGN[f] * psi_f
+    shifted to 0 at x_max / 2, so that the early blocks of a growing race
+    are unbiased throughout.  Checkpoints sit at the first block boundary
+    and in the middle of the first biased, unbiased and mixed block of each
+    walk; the last block is partial.
+    """
+    x_max = (1 << 20) + 5 * BLOCK + 1234
+    counts = factor_counts(x_max)
+    races = [(4, 1), (5, 2), (8, 1), (12, 3), (24, 3), (163, 81)]
+    segments = {size: list(sieve_module._segments(x_max, size)) for size in (BLOCK, 3 * BLOCK, 1 << 20)}
+    seen = set()
+    for q, index in races:
+        chi = enumerate_characters(q)[index]
+        natural = _walks(chi, counts, (0, 0))
+        for start in ((0, 0), tuple(-int(w[x_max // 2]) for w in natural)):
+            cps = {BLOCK - 1, BLOCK, BLOCK + 1}
+            for walk in _walks(chi, counts, start):
+                first = {}
+                for a in range(0, x_max + 1, BLOCK):
+                    first.setdefault(_block_kind(walk[a : a + BLOCK]), a)
+                cps.update(a + BLOCK // 2 for a in first.values() if a + BLOCK // 2 <= x_max)
+                seen.update(first)
+            cfg = SieveConfig(x_max=x_max, q=q, checkpoints=tuple(sorted(cps)))
+            for size, segs in segments.items():
+                _assert_same_bits(*_fold_both(cfg, chi, segs, start), (q, index, start, size))
+    assert seen == {"biased", "unbiased", "mixed"}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sign_fold_at_the_design_ceiling(sign):
+    """n in [2^40 - 2^17, 2^40] with the running psi_f at +-(2^31 + 7).
+
+    The block prefix sums are int32 and the running psi_f is not, so the
+    offset added to them must not wrap; the last block holds only 2^40.
+    """
+    x_max = sieve_module.MAX_X
+    lo = x_max - 2 * BLOCK
+    chi = enumerate_characters(4)[1]
+    cfg = SieveConfig(x_max=x_max, q=4, checkpoints=(lo + BLOCK - 1, lo + BLOCK, x_max - 1))
+    counts = sieve_module._sieve_segment(lo, x_max + 1, sieve_module._tables(x_max))
+    psi = sign * (2**31 + 7)
+    start = [s * psi for s in SIGN.values()]
+    got, want = _fold_both(cfg, chi, [(lo, x_max + 1, *counts)], start)
+    _assert_same_bits(got, want, sign)
+    chi_n = real_sign_table(chi)[np.arange(lo, x_max + 1) % 4].astype(np.int64)
+    ends = [psi + int(np.cumsum(chi_n * f, dtype=np.int64)[-1]) for f in counts]
+    assert [got.psi_omega_final, got.psi_big_omega_final] == ends
 
 
 def test_hardy_ramanujan_drift_at_1e6():
