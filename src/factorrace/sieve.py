@@ -7,14 +7,15 @@ accumulates exact integer sums
 
 at the configured checkpoints; twisting by a character is a closing
 root-of-unity combination done afterwards.  Per segment the kernel keeps
-an int8 omega counter, an int8 counter `extra` of the power levels p^k,
-k >= 2, and a float32 array holding log n minus the logs of the primes
-and prime powers <= x_max found to divide n.  The primes up to 13 come
-from one precomputed periodic pattern (period at most 30030); every
-larger p <= sqrt(x_max) bumps omega and subtracts log p on its multiples,
-and every p^k <= x_max bumps `extra` and subtracts log p.  Whatever log
-is left is either about 0 or the log of the single prime factor
-> sqrt(x_max), which adds one to omega; then Omega = omega + extra.
+one int32 word per n: a fixed-point log residual in its low 16 bits,
+which starts at LOG_SCALE * log n plus LOG_HEADROOM, omega in bits 16-23
+and Omega in bits 24-31.  Every prime p <= sqrt(x_max) adds one word to its multiples
+that bumps both counts and takes LOG_SCALE * log p from the residual, and
+every p^k <= x_max with k >= 2 adds one that bumps Omega and takes the
+same log; the primes up to 13 come from one precomputed periodic pattern
+of such words (period at most 30030).  Whatever residual is left is
+either about LOG_HEADROOM or that plus the log of the single prime
+factor > sqrt(x_max), which adds one to omega and to Omega.
 
 The same pass can feed the sign fold of one real character.  It carries
 the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n} chi(m) f(m),
@@ -36,6 +37,7 @@ fixes the order of every (omega, Omega) pair in the package.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,6 +71,12 @@ MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflo
 DEFAULT_SEGMENT = 1 << 20
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
+LOG_SCALE = 512  # kernel residual units per unit of log
+LOG_HEADROOM = 32  # residual offset; keeps rounding from borrowing from omega
+PRIME_WORD = (1 << 16) + (1 << 24)  # one more omega and Omega, before the log
+POWER_WORD = 1 << 24  # one more Omega, before the log
+# byte offsets of omega and Omega within the int32 word
+_OMEGA, _BIG_OMEGA = (2, 3) if sys.byteorder == "little" else (1, 0)
 
 
 def default_checkpoints(x_max: int, ratio: float = 1.02) -> tuple[int, ...]:
@@ -171,25 +179,26 @@ def _primes_upto(n: int) -> list[int]:
 class _Tables(NamedTuple):
     """What the segment kernel needs to know of x_max, built once per run."""
 
-    threshold: np.float32  # 0.5 * log(isqrt(x_max) + 1)
-    wheel_omega: np.ndarray  # int8 omega of the wheel primes over two periods
-    wheel_lg: np.ndarray  # float32 sum of their logs, same layout
+    threshold: int  # LOG_HEADROOM + round(LOG_SCALE * 0.5 * log(isqrt(x_max) + 1))
+    wheel: np.ndarray  # int32 sum of the wheel primes' words, over two periods
     primes: list[int]  # the primes in (WHEEL_MAX, isqrt(x_max)]
-    logs: list[np.float32]  # float32(log p) for each of them
+    words: list[np.int32]  # PRIME_WORD - round(LOG_SCALE * log p) for each of them
     powers: np.ndarray  # int64: every p^k <= x_max with k >= 2, ascending
-    power_logs: np.ndarray  # float32(log p) for each power
+    power_words: np.ndarray  # int32 POWER_WORD - round(LOG_SCALE * log p) for each power
+
+
+def _scaled_log(p: int) -> int:
+    return round(LOG_SCALE * math.log(p))
 
 
 def _tables(x_max: int) -> _Tables:
     root = math.isqrt(x_max)
     primes = _primes_upto(root)
-    wheel = [p for p in primes if p <= WHEEL_MAX]
-    period = math.prod(wheel)
-    wheel_omega = np.zeros(2 * period, dtype=np.int8)
-    wheel_lg = np.zeros(2 * period, dtype=np.float32)
-    for p in wheel:
-        wheel_omega[::p] += 1
-        wheel_lg[::p] += np.float32(math.log(p))
+    wheel_primes = [p for p in primes if p <= WHEEL_MAX]
+    period = math.prod(wheel_primes)
+    wheel = np.zeros(2 * period, dtype=np.int32)
+    for p in wheel_primes:
+        wheel[::p] += PRIME_WORD - _scaled_log(p)
     powers = []
     for p in primes:
         pk = p * p
@@ -197,61 +206,80 @@ def _tables(x_max: int) -> _Tables:
             powers.append((pk, p))
             pk *= p
     powers.sort()
-    rest = primes[len(wheel) :]
+    rest = primes[len(wheel_primes) :]
     return _Tables(
-        threshold=np.float32(0.5 * math.log(root + 1)),
-        wheel_omega=wheel_omega,
-        wheel_lg=wheel_lg,
+        threshold=LOG_HEADROOM + round(LOG_SCALE * 0.5 * math.log(root + 1)),
+        wheel=wheel,
         primes=rest,
-        logs=[np.float32(math.log(p)) for p in rest],
+        words=[np.int32(PRIME_WORD - _scaled_log(p)) for p in rest],
         powers=np.array([pk for pk, _ in powers], dtype=np.int64),
-        power_logs=np.array([math.log(p) for _, p in powers], dtype=np.float32),
+        power_words=np.array([POWER_WORD - _scaled_log(p) for _, p in powers], dtype=np.int32),
     )
+
+
+def _scaled_logs(lo: int, hi: int) -> np.ndarray:
+    """round(LOG_SCALE * log n) as int32 for n in [lo, hi), n = 0 read as 1.
+
+    A step function: value k runs from its edge ceil(exp((k - 1/2) /
+    LOG_SCALE)) up to the next one, so there are about LOG_SCALE *
+    log(hi / lo) steps and no log of each n.  The float64 edges are off by
+    one only where LOG_SCALE * log n lies within about 1e-9 of a
+    half-integer, so every value is within 0.5 + 1e-9 of LOG_SCALE * log n.
+    """
+    k0 = _scaled_log(max(lo, 1))
+    k1 = _scaled_log(max(hi - 1, 1))
+    ks = np.arange(max(k0 - 1, 0), k1 + 2)  # a spare step each side takes an edge off by one
+    edges = np.ceil(np.exp((ks[1:] - 0.5) / LOG_SCALE))
+    counts = np.diff(np.clip(edges, lo, hi).astype(np.int64), prepend=lo, append=hi)
+    return np.repeat(ks.astype(np.int32), counts)
 
 
 def _sieve_segment(lo: int, hi: int, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """(omega, Omega) as int8 arrays for n in [lo, hi).
 
-    `lg` starts at log n and loses float32(log p) wherever p or a power p^k
-    <= x_max divides n.  Then lg = log r, with r the part of n made of
-    primes > s = isqrt(x_max); since n <= x_max < (s+1)^2, r is 1 or a
-    single prime >= s+1.  So exact lg is either 0 or at least log(s+1), and
-    the float32 error (the log, one rounding per subtraction, at most about
-    40 of them below 2^40) stays under 1e-4, far from the midpoint test
-    lg > 0.5 * log(s+1), which is at least 0.34 once x_max >= 1.
+    The residual starts at LOG_SCALE * log n and loses LOG_SCALE * log p
+    wherever p or a power p^k <= x_max divides n.  Then it is LOG_SCALE *
+    log r, with r the part of n made of primes > s = isqrt(x_max); since
+    n <= x_max < (s+1)^2, r is 1 or a single prime >= s+1.  So the exact
+    residual is either 0 or at least LOG_SCALE * log(s+1).  Each word and
+    the starting value are rounded by at most 0.5 (plus 1e-9 for the
+    start), and below 2^40 at most 40 words meet one n, so the error is
+    under 21 units, 0.04 in log units, far from the midpoint test
+    residual > LOG_SCALE * 0.5 * log(s+1), which is at least 177 units
+    (0.5 * log 2 = 0.35) once x_max >= 1.  The error also stays below
+    LOG_HEADROOM, so no residual, before or after any add, borrows from
+    omega, and none exceeds LOG_HEADROOM + 14,200 + 21 < 2^15; the counts
+    fit their bytes (omega <= 11, Omega <= 40).
     """
     length = hi - lo
-    period = len(t.wheel_omega) // 2
+    period = len(t.wheel) // 2
     off = lo % period
-    omega = np.tile(t.wheel_omega[off : off + period], -(-length // period))[:length]
-    lg = np.arange(length, dtype=np.float32)
-    lg += np.float32(lo)
-    if lo == 0:
-        omega[0] = 0  # the wheel marks n = 0, which every p divides
-        lg[0] = 1  # log 1: n = 0 has no large factor
-    np.log(lg, out=lg)
+    word = _scaled_logs(lo, hi)
+    word += LOG_HEADROOM
     full = length - length % period
-    rows = lg[:full].reshape(-1, period)
-    rows -= t.wheel_lg[off : off + period]
-    lg[full:] -= t.wheel_lg[off : off + length - full]
-    for p, logp in zip(t.primes, t.logs):
+    rows = word[:full].reshape(-1, period)
+    rows += t.wheel[off : off + period]
+    word[full:] += t.wheel[off : off + length - full]
+    if lo == 0:
+        word[0] = LOG_HEADROOM  # the wheel marks n = 0, which every p divides
+    for p, add in zip(t.primes, t.words):
         i0 = max(p, -(-lo // p) * p) - lo
-        omega[i0::p] += 1
-        lg[i0::p] -= logp
-    extra = np.zeros(length, dtype=np.int8)
+        word[i0::p] += add
     short = int(np.searchsorted(t.powers, length))  # powers that may have several multiples
-    for pk, logp in zip(t.powers[:short].tolist(), t.power_logs[:short]):
+    for pk, add in zip(t.powers[:short].tolist(), t.power_words[:short].tolist()):
         i0 = max(pk, -(-lo // pk) * pk) - lo
-        extra[i0::pk] += 1
-        lg[i0::pk] -= logp
+        word[i0::pk] += add
     powers = t.powers[short:]  # at most one multiple each
     first = np.maximum(powers, -(-lo // powers) * powers)
     hit = first < hi
-    at = first[hit] - lo
-    np.add.at(extra, at, 1)
-    np.subtract.at(lg, at, t.power_logs[short:][hit])
-    omega += (lg > t.threshold).view(np.int8)
-    return omega, omega + extra
+    np.add.at(word, first[hit] - lo, t.power_words[short:][hit])
+    counts = word.view(np.int8)
+    omega, bomega = counts[_OMEGA::4].copy(), counts[_BIG_OMEGA::4].copy()
+    word &= 0xFFFF  # the residual alone
+    large = (word > t.threshold).view(np.int8)
+    omega += large
+    bomega += large
+    return omega, bomega
 
 
 def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:

@@ -107,6 +107,104 @@ def test_kernel_at_the_design_ceiling():
         assert (w[n - lo], big[n - lo]) == trial_factor_counts(n)
 
 
+EXTREME_N = {
+    "primes_17_to_43": 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43,  # most sieved primes above 13
+    "primorial_31": 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31,  # omega = 11
+    "two_to_40": 1 << 40,  # Omega = 40
+    "prime_above_root": 1048583,  # the first prime above isqrt(2^40) = 2^20
+}
+
+
+@pytest.fixture(scope="module")
+def ceiling():
+    """The kernel tables and the cofactor oracle's primes at x_max = 2^40."""
+    x_max = sieve_module.MAX_X
+    return sieve_module._tables(x_max), primes_upto(math.isqrt(x_max)).tolist()
+
+
+@pytest.mark.parametrize("what", list(EXTREME_N))
+def test_kernel_at_extreme_n(ceiling, what):
+    """A window around the n that load one kernel word the most, at x_max = 2^40."""
+    tables, primes = ceiling
+    n = EXTREME_N[what]
+    lo, hi = n - 1000, min(n + 1000, sieve_module.MAX_X + 1)
+    w, big = sieve_module._sieve_segment(lo, hi, tables)
+    rw, rbig = cofactor_sieve_segment(lo, hi, primes)
+    assert np.array_equal(w, rw) and np.array_equal(big, rbig), what
+    assert (w[n - lo], big[n - lo]) == trial_factor_counts(n), what
+
+
+@pytest.mark.parametrize("center", [10**10, 10**12])
+def test_kernel_at_seeded_windows(center):
+    """Three 2^16 windows at seed-drawn offsets just below `center`."""
+    x_max = center + (1 << 20)
+    tables = sieve_module._tables(x_max)
+    primes = primes_upto(math.isqrt(x_max)).tolist()
+    rng = np.random.default_rng(20261018)
+    for lo in rng.integers(center - (1 << 20), center, size=3).tolist():
+        w, big = sieve_module._sieve_segment(lo, lo + (1 << 16), tables)
+        rw, rbig = cofactor_sieve_segment(lo, lo + (1 << 16), primes)
+        assert np.array_equal(w, rw) and np.array_equal(big, rbig), lo
+
+
+@pytest.mark.parametrize("x_max", [1, 2, 3, 169, 10**8, 1 << 40])
+def test_kernel_error_budget(x_max):
+    """The fixed-point rounding of the kernel words stays far from its tests.
+
+    Every add and the starting step log are rounded by at most 0.5 units;
+    at most log2(x_max) adds meet one n.  That budget must stay below half
+    of the gap LOG_SCALE * 0.5 * log(s + 1) between a residual with and
+    one without a large prime, the threshold must sit at least the budget
+    away from both, and the budget must stay below LOG_HEADROOM, so that
+    the residual of n = 1, of a prime, or of any n part way through its
+    adds never borrows from omega.
+    """
+    scale, headroom = sieve_module.LOG_SCALE, sieve_module.LOG_HEADROOM
+    t = sieve_module._tables(x_max)
+    s = math.isqrt(x_max)
+    primes = primes_upto(s).tolist()
+    wheel_primes = primes[: len(primes) - len(t.primes)]
+    assert t.primes == primes[len(wheel_primes) :]
+    assert all(p <= sieve_module.WHEEL_MAX for p in wheel_primes)
+    # (the word, the prime whose log it takes, the (omega, Omega) it adds)
+    adds = [(int(t.wheel[p]), p, (1, 1)) for p in wheel_primes]
+    adds += [(int(word), p, (1, 1)) for word, p in zip(t.words, t.primes)]
+    base = {}
+    for p in primes:
+        pk = p * p
+        while pk <= x_max:
+            base[pk] = p
+            pk *= p
+    assert t.powers.tolist() == sorted(base)
+    adds += [(int(word), base[pk], (0, 1)) for word, pk in zip(t.power_words.tolist(), t.powers.tolist())]
+    rounding = 0.0
+    for word, p, (dw, dW) in adds:
+        scaled = (dw << 16) + (dW << 24) - word
+        assert 0 < scaled < 1 << 16, (word, p)
+        rounding = max(rounding, abs(scaled - scale * math.log(p)))
+    assert rounding <= 0.5
+
+    window = [(0, min(x_max + 1, 4096)), (max(0, x_max + 1 - 4096), x_max + 1)]
+    step_error = 0.0
+    for lo, hi in window:
+        n = np.maximum(np.arange(lo, hi, dtype=np.float64), 1.0)
+        start = sieve_module._scaled_logs(lo, hi)
+        step_error = max(step_error, float(np.abs(start - scale * np.log(n)).max()))
+    assert step_error <= 0.5 + 1e-9
+
+    budget = max(0, x_max.bit_length() - 1) * rounding + 0.5 + 1e-9
+    gap = scale * 0.5 * math.log(s + 1)
+    assert budget < 0.5 * gap, (budget, gap)
+    assert budget <= t.threshold - headroom <= 2 * gap - budget
+    assert budget < headroom  # no n borrows part way through its adds
+    starts = sieve_module._scaled_logs(0, s + 1)
+    assert headroom + int(starts[1]) - budget >= 0  # n = 1
+    for word, p, _ in adds[: len(wheel_primes) + len(t.primes)]:  # a prime p <= s, after its add
+        assert headroom + int(starts[p]) + word - sieve_module.PRIME_WORD >= 0, p
+    top = int(sieve_module._scaled_logs(x_max, x_max + 1)[0])
+    assert headroom + top + budget < 1 << 15  # no carry into omega either
+
+
 def test_class_sums_toy_x10():
     sums = sieve_run(SieveConfig(x_max=10, q=4, checkpoints=(10,)))
     # omega over 1,5,9 -> 0+1+1 = 2; over 3,7 -> 1+1 = 2
