@@ -9,9 +9,9 @@ running psi_f is the exact psi_f(lo - 1), so the fold sees the same sign
 runs as inside a full pass.  Prints one JSON object with the median
 milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed.  It is
-offline; the test suite does not collect it.
+offline; `tests/test_layer_times.py` runs it once at tiny sizes.
 
-    PYTHONPATH=src python scripts/layer_times.py --xmax 100000000 --q 4 --chi 1 --lo 50331648
+    PYTHONPATH=src python scripts/layer_times.py --xmax 100000000 --q 4 --lo 50331648
 """
 
 from __future__ import annotations
@@ -64,15 +64,20 @@ def main(argv: list[str] | None = None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--xmax", type=int, default=100_000_000)
     ap.add_argument("--q", type=int, default=4)
-    ap.add_argument("--chi", type=int, default=1, help="index of a real non-principal character mod q")
+    ap.add_argument(
+        "--chi", type=int, help="index of a real non-principal character mod q (default: the first one)"
+    )
     ap.add_argument("--lo", type=int, default=48 * SEGMENT, help="segment start, a multiple of 2^16")
     ap.add_argument("--repeat", type=int, default=15)
     args = ap.parse_args(argv)
     x_max, q, lo = args.xmax, args.q, args.lo
     if lo % BLOCK or not 0 <= lo <= x_max:
         ap.error("--lo must be a multiple of 2^16 in [0, xmax]")
+    real = {c.index: c for c in enumerate_characters(q) if c.is_real and not c.is_principal}
+    chi = real.get(min(real, default=None) if args.chi is None else args.chi)
+    if chi is None:
+        ap.error(f"--chi must index a real non-principal character mod {q}, one of {list(real)}")
     hi = min(lo + SEGMENT, x_max + 1)
-    chi = enumerate_characters(q)[args.chi]
     cfg = SieveConfig(x_max=x_max, q=q)
     tables = _tables(x_max)
     omega, bomega = _sieve_segment(lo, hi, tables)

@@ -264,8 +264,8 @@ def _read_twists(
     """twists.csv rows keyed by character index: (x, psi_omega, psi_Omega).
 
     Refuses a file with a malformed row, or one that another configuration
-    wrote: a different q, a checkpoint set other than this config's, or no
-    rows for a target.
+    wrote: a different q, or a target whose x column is not this config's
+    checkpoints in order.
     """
     path = _path(rc, "twists.csv")
     if not os.path.exists(path):
@@ -273,7 +273,7 @@ def _read_twists(
             f"{path} not found: run the `sieve` subcommand first (factorrace sieve ...)"
         )
     out: dict[int, list[tuple[int, complex, complex]]] = {}
-    qs, xs = set(), set()
+    qs = set()
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.startswith("#") or line.startswith("x,"):
@@ -285,19 +285,13 @@ def _read_twists(
             except ValueError:
                 raise MissingInputError(f"{path}: bad row {line.rstrip()!r}: rerun `sieve`") from None
             qs.add(q)
-            xs.add(row[0])
             out.setdefault(idx, []).append(row)
-    cps = _sieve_config(rc).checkpoints
-    missing = [chi.index for chi in targets if chi.index not in out]
+    cps = list(_sieve_config(rc).checkpoints)
+    off = [chi.index for chi in targets if [row[0] for row in out.get(chi.index, [])] != cps]
     if qs - {rc.q}:
         problem = f"q={sorted(qs)}, expected {rc.q}"
-    elif xs != set(cps):
-        problem = (
-            f"its checkpoints, up to x={max(xs, default=0)}, are not those of "
-            f"x_max={rc.x_max} ratio={rc.ratio}"
-        )
-    elif cps and missing:
-        problem = f"no rows for chi={missing}"
+    elif off:
+        problem = f"the rows of chi={off} are not the checkpoints of x_max={rc.x_max} ratio={rc.ratio}"
     else:
         return out
     raise MissingInputError(f"{path} does not match this configuration ({problem}): rerun `sieve`")
@@ -404,6 +398,7 @@ def cmd_density(rc: RunConfig, first=None) -> None:
 
 
 def cmd_all(rc: RunConfig) -> None:
+    _zero_targets(rc)  # refuse a bad --chi before the sieve
     cfg = _sieve_config(rc)
     targets = _density_targets(rc)
     if targets:

@@ -20,10 +20,11 @@ The model-based estimate assumes the positive zero ordinates are linearly
 independent over Q, so the phases (gamma * y mod 2pi) equidistribute: the
 normalized oscillation is replaced by X = sum_gamma A_gamma * cos(U_gamma)
 with iid uniform phases and amplitudes A_gamma = 2|L'(rho)/(1/2+i gamma)|,
-truncated at T0 (a declared model error).  In the log^2 x / sqrt(x)
-normalization the secular part grows linearly in y = log x,
+truncated at T0 (a declared model error; the terms are `ZeroCache.terms`).
+The model is built for real characters only.  In the log^2 x / sqrt(x)
+normalization their secular part grows linearly in y = log x,
 
-    drift(y) = a(chi) * (L(1/2) * y + 2 L(1/2) - L'(1/2)),
+    drift(y) = L(1/2) * y + 2 L(1/2) - L'(1/2),
 
 while the oscillation stays bounded, which is what drives the densities
 toward 1.  The Monte Carlo estimates P[-drift(y) + X < 0] for the omega
@@ -108,16 +109,11 @@ def build_model(
 ) -> LiModel:
     if kind not in KINDS:
         raise ValueError(f"kind must be in {KINDS}, got {kind!r}")
-    if (cache.q, cache.chi_index) != (chi.modulus, chi.index):
-        raise ValueError("zero cache does not belong to this character")
-    a_chi = 1 if chi.is_real else 0
-    amps = tuple(
-        2.0 * abs(rec.l_prime / complex(0.5, rec.gamma))
-        for rec in cache.select(t0)
-        if rec.gamma > 0
-    )
-    slope = a_chi * l_half.value.real
-    intercept = a_chi * (2 * l_half.value - l_half.derivative).real
+    if not chi.is_real:
+        raise ValueError("the random-phase model requires a real character")
+    amps = tuple(2.0 * abs(c) for _, c in cache.terms(chi, t0))
+    slope = l_half.value.real
+    intercept = (2 * l_half.value - l_half.derivative).real
     return LiModel(amps, slope, intercept, kind, seed, float(t0))
 
 

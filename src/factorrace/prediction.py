@@ -61,19 +61,16 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(secular block, truncated zero sum) at every x of the grid `xs`.
 
-    The zero sum runs over the cached zeros with |gamma| <= t0.  For a real
-    character it pairs gamma with -gamma, taking twice the real part of the
-    gamma > 0 terms, so it is exactly real.  Each row of the (checkpoint x
+    The zero sum runs over `cache.terms(chi, t0)`.  For a real character it
+    pairs gamma with -gamma, taking twice the real part of the gamma > 0
+    terms, so it is exactly real.  Each row of the (checkpoint x
     zero) block is summed by numpy's reduction, at most _BLOCK_ELEMENTS
     entries at a time; a row's sum depends only on that row, so the
     chunking does not change any bit of the result.
     """
-    if (cache.q, cache.chi_index) != (chi.modulus, chi.index):
-        raise ValueError("zero cache does not belong to this character")
     if chi.is_principal:
         raise ValueError("predictions are defined for non-principal characters")
-    if t0 > cache.t_scanned:
-        raise ValueError(f"T0={t0} exceeds scanned height {cache.t_scanned}")
+    terms = cache.terms(chi, t0)
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all(xs >= 2):
         raise ValueError("x must be >= 2")
@@ -82,11 +79,10 @@ def predict(
     a_chi = 1.0 if chi.is_real else 0.0
     secular = a_chi * (l_half.value * sx / lx + (2 * l_half.value - l_half.derivative) * sx / lx**2)
 
-    zeros = [r for r in cache.records if abs(r.gamma) <= t0 and (r.gamma > 0 or not chi.is_real)]
-    gamma = np.array([r.gamma for r in zeros])
-    coef = np.array([r.l_prime / complex(0.5, r.gamma) for r in zeros], dtype=np.complex128)
+    gamma = np.array([g for g, _ in terms])
+    coef = np.array([c for _, c in terms], dtype=np.complex128)
     zero_sum = np.empty(len(xs), dtype=np.complex128)
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(zeros)))
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(terms)))
     for lo in range(0, len(xs), step):
         rows = slice(lo, lo + step)
         terms = coef * np.exp(1j * np.outer(lx[rows], gamma))

@@ -11,12 +11,14 @@ Completeness is judged against the smooth counting function
 
     N_hat(T) = (T/pi) * log(q*T / (2*pi*e))        (zeros with |gamma| <= T).
 
-First every unit window short of N_hat by a whole zero is rescanned at a
-quarter of the grid step; that recovers zeros and decides nothing.  Then
-`count_check`, the one statement of the completeness policy, decides once,
-inside `scan_zeros`: a total off N_hat by more than 2 + log(qT), or a
-crowded unit window, raises MissedZeroError rather than returning a
-silently incomplete cache.  Zeros of even order would show up
+`count_check` is the one statement of the window policy.  From the
+occupancy of the unit windows [n, n+1) in |gamma| it reports the crowded
+windows, above 2 log(qT) zeros, and the short ones, a whole zero below
+N_hat.  `scan_zeros` rescans the short windows of its first pass at a
+quarter of the grid step, which recovers zeros and decides nothing; then
+the report on the final cache decides once: a total off N_hat by more
+than 2 + log(qT), or a crowded window, raises MissedZeroError rather than
+returning a silently incomplete cache.  Zeros of even order would show up
 as near-zero grid values without a sign change; they are reported as a
 warning, never absorbed (simple zeros are the working assumption).
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from ._csvio import fmt_float, write_csv
@@ -92,10 +95,21 @@ class ZeroCache:
     def gammas(self) -> list[float]:
         return [r.gamma for r in self.records]
 
-    def select(self, t0: float) -> list[ZeroRecord]:
+    def terms(self, chi: DirichletCharacter, t0: float) -> list[tuple[float, complex]]:
+        """(gamma, L'(rho)/rho) for the zeros of the sum truncated at t0.
+
+        A real character gives the gamma > 0 half of its conjugate pairs,
+        a complex one every zero with |gamma| <= t0.
+        """
+        if (self.q, self.chi_index) != (chi.modulus, chi.index):
+            raise ValueError("zero cache does not belong to this character")
         if t0 > self.t_scanned:
             raise ValueError(f"T0={t0} exceeds scanned height {self.t_scanned}")
-        return [r for r in self.records if abs(r.gamma) <= t0]
+        return [
+            (r.gamma, r.l_prime / complex(0.5, r.gamma))
+            for r in self.records
+            if abs(r.gamma) <= t0 and (r.gamma > 0 or not chi.is_real)
+        ]
 
 
 def smooth_zero_count(t: float, q: int) -> float:
@@ -116,13 +130,14 @@ def _z_and_l(chi, t):
 
 
 def _scan_grid(chi, t_lo, t_hi, step_scale=1.0):
+    """The grid points of [t_lo, t_hi], their Z values and their LValues."""
     ts = [t_lo]
     t = t_lo
     while t < t_hi:
         t = min(t_hi, t + step_scale * _grid_step(t, chi.modulus))
         ts.append(t)
-    zs = [_z_and_l(chi, t)[0] for t in ts]
-    return ts, zs
+    zs, lvs = zip(*(_z_and_l(chi, t) for t in ts))
+    return ts, zs, lvs
 
 
 def _refine(chi, a, b, za, zb):
@@ -185,15 +200,24 @@ def _warn_even_order(ts, zs):
 
 
 def _find_side_zeros(chi, t_lo, t_hi, step_scale=1.0):
-    ts, zs = _scan_grid(chi, t_lo, t_hi, step_scale)
+    ts, zs, lvs = _scan_grid(chi, t_lo, t_hi, step_scale)
     _warn_even_order(ts, zs)
     found = []
-    for a, b, za, zb in zip(ts, ts[1:], zs, zs[1:]):
+    for a, b, za, zb, lva in zip(ts, ts[1:], zs, zs[1:], lvs):
         if za == 0.0:
-            found.append((a, l_value(chi, complex(0.5, a))))
+            found.append((a, lva))
         elif (za < 0) != (zb < 0):
             found.append(_refine(chi, a, b, za, zb))
     return found
+
+
+def _cache(chi: DirichletCharacter, t_max: float, found) -> ZeroCache:
+    """The sorted cache of the (gamma, LValue) pairs `found`; a real
+    character's are the gamma >= 0 half, mirrored here."""
+    records = [ZeroRecord(g, lv.derivative, abs(lv.value)) for g, lv in sorted(found, key=lambda p: p[0])]
+    if chi.is_real:
+        records = [ZeroRecord(-r.gamma, r.l_prime.conjugate(), r.residual) for r in reversed(records)] + records
+    return ZeroCache(chi.modulus, chi.index, float(t_max), FORMAT_VERSION, tuple(records))
 
 
 def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
@@ -205,46 +229,21 @@ def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
     if not 0 < t_max <= MAX_SCAN_HEIGHT:
         raise ValueError(f"T must be in (0, {MAX_SCAN_HEIGHT}]")
 
-    q = chi.modulus
     t_lo = 0.0 if chi.is_real else -t_max
     found = _find_side_zeros(chi, t_lo, t_max)
-
-    def dedupe_add(pool, new):
-        for g, lv in new:
-            if all(abs(g - g0) > MIN_ZERO_GAP for g0, _ in pool):
-                pool.append((g, lv))
-
-    # unit windows short of the smooth count are rescanned at a quarter step
-    def window_deficits(pool):
-        occ = {}
-        for g, _ in pool:
-            occ[int(abs(g))] = occ.get(int(abs(g)), 0) + (2 if chi.is_real else 1)
-        bad = []
-        for n in range(int(t_max) + 1):
-            lo, hi = float(n), min(float(n + 1), t_max)
-            if hi <= lo:
-                continue
-            expected = smooth_zero_count(hi, q) - smooth_zero_count(lo, q)
-            if expected - occ.get(n, 0) >= 1.0:
-                bad.append(n)
-        return bad
-
-    for n in window_deficits(found):
+    for n in count_check(_cache(chi, t_max, found)).short_windows:
         lo, hi = max(t_lo, n - 0.3), min(t_max, n + 1.3)
-        dedupe_add(found, _find_side_zeros(chi, lo, hi, step_scale=0.25))
-        if not chi.is_real:
-            dedupe_add(found, _find_side_zeros(chi, -hi, -lo, step_scale=0.25))
+        for a, b in [(lo, hi)] if chi.is_real else [(lo, hi), (-hi, -lo)]:
+            for g, lv in _find_side_zeros(chi, a, b, step_scale=0.25):
+                if all(abs(g - g0) > MIN_ZERO_GAP for g0, _ in found):
+                    found.append((g, lv))
 
-    found.sort(key=lambda p: p[0])
-    records = [ZeroRecord(g, lv.derivative, abs(lv.value)) for g, lv in found]
-    if chi.is_real:
-        records = [ZeroRecord(-r.gamma, r.l_prime.conjugate(), r.residual) for r in reversed(records)] + records
-    cache = ZeroCache(q, chi.index, float(t_max), FORMAT_VERSION, tuple(records))
+    cache = _cache(chi, t_max, found)
     rep = count_check(cache)
     if not rep.passed:
-        windows = sorted(set(rep.bad_windows).union(window_deficits(found)))
+        windows = sorted(set(rep.bad_windows).union(rep.short_windows))
         raise MissedZeroError(
-            f"possible missed zeros for q={q} chi={chi.index} T={t_max}: count={rep.count} "
+            f"possible missed zeros for q={cache.q} chi={chi.index} T={t_max}: count={rep.count} "
             f"expected={rep.expected:.2f} deviation={rep.deviation:.2f} allowed={rep.allowed:.2f}; "
             f"suspect windows {windows}",
             windows=windows,
@@ -259,27 +258,29 @@ class CountReport:
     expected: float
     deviation: float
     allowed: float
-    window_occupancy: dict[int, int]
-    window_limit: float
-    bad_windows: tuple[int, ...]
+    bad_windows: tuple[int, ...]  # crowded: more than 2 log(qT) zeros
+    short_windows: tuple[int, ...]  # a whole zero below N_hat; rescanned, decide nothing
     passed: bool
 
 
 def count_check(cache: ZeroCache) -> CountReport:
-    """Compare the cache against the smooth zero count: the completeness verdict."""
+    """Compare the cache against the smooth zero count: the completeness
+    verdict and the window policy, over the unit windows [n, n+1) in |gamma|."""
     t = cache.t_scanned
     q = cache.q
     expected = smooth_zero_count(t, q)
     deviation = abs(cache.count - expected)
     allowed = 2 + math.log(max(q * t, 1.0))
-    occ: dict[int, int] = {}
-    for r in cache.records:
-        w = int(abs(r.gamma))
-        occ[w] = occ.get(w, 0) + 1
+    occ = Counter(int(abs(r.gamma)) for r in cache.records)
     limit = 2 * math.log(max(q * t, math.e))
     bad = tuple(w for w, c in sorted(occ.items()) if c > limit)
+    short = []
+    for n in range(int(t) + 1):
+        hi = min(n + 1.0, t)
+        if hi > n and (smooth_zero_count(hi, q) - smooth_zero_count(float(n), q)) - occ[n] >= 1.0:
+            short.append(n)
     passed = deviation <= allowed and not bad
-    return CountReport(t, cache.count, expected, deviation, allowed, occ, limit, bad, passed)
+    return CountReport(t, cache.count, expected, deviation, allowed, bad, tuple(short), passed)
 
 
 def cache_filename(q: int, chi_index: int) -> str:

@@ -382,3 +382,28 @@ def test_config_hash_covers_trials():
         for n in ("1000", "50000")
     }
     assert len(hashes) == 2
+
+
+def test_compare_refuses_twists_missing_one_characters_row(tmp_path, capsys):
+    """Every target's x column must be the checkpoints, not just the union of
+    all rows: a file without chi 3's last row is refused."""
+    out = tmp_path / "o"
+    argv = ["--out", str(out), "--q", "5", "--chi", "all", "--xmax", "20000", "--T", "15", "--T0", "10"]
+    assert cli.main(["sieve"] + argv) == 0
+    assert cli.main(["zeros"] + argv) == 0
+    path = out / "twists.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[-1].startswith("20000,5,3,")
+    path.write_text("".join(lines[:-1]))
+    capsys.readouterr()
+    assert cli.main(["compare"] + argv) == cli.EXIT_IO
+    assert "rerun `sieve`" in capsys.readouterr().err
+    assert not any(name.startswith("compare_") for name in os.listdir(out))
+
+
+def test_all_refuses_a_bad_chi_before_the_sieve(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["all", "--out", str(out), "--q", "4", "--chi", "0", "--xmax", "100000", "--T", "10", "--T0", "10"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "not primitive non-principal" in capsys.readouterr().err
+    assert not any(name.endswith(".csv") for name in os.listdir(out))

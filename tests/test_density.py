@@ -137,3 +137,13 @@ def test_disagrees_compares_over_the_same_window(chi4):
     assert not disagrees(dens, model("omega", 1.0)) and not disagrees(dens, model("Omega", 1.0))
     assert disagrees(dens, model("omega", win_w - 0.15)) and disagrees(dens, model("Omega", win_W - 0.15))
 
+
+
+def test_build_model_refuses_a_complex_character():
+    from factorrace.characters import character
+    from factorrace.lfunction import l_value
+    from factorrace.zeros import scan_zeros
+
+    chi = character(5, 1)
+    with pytest.raises(ValueError, match="real character"):
+        build_model(chi, l_value(chi, 0.5), scan_zeros(chi, 15.0), 10.0, "omega", seed=1)

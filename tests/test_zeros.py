@@ -272,3 +272,48 @@ def test_refinement_evals_per_zero(monkeypatch):
     scan_zeros(character(5, 1), 50.0)
     assert counts["refines"] > 0
     assert counts["evals"] / counts["refines"] <= 12
+
+
+def test_count_check_short_window_decides_nothing(cache100):
+    """Taking the zero pair near 40.32 out of cache100 leaves window 40 short
+    of the smooth count; the verdict still follows the total alone."""
+    base = count_check(cache100)
+    assert 40 not in base.short_windows
+    pruned = ZeroCache(4, 1, 100.0, "1", tuple(r for r in cache100.records if int(abs(r.gamma)) != 40))
+    assert len(pruned.records) == len(cache100.records) - 2
+    rep = count_check(pruned)
+    assert 40 in rep.short_windows
+    assert rep.bad_windows == ()
+    assert rep.passed and rep.deviation <= rep.allowed
+    # no window is crowded, so a total off by more than the allowance alone fails
+    low = ZeroCache(4, 1, 100.0, "1", tuple(r for r in cache100.records if abs(r.gamma) <= 80.0))
+    rep = count_check(low)
+    assert rep.bad_windows == ()
+    assert rep.deviation > rep.allowed and not rep.passed
+
+
+def test_rescans_recover_zeros_the_total_misses():
+    """At q=163, T=60 the first pass finds 118 zeros and the total passes on
+    them; only the quarter-step rescans of the short windows add the other four."""
+    import factorrace.zeros as zmod
+
+    chi = character(163, 81)
+    first = zmod._cache(chi, 60.0, zmod._find_side_zeros(chi, 0.0, 60.0))
+    assert first.count == 118
+    assert count_check(first).passed
+    assert scan_zeros(chi, 60.0).count == 122
+
+
+def test_terms_truncate_once_for_real_and_complex(chi4, cache100):
+    terms = cache100.terms(chi4, 30.0)
+    half = [r for r in cache100.records if 0 < r.gamma <= 30.0]
+    assert terms == [(r.gamma, r.l_prime / complex(0.5, r.gamma)) for r in half]
+    chi5 = character(5, 1)
+    cache5 = scan_zeros(chi5, 15.0)
+    every = [r for r in cache5.records if abs(r.gamma) <= 10.0]
+    assert any(r.gamma < 0 for r in every)
+    assert cache5.terms(chi5, 10.0) == [(r.gamma, r.l_prime / complex(0.5, r.gamma)) for r in every]
+    with pytest.raises(ValueError, match="does not belong"):
+        cache100.terms(chi5, 10.0)
+    with pytest.raises(ValueError, match="exceeds scanned height"):
+        cache100.terms(chi4, 100.5)
