@@ -8,8 +8,10 @@ one real character.  Each sign-fold call starts from a fresh fold whose
 running psi_f is the exact psi_f(lo - 1), so the fold sees the same sign
 runs as inside a full pass.  Prints one JSON object with the median
 milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
-the segment are biased throughout, unbiased throughout or mixed.  It is
-offline; `tests/test_layer_times.py` runs it once at tiny sizes.
+the segment are biased throughout, unbiased throughout or mixed, and how
+many of them the fold settled by its 64-wide row sums ("row") and how
+many took the exact block prefix ("exact").  It is offline;
+`tests/test_layer_times.py` runs it once at tiny sizes.
 
     PYTHONPATH=src python scripts/layer_times.py --xmax 100000000 --q 4 --lo 50331648
 """
@@ -112,6 +114,10 @@ def main(argv: list[str] | None = None) -> dict:
         "blocks": {
             kind: _block_kinds(run, sign * chi_n * values)
             for (kind, sign), run, values in zip(SIGN.items(), start, (omega, bomega))
+        },
+        "paths": {
+            kind: {"row": row, "exact": exact}
+            for kind, row, exact in zip(SIGN, folds[0].row_blocks, folds[0].exact_blocks)
         },
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

@@ -20,14 +20,18 @@ factor > sqrt(x_max), which adds one to omega and to Omega.
 The same pass can feed the sign fold of one real character.  It carries
 the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n} chi(m) f(m),
 and the harmonic measures H_f = sum 1/n over the biased n (those where
-SIGN[f] * psi_f(n) > 0), one BLOCK = 2^16 block of absolute n at a time:
-an int32 cumsum of the int8 steps SIGN[f] chi(n) f(n) gives the block's
-local prefix, and its extremes plus the exact run before the block say
-whether every n of the block is biased (the block adds its pairwise 1/n
-sum, formed once for both kinds), none is (it adds 0.0), or some are
-(only then is 1/n masked).  The block sums are Neumaier-added.  Because
-the blocks are anchored to absolute n, the floating results are
-bit-identical for every segment size.
+SIGN[f] * psi_f(n) > 0), one BLOCK = 2^16 block of absolute n at a time.
+The int8 steps SIGN[f] chi(n) f(n) obey |step| <= |chi(n)| Omega(n), as
+omega <= Omega, so the exact run before a ROW = 64 row of n, minus and
+plus the row's sum of |chi(n)| Omega(n), bounds the run at every n of
+the row.  When these bounds put every row of the block above 0, or every
+row at or below 0, the row sums alone settle the block; any other block
+takes the int32 cumsum of its steps, whose extremes plus the run before
+the block settle it the same way or leave it mixed.  A block whose every
+n is biased adds its pairwise 1/n sum (formed once for both kinds), one
+with no biased n adds 0.0, and only a mixed block masks 1/n.  The block
+sums are Neumaier-added.  Because the blocks are anchored to absolute n,
+the floating results are bit-identical for every segment size.
 
 SIGN states each race's bias direction once: the omega race leans to
 psi_omega < 0 and the Omega race to psi_Omega > 0.  Its key order, KINDS,
@@ -67,8 +71,10 @@ __all__ = [
 SIGN = {"omega": -1, "Omega": 1}  # the side each race leans to
 KINDS = tuple(SIGN)
 BLOCK = 1 << 16  # harmonic-accumulation granularity, aligned to absolute n
+ROW = 64  # row width of the sign fold's row test
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
 DEFAULT_SEGMENT = 1 << 20
+MAX_SEGMENT = 1 << 32  # keeps the class fold's int32 column sums exact
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
 LOG_SCALE = 512  # kernel residual units per unit of log
@@ -109,8 +115,8 @@ class SieveConfig:
             raise ValueError(f"x_max exceeds the design ceiling 2^40 ({MAX_X})")
         if not isinstance(self.q, int) or self.q < 1:
             raise ValueError(f"q must be a positive integer, got {self.q!r}")
-        if self.segment_size < 2:
-            raise ValueError("segment_size must be >= 2")
+        if not 2 <= self.segment_size <= MAX_SEGMENT:
+            raise ValueError(f"segment_size must be in [2, 2^32], got {self.segment_size!r}")
         if not 1.0 < self.ratio <= 2.0:
             raise ValueError("checkpoint ratio must be in (1, 2]")
         if self.checkpoints is None:
@@ -288,14 +294,38 @@ def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
     The piece is folded as rows of a width that is a multiple of q near
     FOLD_WIDTH (a plain `reshape(-1, q)` is several times slower at small
     q), the row sums and the short tail are folded to q columns, and the
-    roll puts n = u at residue u mod q.
+    roll puts n = u at residue u mod q.  The column sums over the rows are
+    int32, widened to int64 after: each is at most 40 * nrows, and a piece
+    of a segment is at most MAX_SEGMENT = 2^32 long with width >= 2731, so
+    nrows < 2^21 and every column stays below 2^26.
     """
     width = q * max(1, round(FOLD_WIDTH / q))
     nrows = len(piece) // width
-    acc = piece[: nrows * width].reshape(nrows, width).sum(axis=0, dtype=np.int64)
+    acc = piece[: nrows * width].reshape(nrows, width).sum(axis=0, dtype=np.int32).astype(np.int64)
     tail = piece[nrows * width :]
     acc[: len(tail)] += tail
     return np.roll(acc.reshape(-1, q).sum(axis=0), u % q)
+
+
+def _row_bounds(run: int, steps: np.ndarray, spread: np.ndarray) -> tuple[int, int, int] | None:
+    """(low, high, total) for the block-local prefix of `steps`, from ROW-wide
+    row sums alone, or None when they cannot settle the block.
+
+    Before row i the prefix is a_i, the exclusive cumsum of the row sums,
+    and within the row it stays within spread[i] of a_i, as spread[i] is
+    at least the row's sum of |steps|; so low = min(a_i - spread[i]) and
+    high = max(a_i + spread[i]) bound the prefix, and total is exact.
+    They are returned only when every n is biased (run + low > 0) or none
+    is (run + high <= 0).  Every comparison is in int64 or Python ints.
+    """
+    rows = steps.reshape(-1, ROW).sum(axis=1, dtype=np.int32)
+    ahead = np.cumsum(rows, dtype=np.int64)
+    total = int(ahead[-1])
+    ahead -= rows
+    low, high = int((ahead - spread).min()), int((ahead + spread).max())
+    if run + low > 0 or run + high <= 0:
+        return low, high, total
+    return None
 
 
 def _neumaier(s: float, c: float, x: float) -> tuple[float, float]:
@@ -322,12 +352,20 @@ class _SignFold:
     H at a mark x is the running sum before x's block plus the pairwise
     sum of that block up to x; the marks are the checkpoints and x_max.
 
-    Per block and kind, the int32 prefix sum of the steps never exceeds
-    40 * BLOCK in size, and the run before the block stays a Python int.
-    A block whose prefix minimum keeps the run positive takes the plain
-    1/n sum, one whose maximum keeps it <= 0 adds 0.0, and only a mixed
-    block multiplies 1/n by its mask; every term is the one a whole-range
+    Per block and kind, the run before the block stays a Python int.  The
+    block is first tried by `_row_bounds`: the spread of a ROW-wide row is
+    its sum of |chi(n)| Omega(n), which bounds |SIGN[f] chi(n) f(n)| for
+    both kinds, and the int64 row sums of the steps give the exact run
+    before each row.  Rows are tried only when the block is a whole number
+    of rows and the run before it already settles the first row (run >
+    that row's spread, or run <= -spread).  A block they leave open takes
+    the int32 prefix sum of its steps, never above 40 * BLOCK in size, and
+    its extremes.  A block whose bounds keep the run positive takes the
+    plain 1/n sum, one whose bounds keep it <= 0 adds 0.0, and only a
+    mixed block multiplies 1/n by its mask; every term is the one a whole-range
     mask gives (x * 1.0 == x), so every sum has the same bits.
+    `row_blocks` and `exact_blocks` count per kind which way each block
+    went.
     """
 
     def __init__(self, cfg: SieveConfig, chi: DirichletCharacter):
@@ -345,23 +383,42 @@ class _SignFold:
         self.run = [0, 0]  # SIGN[f] * psi_f at the end of the folded range
         self.acc = [(0.0, 0.0), (0.0, 0.0)]  # Neumaier (sum, comp) per f
         self.h = {x: [0.0, 0.0] for x in self.marks}  # mark -> [H_omega, H_Omega]
+        self.row_blocks = [0, 0]  # blocks per f settled by `_row_bounds`
+        self.exact_blocks = [0, 0]  # blocks per f that took the exact prefix
 
     def add(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
         """Fold the segment [lo, lo + len(omega)); lo is a multiple of BLOCK."""
         q = self.cfg.q
         periodic = [np.tile(signs, BLOCK // q + 2) for signs in self.signs]  # SIGN[f] chi(n) from n = 0
+        reach = np.abs(periodic[0])  # |chi(n)| from n = 0
+        steps = np.empty(BLOCK, dtype=np.int8)
         local = np.empty(BLOCK, dtype=np.int32)
         for start in range(0, len(omega), BLOCK):
             first, end = lo + start, min(start + BLOCK, len(omega))
-            prefix = local[: end - start]
+            block, prefix = steps[: end - start], local[: end - start]
             marks = self.marks[bisect_left(self.marks, first) : bisect_left(self.marks, lo + end)]
             off = first % q
+            head = None  # sum of |chi(n)| Omega(n) over the first row; None for a partial row
+            if len(block) % ROW == 0:
+                head = int((reach[off : off + ROW] * bomega[start : start + ROW]).sum(dtype=np.int32))
+            spread = None  # the same sum per row, formed once for both kinds
             inv = None  # 1/n over the block and its pairwise sum, formed once for both kinds
             for f, values in enumerate((omega, bomega)):
-                np.multiply(periodic[f][off : off + len(prefix)], values[start:end], out=prefix)
-                np.cumsum(prefix, out=prefix)  # block-local, |prefix| <= 40 * BLOCK
                 run = self.run[f]  # SIGN[f] * psi_f(first - 1)
-                if run + int(prefix.max()) <= 0:  # no n of the block is biased
+                settles = head is not None and not -head < run <= head  # the first row is settled
+                if settles and spread is None:
+                    np.multiply(reach[off : off + len(block)], bomega[start:end], out=block)
+                    spread = block.reshape(-1, ROW).sum(axis=1, dtype=np.int32)
+                np.multiply(periodic[f][off : off + len(block)], values[start:end], out=block)
+                bounds = _row_bounds(run, block, spread) if settles else None
+                if bounds is None:  # the exact block-local prefix, |prefix| <= 40 * BLOCK
+                    self.exact_blocks[f] += 1
+                    np.cumsum(block, dtype=np.int32, out=prefix)
+                    bounds = int(prefix.min()), int(prefix.max()), int(prefix[-1])
+                else:
+                    self.row_blocks[f] += 1
+                low, high, total = bounds
+                if run + high <= 0:  # no n of the block is biased
                     terms, block_sum = None, 0.0
                 else:
                     if inv is None:
@@ -370,9 +427,9 @@ class _SignFold:
                             inv[0] = np.inf  # n = 0 adds nothing
                         np.divide(1.0, inv, out=inv)
                         whole = float(inv.sum())
-                    if run + int(prefix.min()) > 0:  # every n is biased
+                    if run + low > 0:  # every n is biased
                         terms, block_sum = inv, whole
-                    else:  # -run lies within the prefix's range, so it fits int32
+                    else:  # only the exact path leaves a block mixed; -run fits int32 there
                         terms = inv * (prefix > -run)
                         block_sum = float(terms.sum())
                 s, c = self.acc[f]
@@ -380,7 +437,7 @@ class _SignFold:
                     part = 0.0 if terms is None else float(terms[: x - first + 1].sum())
                     self.h[x][f] = (s + c) + part
                 self.acc[f] = _neumaier(s, c, block_sum)
-                self.run[f] = run + int(prefix[-1])
+                self.run[f] = run + total
 
     def result(self) -> DensityTrace:
         x_max, h = self.cfg.x_max, self.h

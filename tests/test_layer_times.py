@@ -22,8 +22,9 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     result = layer_times.main(["--xmax", "200000", "--lo", "65536", "--repeat", "1", "--q", str(q)])
     assert result["chi_index"] == first_real
     assert result["length"] == 200_001 - 65536
-    for counts in result["blocks"].values():
+    for kind, counts in result["blocks"].items():
         assert sum(counts.values()) == 3  # the last block is padded
+        assert sum(result["paths"][kind].values()) == 3
     assert '"sign_fold_ms"' in capsys.readouterr().out
 
 

@@ -49,6 +49,9 @@ def test_config_validation():
         SieveConfig(x_max=100, q=0)
     with pytest.raises(ValueError):
         SieveConfig(x_max=100, q=4, segment_size=1)
+    with pytest.raises(ValueError, match="segment_size"):
+        SieveConfig(x_max=100, q=4, segment_size=(1 << 32) + 1)
+    assert SieveConfig(x_max=100, q=4, segment_size=1 << 32).segment_size == 1 << 32
     with pytest.raises(ValueError):
         SieveConfig(x_max=100, q=4, checkpoints=(10, 10))
     with pytest.raises(ValueError):
@@ -64,6 +67,15 @@ def test_default_checkpoints():
     assert cps[0] == 1000 and cps[-1] == 2000
     assert all(b > a for a, b in zip(cps, cps[1:]))
     assert default_checkpoints(0) == ()
+
+
+def test_class_fold_of_a_long_all_40_piece():
+    """The int32 column sums of `_fold_classes`, against an int64 sum: 2^24 + 77
+    entries of 40 at q = 1 put 40 * 4096 = 163,840 in each int32 column."""
+    piece = np.full((1 << 24) + 77, 40, dtype=np.int8)
+    got = sieve_module._fold_classes(piece, 12345, 1)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(piece.sum(dtype=np.int64))]
 
 
 def test_factor_counts_match_trial_division():
@@ -483,13 +495,18 @@ def _block_kind(walk):
     return "biased" if walk.min() > 0 else "unbiased" if walk.max() <= 0 else "mixed"
 
 
-def _fold_both(cfg, chi, segments, start):
-    """The sign fold and its reference over the same segments from the same running psi."""
+def _folds(cfg, chi, segments, start):
+    """The sign fold and its reference after the same segments from the same running psi."""
     fold, ref = sieve_module._SignFold(cfg, chi), sieve_module._SignFold(cfg, chi)
     fold.run, ref.run = list(start), list(start)
     for lo, _, w, big in segments:
         fold.add(lo, w, big)
         sign_fold_reference(ref, lo, w, big)
+    return fold, ref
+
+
+def _fold_both(cfg, chi, segments, start):
+    fold, ref = _folds(cfg, chi, segments, start)
     return fold.result(), ref.result()
 
 
@@ -530,6 +547,52 @@ def test_sign_fold_matches_reference():
             for size, segs in segments.items():
                 _assert_same_bits(*_fold_both(cfg, chi, segs, start), (q, index, start, size))
     assert seen == {"biased", "unbiased", "mixed"}
+
+
+@pytest.mark.parametrize("segment_size", [BLOCK, 1 << 20])
+@pytest.mark.parametrize("psi", [10**6, -(10**6)])
+def test_row_test_settles_blocks_far_from_a_sign_change(chi4, segment_size, psi):
+    """With the running SIGN[f] * psi_f at +-1e6, the 64-wide row sums settle
+    every whole block, biased or unbiased throughout; the last block, 1001
+    long and so not a whole number of rows, takes the exact prefix."""
+    x_max = 4 * BLOCK + 1000
+    cfg = SieveConfig(x_max=x_max, q=4, checkpoints=(BLOCK // 2, 2 * BLOCK + 77, 4 * BLOCK + 500))
+    segments = list(sieve_module._segments(x_max, segment_size))
+    fold, ref = _folds(cfg, chi4, segments, (psi, psi))
+    _assert_same_bits(fold.result(), ref.result(), (segment_size, psi))
+    assert (fold.row_blocks, fold.exact_blocks) == ([4, 4], [1, 1])
+
+
+def _odd_counts(lo, skip, residues):
+    """omega = 1 and Omega = 2 at the n = r mod 4 (r in `residues`) of the
+    block [lo, lo + BLOCK), past its first `skip` n; 0 elsewhere.  With the
+    character mod 4, each such n steps the omega run by -chi(n) and the
+    Omega run by 2 chi(n)."""
+    n = np.arange(lo, lo + BLOCK)
+    hit = np.isin(n % 4, residues) & (n >= lo + skip)
+    return hit.astype(np.int8), 2 * hit.astype(np.int8)
+
+
+@pytest.mark.parametrize(
+    "skip, residues, start",
+    [
+        # Omega falls by 2 at each n = 3 mod 4, 32 per row and 32768 per
+        # block, and so reaches 0 at the block's last n; row bounds that are
+        # exact there still leave the block open.  omega rises to exactly 0.
+        (0, [3], (-16384, 32768)),
+        # the run equals the first row's spread: no row test
+        (0, [3], (0, 32)),
+        # rows of +2, -2 steps after a quiet first row: the row bounds leave
+        # the block open, the exact prefix finds Omega biased throughout
+        (64, [1, 3], (0, 40)),
+    ],
+)
+def test_blocks_the_row_test_leaves_open(chi4, skip, residues, start):
+    lo = 5 * BLOCK
+    cfg = SieveConfig(x_max=lo + BLOCK - 1, q=4, checkpoints=(lo + 100, lo + BLOCK // 2))
+    fold, ref = _folds(cfg, chi4, [(lo, lo + BLOCK, *_odd_counts(lo, skip, residues))], start)
+    _assert_same_bits(fold.result(), ref.result(), start)
+    assert (fold.row_blocks, fold.exact_blocks) == ([0, 0], [1, 1])
 
 
 @pytest.mark.parametrize("sign", [1, -1])
