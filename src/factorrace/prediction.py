@@ -39,11 +39,9 @@ import numpy as np
 from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter
 from .lfunction import LValue
-from .sieve import SIGN
 from .zeros import ZeroCache
 
 __all__ = [
-    "SIGN",
     "predict",
     "residual",
     "mean_square",

@@ -385,6 +385,7 @@ class _SignFold:
         self.h = {x: [0.0, 0.0] for x in self.marks}  # mark -> [H_omega, H_Omega]
         self.row_blocks = [0, 0]  # blocks per f settled by `_row_bounds`
         self.exact_blocks = [0, 0]  # blocks per f that took the exact prefix
+        self.ramp = np.arange(BLOCK, dtype=np.float64)  # n - first over a block
 
     def add(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
         """Fold the segment [lo, lo + len(omega)); lo is a multiple of BLOCK."""
@@ -422,7 +423,7 @@ class _SignFold:
                     terms, block_sum = None, 0.0
                 else:
                     if inv is None:
-                        inv = np.arange(first, lo + end, dtype=np.float64)
+                        inv = self.ramp[: end - start] + first
                         if first == 0:
                             inv[0] = np.inf  # n = 0 adds nothing
                         np.divide(1.0, inv, out=inv)

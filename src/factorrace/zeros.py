@@ -7,20 +7,22 @@ Illinois regula falsi until the bracket is narrower than 1e-14 * max(1, |t|).
 L'(rho, chi) is evaluated analytically at the refined point, in the same
 L-evaluation that located it.
 
-Completeness is judged against the smooth counting function
-
-    N_hat(T) = (T/pi) * log(q*T / (2*pi*e))        (zeros with |gamma| <= T).
-
-`count_check` is the one statement of the window policy.  From the
-occupancy of the unit windows [n, n+1) in |gamma| it reports the crowded
-windows, above 2 log(qT) zeros, and the short ones, a whole zero below
-N_hat.  `scan_zeros` rescans the short windows of its first pass at a
-quarter of the grid step, which recovers zeros and decides nothing; then
-the report on the final cache decides once: a total off N_hat by more
-than 2 + log(qT), or a crowded window, raises MissedZeroError rather than
-returning a silently incomplete cache.  Zeros of even order would show up
-as near-zero grid values without a sign change; they are reported as a
+A pair of zeros inside one grid step leaves Z one sign at both ends of
+the step while |Z| dips toward 0 and turns back.  So each dip of the grid,
+a point where Z keeps its sign and |Z| is below its neighbours (an end
+point has one), is rescanned at a quarter step over the steps beside it;
+a rescan that finds no sign change rescans its own dips once more, at a
+quarter of its step.  A dip where neither finds one, with |Z| below 1e-6
+of the grid's median, would be a zero of even order: it is reported as a
 warning, never absorbed (simple zeros are the working assumption).
+
+`count_check` then decides once, against the smooth counting function
+
+    N_hat(T) = (T/pi) * log(q*T / (2*pi*e))        (zeros with |gamma| <= T):
+
+a total off N_hat by more than 2 + log(qT), or a unit window [n, n+1) in
+|gamma| crowded above 2 log(qT) zeros, raises MissedZeroError rather than
+returning a silently incomplete cache.
 
 Real characters are scanned on [0, T] only and mirrored, since their zeros
 come in conjugate pairs with L'(conj rho) = conj L'(rho); complex
@@ -62,7 +64,7 @@ MIN_ZERO_GAP = 1e-6
 
 
 class MissedZeroError(RuntimeError):
-    """The zero count is inconsistent with the smooth count after refinement."""
+    """The zero count is inconsistent with the smooth count; `windows` are the crowded ones."""
 
     def __init__(self, message: str, windows: list[int]):
         super().__init__(message)
@@ -179,35 +181,46 @@ def _refine(chi, a, b, za, zb):
     return min(ends.values(), key=lambda end: abs(end[1].value))
 
 
-def _warn_even_order(ts, zs):
-    mags = sorted(abs(z) for z in zs)
-    scale = mags[len(mags) // 2] if mags else 1.0
-    tol = 1e-6 * max(1.0, scale)
-    for i in range(1, len(ts) - 1):
-        if (
-            abs(zs[i]) < tol
-            and abs(zs[i]) < abs(zs[i - 1])
-            and abs(zs[i]) < abs(zs[i + 1])
-            and (zs[i - 1] < 0) == (zs[i + 1] < 0)
-            and zs[i] != 0.0
-        ):
-            warnings.warn(
-                f"possible multiple/even-order zero near t={ts[i]:.6f}: |Z| dips to "
-                f"{abs(zs[i]):.3g} without a sign change",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-
-def _find_side_zeros(chi, t_lo, t_hi, step_scale=1.0):
-    ts, zs, lvs = _scan_grid(chi, t_lo, t_hi, step_scale)
-    _warn_even_order(ts, zs)
+def _sign_changes(chi, ts, zs, lvs):
+    """(gamma, LValue) of each grid point where Z vanishes and each refined sign change."""
     found = []
     for a, b, za, zb, lva in zip(ts, ts[1:], zs, zs[1:], lvs):
         if za == 0.0:
             found.append((a, lva))
         elif (za < 0) != (zb < 0):
             found.append(_refine(chi, a, b, za, zb))
+    return found
+
+
+def _dips(ts, zs):
+    """(lo, hi, t, z) for each grid point (t, z) where Z keeps its sign and |Z|
+    is below its neighbours; [lo, hi] spans the steps beside it."""
+    last = len(zs) - 1
+    for i, z in enumerate(zs):
+        lo, hi = max(i - 1, 0), min(i + 1, last)
+        if all((zs[j] < 0) == (z < 0) and abs(zs[j]) > abs(z) for j in {lo, hi} - {i}):
+            yield ts[lo], ts[hi], ts[i], z
+
+
+def _find_side_zeros(chi, t_lo, t_hi, step_scale=1.0):
+    """Every sign change of Z on [t_lo, t_hi], its dips rescanned as above."""
+    ts, zs, lvs = _scan_grid(chi, t_lo, t_hi, step_scale)
+    found = _sign_changes(chi, ts, zs, lvs)
+    mags = sorted(abs(z) for z in zs)
+    tol = 1e-6 * max(1.0, mags[len(mags) // 2])
+    for lo, hi, t, z in _dips(ts, zs):
+        sub_ts, sub_zs, sub_lvs = _scan_grid(chi, lo, hi, step_scale / 4)
+        more = _sign_changes(chi, sub_ts, sub_zs, sub_lvs)
+        for sub_lo, sub_hi, _, _ in [] if more else _dips(sub_ts, sub_zs):
+            more += _sign_changes(chi, *_scan_grid(chi, sub_lo, sub_hi, step_scale / 16))
+        found += [(g, lv) for g, lv in more if all(abs(g - g0) > MIN_ZERO_GAP for g0, _ in found)]
+        if not more and abs(z) < tol:
+            warnings.warn(
+                f"possible multiple/even-order zero near t={t:.6f}: |Z| dips to "
+                f"{abs(z):.3g} without a sign change",
+                RuntimeWarning,
+                stacklevel=3,
+            )
     return found
 
 
@@ -230,23 +243,14 @@ def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
         raise ValueError(f"T must be in (0, {MAX_SCAN_HEIGHT}]")
 
     t_lo = 0.0 if chi.is_real else -t_max
-    found = _find_side_zeros(chi, t_lo, t_max)
-    for n in count_check(_cache(chi, t_max, found)).short_windows:
-        lo, hi = max(t_lo, n - 0.3), min(t_max, n + 1.3)
-        for a, b in [(lo, hi)] if chi.is_real else [(lo, hi), (-hi, -lo)]:
-            for g, lv in _find_side_zeros(chi, a, b, step_scale=0.25):
-                if all(abs(g - g0) > MIN_ZERO_GAP for g0, _ in found):
-                    found.append((g, lv))
-
-    cache = _cache(chi, t_max, found)
+    cache = _cache(chi, t_max, _find_side_zeros(chi, t_lo, t_max))
     rep = count_check(cache)
     if not rep.passed:
-        windows = sorted(set(rep.bad_windows).union(rep.short_windows))
         raise MissedZeroError(
             f"possible missed zeros for q={cache.q} chi={chi.index} T={t_max}: count={rep.count} "
             f"expected={rep.expected:.2f} deviation={rep.deviation:.2f} allowed={rep.allowed:.2f}; "
-            f"suspect windows {windows}",
-            windows=windows,
+            f"crowded windows {list(rep.bad_windows)}",
+            windows=list(rep.bad_windows),
         )
     return cache
 
@@ -259,13 +263,12 @@ class CountReport:
     deviation: float
     allowed: float
     bad_windows: tuple[int, ...]  # crowded: more than 2 log(qT) zeros
-    short_windows: tuple[int, ...]  # a whole zero below N_hat; rescanned, decide nothing
     passed: bool
 
 
 def count_check(cache: ZeroCache) -> CountReport:
-    """Compare the cache against the smooth zero count: the completeness
-    verdict and the window policy, over the unit windows [n, n+1) in |gamma|."""
+    """Compare the cache against the smooth zero count: the total, and the
+    crowded unit windows [n, n+1) in |gamma|."""
     t = cache.t_scanned
     q = cache.q
     expected = smooth_zero_count(t, q)
@@ -274,13 +277,8 @@ def count_check(cache: ZeroCache) -> CountReport:
     occ = Counter(int(abs(r.gamma)) for r in cache.records)
     limit = 2 * math.log(max(q * t, math.e))
     bad = tuple(w for w, c in sorted(occ.items()) if c > limit)
-    short = []
-    for n in range(int(t) + 1):
-        hi = min(n + 1.0, t)
-        if hi > n and (smooth_zero_count(hi, q) - smooth_zero_count(float(n), q)) - occ[n] >= 1.0:
-            short.append(n)
     passed = deviation <= allowed and not bad
-    return CountReport(t, cache.count, expected, deviation, allowed, bad, tuple(short), passed)
+    return CountReport(t, cache.count, expected, deviation, allowed, bad, passed)
 
 
 def cache_filename(q: int, chi_index: int) -> str:

@@ -7,8 +7,8 @@ import pytest
 from factorrace import cli, prediction
 from factorrace.characters import conjugate_character, enumerate_characters
 from factorrace.lfunction import l_value
-from factorrace.prediction import SIGN, mean_square, predict, residual
-from factorrace.sieve import SieveConfig, sieve_run, twist
+from factorrace.prediction import mean_square, predict, residual
+from factorrace.sieve import SIGN, SieveConfig, sieve_run, twist
 from factorrace.zeros import ZeroCache, scan_zeros
 
 

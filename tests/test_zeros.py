@@ -194,16 +194,17 @@ def test_scan_domain_errors(chi4):
 
 
 def test_window_refinement_recovers_coarse_grid(chi4, monkeypatch):
-    """A 4x-coarse first pass drops sign changes; the per-window deficit
-    rescan at a quarter step must recover them."""
+    """A 4x-coarse first pass drops sign changes (42 of the 50 pairs at
+    T=100); the quarter-step rescans of its dips must recover them."""
     import factorrace.zeros as zmod
 
     orig = zmod._grid_step
     monkeypatch.setattr(zmod, "_grid_step", lambda t, q: 4.0 * orig(t, q))
-    coarse = scan_zeros(chi4, 30.0)
+    assert len(zmod._sign_changes(chi4, *zmod._scan_grid(chi4, 0.0, 100.0))) == 42
+    coarse = scan_zeros(chi4, 100.0)
     monkeypatch.undo()
-    fine = scan_zeros(chi4, 30.0)
-    assert coarse.count == fine.count
+    fine = scan_zeros(chi4, 100.0)
+    assert coarse.count == fine.count == 100
     for a, b in zip(coarse.gammas(), fine.gammas()):
         assert abs(a - b) < 1e-6
 
@@ -277,12 +278,9 @@ def test_refinement_evals_per_zero(monkeypatch):
 def test_count_check_short_window_decides_nothing(cache100):
     """Taking the zero pair near 40.32 out of cache100 leaves window 40 short
     of the smooth count; the verdict still follows the total alone."""
-    base = count_check(cache100)
-    assert 40 not in base.short_windows
     pruned = ZeroCache(4, 1, 100.0, "1", tuple(r for r in cache100.records if int(abs(r.gamma)) != 40))
     assert len(pruned.records) == len(cache100.records) - 2
     rep = count_check(pruned)
-    assert 40 in rep.short_windows
     assert rep.bad_windows == ()
     assert rep.passed and rep.deviation <= rep.allowed
     # no window is crowded, so a total off by more than the allowance alone fails
@@ -293,15 +291,54 @@ def test_count_check_short_window_decides_nothing(cache100):
 
 
 def test_rescans_recover_zeros_the_total_misses():
-    """At q=163, T=60 the first pass finds 118 zeros and the total passes on
-    them; only the quarter-step rescans of the short windows add the other four."""
+    """At q=163, T=60 the sign changes of the grid alone give 118 zeros and
+    the total passes on them; only the rescans of the dips add the other four."""
     import factorrace.zeros as zmod
 
     chi = character(163, 81)
-    first = zmod._cache(chi, 60.0, zmod._find_side_zeros(chi, 0.0, 60.0))
+    first = zmod._cache(chi, 60.0, zmod._sign_changes(chi, *zmod._scan_grid(chi, 0.0, 60.0)))
     assert first.count == 118
     assert count_check(first).passed
     assert scan_zeros(chi, 60.0).count == 122
+
+
+@pytest.mark.parametrize(
+    "q, index, t_max, count, recovered",
+    [
+        (163, 102, 70.0, 145, (-69.9911, -69.9146, 62.7134, 62.8881)),  # the first two in the end step
+        (163, 102, 71.0, 147, (62.7134, 62.8881)),
+        (125, 1, 60.0, 117, (-44.0302, -44.0025)),  # 0.028 apart: only the second rescan finds them
+    ],
+)
+def test_dip_rescans_recover_close_pairs(q, index, t_max, count, recovered):
+    """Pairs of zeros inside one grid step, which no count check notices:
+    the rescans of the dip of |Z| between them find both."""
+    chi = character(q, index)
+    cache = scan_zeros(chi, t_max)
+    assert cache.count == count
+    for g in recovered:
+        oracle = bisect_sign_change(lambda t: rotated_z(chi, t), g - 0.01, g + 0.01)
+        assert oracle is not None
+        assert min(abs(r.gamma - oracle) for r in cache.records) < 1e-11 * abs(oracle), g
+
+
+def test_even_order_dip_warns_and_adds_nothing(chi4, monkeypatch):
+    """A Z that touches 0 at a grid point without changing sign is reported
+    as a possible even-order zero, not counted as one."""
+    import factorrace.zeros as zmod
+    from factorrace.lfunction import LValue
+
+    touch = zmod._grid_step(0.0, 4)  # the second grid point of [0, T]
+
+    def z_and_l(chi, t):
+        z = ((t - touch) ** 2 + 1e-12) * (t - 3.7)
+        return z, LValue(complex(z), complex(1.0, 0.0))
+
+    monkeypatch.setattr(zmod, "_z_and_l", z_and_l)
+    with pytest.warns(RuntimeWarning, match="even-order") as record:
+        cache = scan_zeros(chi4, 5.0)
+    assert len(record) == 1
+    assert [round(g, 9) for g in cache.gammas()] == [-3.7, 3.7]
 
 
 def test_terms_truncate_once_for_real_and_complex(chi4, cache100):
