@@ -231,18 +231,24 @@ def _build_character(q: int, t: tuple[int, ...], index: int, data: _GroupData) -
     )
 
 
+@lru_cache(maxsize=8)
+def _all_characters(q: int) -> tuple[DirichletCharacter, ...]:
+    data = _group_structure(q)
+    return tuple(
+        _build_character(q, t, i, data)
+        for i, t in enumerate(product(*(range(s) for s in data.orders)))
+    )
+
+
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q in the canonical deterministic order.
 
     Index 0 is the principal character; the order is lexicographic over the
     exponent vectors on the fixed generator list, so it is independent of
-    platform and thread count.
+    platform and thread count.  The characters are built once per modulus
+    (they are immutable) and each call returns a fresh list of them.
     """
-    data = _group_structure(q)
-    return [
-        _build_character(q, t, i, data)
-        for i, t in enumerate(product(*(range(s) for s in data.orders)))
-    ]
+    return list(_all_characters(q))
 
 
 def character(q: int, index: int) -> DirichletCharacter:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .characters import DirichletCharacter, enumerate_characters
+from .characters import DirichletCharacter, character, enumerate_characters
 from .density import (
     DISAGREE_TOL,
     MIN_TRIALS,
@@ -208,13 +208,9 @@ def _sieve_config(rc: RunConfig) -> SieveConfig:
 
 
 def _characters(rc: RunConfig) -> list[DirichletCharacter]:
-    chars = enumerate_characters(rc.q)
     if rc.chi == "all":
-        return chars
-    idx = int(rc.chi)
-    if not 0 <= idx < len(chars):
-        raise ConfigError(f"character index {idx} out of range [0, {len(chars)}) for q={rc.q}")
-    return [chars[idx]]
+        return enumerate_characters(rc.q)
+    return [character(rc.q, int(rc.chi))]
 
 
 def _zero_targets(rc: RunConfig) -> list[DirichletCharacter]:

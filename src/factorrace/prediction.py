@@ -112,8 +112,9 @@ def mean_square(xs, sigma) -> tuple[float, float] | None:
 def write_compare_csv(xs, observed, main, full, sigma, path: str, comment: str | None = None) -> None:
     """One row per checkpoint: x, then the real and imaginary parts of psi_f,
     the main term, main + zero sum and Sigma_emp."""
-    cols = [part for arr in (observed, main, full, sigma) for part in (np.real(arr), np.imag(arr))]
-    lines = (",".join([str(int(x))] + [fmt_float(v) for v in vals]) for x, *vals in zip(xs, *cols))
+    cols = [part.tolist() for arr in (observed, main, full, sigma) for part in (np.real(arr), np.imag(arr))]
+    template = "%d" + ",%.17g" * 8  # '%.17g' % v is fmt_float(v)
+    lines = (template % row for row in zip(xs, *cols))
     header = "x,re_obs,im_obs,re_main,im_main,re_full,im_full,re_resid_norm,im_resid_norm"
     write_csv(path, header, lines, comment)
 

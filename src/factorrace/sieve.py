@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import fmt_float, write_csv
+from ._csvio import write_csv
 from .characters import DirichletCharacter, _root_of_unity, real_sign_table
 
 __all__ = [
@@ -524,46 +524,63 @@ def combined_run(
     return _execute(cfg, chi)
 
 
-def _twist_block(
-    rows: np.ndarray, chi: DirichletCharacter, roots: dict[int, list[complex]]
-) -> np.ndarray:
-    """psi(chi) = sum_a chi(a) rows[:, a] for every row of int64 class sums.
+def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
+    """psi(chi) = sum_a chi(a) rows[:, a] for every row of int64 class sums
+    and every character of `chis`, yielded one kernel group at a time as
+    (positions in `chis`, complex array with one column per position).
 
-    The exact exponent counts acc[:, e] (the sum over units a with
-    e(a) = e) come from one `reduceat` over the unit columns sorted by
-    exponent; chi maps the units onto all d-th roots of unity, so every
-    exponent below d starts a run.  Real characters stay exact integers;
-    otherwise psi is the e-ascending left fold of acc[:, e] * exp(2 pi i
-    e / d).  The roots come from the scalar `_root_of_unity` (`np.cos` may
-    differ in the last bit), built once per order d into `roots`.
+    Characters with one kernel are powers of each other: each is chi0^k for
+    the group's first character chi0, its order d and some k prime to d,
+    so k = e_chi(g) at any unit g with e_chi0(g) = 1.  The exact exponent
+    counts of chi, acc[:, e] (the sum over units a with e_chi(a) = e), are
+    therefore chi0's counts at e * k^-1 mod d, and chi0's come from one
+    `reduceat` over the unit columns sorted by exponent; chi0 maps the
+    units onto all d-th roots of unity, so every exponent below d starts a
+    run.  Real characters stay exact integers; otherwise psi is the
+    e-ascending left fold of acc[:, e] * exp(2 pi i e / d), one step per
+    exponent for the whole group, and every element takes the operations
+    of its own counts, so no bit depends on the grouping.  The roots come
+    from the scalar `_root_of_unity` (`np.cos` may differ in the last bit),
+    built once per order d.
     """
-    if chi.modulus != rows.shape[1]:
-        raise ValueError(f"character modulus {chi.modulus} does not match sums q={rows.shape[1]}")
-    d = chi.order
-    exps = chi.value_exponents
-    units = np.flatnonzero(exps >= 0)
-    by_exp = units[np.argsort(exps[units])]
-    starts = np.flatnonzero(np.diff(exps[by_exp], prepend=-1))
-    acc = np.add.reduceat(rows[:, by_exp], starts, axis=1)  # column e: exponent e
-    if chi.is_real:
-        return (acc[:, 0] - acc[:, 1] if d == 2 else acc[:, 0]).astype(np.complex128)
-    if d not in roots:
-        roots[d] = [_root_of_unity(e, d) for e in range(d)]
-    psi = np.zeros(len(rows), dtype=np.complex128)
-    for e, root in enumerate(roots[d]):
-        psi += acc[:, e] * root
-    return psi
+    groups: dict[bytes, list[int]] = {}  # positions in `chis` by kernel {a : chi(a) = 1}
+    for j, chi in enumerate(chis):
+        if chi.modulus != rows.shape[1]:
+            raise ValueError(f"character modulus {chi.modulus} does not match sums q={rows.shape[1]}")
+        groups.setdefault((chi.value_exponents == 0).tobytes(), []).append(j)
+    roots: dict[int, list[complex]] = {}
+    for group in groups.values():
+        first = chis[group[0]]
+        d = first.order
+        exps = first.value_exponents
+        units = np.flatnonzero(exps >= 0)
+        by_exp = units[np.argsort(exps[units])]
+        starts = np.flatnonzero(np.diff(exps[by_exp], prepend=-1))
+        acc = np.add.reduceat(rows[:, by_exp], starts, axis=1)  # column e: exponent e of chi0
+        if first.is_real:  # alone in its group, as k = 1 is the only unit mod d <= 2
+            psi = acc[:, 0] - acc[:, 1] if d == 2 else acc[:, 0]
+            yield group, psi.astype(np.complex128)[:, None]
+            continue
+        g = by_exp[starts[1]]  # a unit with e_chi0(g) = 1
+        inv = np.array([pow(int(chis[j].value_exponents[g]), -1, d) for j in group])
+        if d not in roots:
+            roots[d] = [_root_of_unity(e, d) for e in range(d)]
+        psi = np.zeros((len(rows), len(group)), dtype=np.complex128)
+        for e, root in enumerate(roots[d]):
+            psi += acc[:, e * inv % d] * root
+        yield group, psi
 
 
 def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, complex]:
     """psi_f(x, chi) = sum_a chi(a) S_f(x; a) for f = omega and Omega.
 
     Integer arithmetic up to the final root-of-unity combination; for real
-    characters the results are exact integers.  The one-checkpoint case of
-    the batched routine behind `write_twists_csv`.
+    characters the results are exact integers.  The one-checkpoint,
+    one-character case of the batched routine behind `write_twists_csv`.
     """
     k = sums.row(x)
-    pw, pW = _twist_block(np.stack([sums.omega[k], sums.big_omega[k]]), chi, {}).tolist()
+    [(_, psi)] = _twist_block(np.stack([sums.omega[k], sums.big_omega[k]]), [chi])
+    pw, pW = psi[:, 0].tolist()
     return pw, pW
 
 
@@ -579,24 +596,24 @@ def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None
 def write_twists_csv(
     sums: ClassSums, chis: list[DirichletCharacter], path: str, comment: str | None = None
 ) -> None:
-    """One row per (checkpoint, character), checkpoint-major; every psi of a
-    character comes from one `_twist_block` over all checkpoints."""
+    """One row per (checkpoint, character), checkpoint-major.
+
+    `_twist_block` over all checkpoints gives every psi one kernel group of
+    characters at a time: one `reduceat` of exact exponent counts per
+    group and one fold step per exponent for all its characters.  Each
+    character's rows are formatted from `.tolist()` with one %-template
+    (`'%.17g' % v` is `fmt_float(v)`) before the next group is twisted,
+    and the count matrix is freed before the rows are joined.
+    """
     n = len(sums.checkpoints)
     both = np.concatenate([sums.omega, sums.big_omega])
-    roots: dict[int, list[complex]] = {}
-    by_chi = []  # per character: its row at every checkpoint
-    for chi in chis:
-        psi = _twist_block(both, chi, roots)
-        by_chi.append(
-            [
-                f"{x},{sums.q},{chi.index},{fmt_float(rw)},{fmt_float(iw)},{fmt_float(rb)},{fmt_float(ib)}"
-                for x, rw, iw, rb, ib in zip(
-                    sums.checkpoints,
-                    psi.real[:n].tolist(), psi.imag[:n].tolist(),
-                    psi.real[n:].tolist(), psi.imag[n:].tolist(),
-                )
-            ]
-        )
+    by_chi = [None] * len(chis)  # per character: its row at every checkpoint
+    for group, psi in _twist_block(both, chis):
+        for j, col in zip(group, psi.T):
+            re, im = col.real.tolist(), col.imag.tolist()
+            template = f"%d,{sums.q},{chis[j].index},%.17g,%.17g,%.17g,%.17g"
+            by_chi[j] = [template % row for row in zip(sums.checkpoints, re[:n], im[:n], re[n:], im[n:])]
+    del both
     rows = (chi_rows[k] for k in range(n) for chi_rows in by_chi)
     header = "x,q,chi_index,re_psi_omega,im_psi_omega,re_psi_Omega,im_psi_Omega"
     write_csv(path, header, rows, comment)

@@ -71,6 +71,17 @@ def test_enumeration_deterministic():
         assert chi == character(15, i)
 
 
+def test_enumeration_returns_a_fresh_list():
+    chars = enumerate_characters(12)
+    expected = list(chars)
+    chars.reverse()
+    chars.pop()
+    chars.append(None)
+    again = enumerate_characters(12)
+    assert again is not chars
+    assert again == expected
+
+
 @pytest.mark.parametrize("q", list(range(1, 37)))
 def test_complete_multiplicativity(q):
     for chi in enumerate_characters(q):

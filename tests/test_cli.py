@@ -288,6 +288,29 @@ def test_golden_bytes(tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+# sha256 of twists.csv for every character mod 1000, complex ones included
+# (the q=24 characters of GOLDEN_RUN are all real)
+GOLDEN_TWISTS_Q1000 = "84d44530c35dfe25c5a41fa9ece4200f898e343feb3bba017740d2798edab983"
+
+
+def test_golden_complex_twists(tmp_path):
+    argv = ["sieve", "--q", "1000", "--chi", "all", "--xmax", "30000", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256((tmp_path / "twists.csv").read_bytes()).hexdigest() == GOLDEN_TWISTS_Q1000
+
+
+def test_single_character_run_builds_one_character(tmp_path, monkeypatch, capsys):
+    def refuse(q):
+        raise AssertionError(f"every character mod {q} built for one --chi index")
+
+    monkeypatch.setattr(cli, "enumerate_characters", refuse)
+    argv = ["sieve", "--q", "1000", "--xmax", "2000", "--out", str(tmp_path), "--chi"]
+    assert cli.main(argv + ["3"]) == 0
+    assert read_data_rows(tmp_path / "twists.csv")[1].startswith("1000,1000,3,")
+    assert cli.main(argv + ["400"]) == cli.EXIT_CONFIG
+    assert "character index 400 out of range [0, 400) for q=1000" in capsys.readouterr().err
+
+
 def test_cli_run_loads_no_scipy(tmp_path):
     """A `zeros` run works with every scipy import made to fail, and loads no scipy module."""
     code = (

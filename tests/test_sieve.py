@@ -334,16 +334,17 @@ def test_twist_complex_character_brute_force():
     assert abs(pW - brute_W) < 1e-9
 
 
-@pytest.mark.parametrize("q", [1, 4, 5, 8, 24, 60, 63, 163, 1000])
-def test_twists_csv_matches_unbatched_reference(tmp_path, q):
+TWIST_CHECKPOINTS = (1, 2, 10, 100, 999, 5000, 30_000)
+
+
+def _assert_twists_match_reference(tmp_path, chis):
     # checkpoints below q leave classes empty, so zero exponent counts occur
-    cps = (1, 2, 10, 100, 999, 5000, 30_000)
-    sums = sieve_run(SieveConfig(x_max=30_000, q=q, checkpoints=cps))
-    chis = enumerate_characters(q)
+    q = chis[0].modulus
+    sums = sieve_run(SieveConfig(x_max=30_000, q=q, checkpoints=TWIST_CHECKPOINTS))
     path = tmp_path / "twists.csv"
     write_twists_csv(sums, chis, str(path))
     expected = []
-    for x in cps:
+    for x in TWIST_CHECKPOINTS:
         for chi in chis:
             pw, pW = twist_reference(sums, chi, x)
             expected.append(
@@ -354,6 +355,25 @@ def test_twists_csv_matches_unbatched_reference(tmp_path, q):
     for x in (1, 999, 30_000):
         for chi in chis[:: max(1, len(chis) // 7)]:
             assert twist(sums, chi, x) == twist_reference(sums, chi, x)
+
+
+# 840: 96 kernels, many of one order; 997: 996 characters in 12 kernels
+@pytest.mark.parametrize("q", [1, 4, 5, 8, 24, 60, 63, 163, 840, 997, 1000])
+def test_twists_csv_matches_unbatched_reference(tmp_path, q):
+    _assert_twists_match_reference(tmp_path, enumerate_characters(q))
+
+
+def test_twists_csv_any_character_order(tmp_path):
+    """Reversed, and with the first character of each kernel dropped, so that
+    no kernel group starts at the character that starts it in the canonical order."""
+    seen, rest = set(), []
+    for chi in enumerate_characters(1000):
+        kernel = (chi.value_exponents == 0).tobytes()
+        if kernel in seen:
+            rest.append(chi)
+        seen.add(kernel)
+    assert len(seen) == 36
+    _assert_twists_match_reference(tmp_path, rest[::-1])
 
 
 def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
