@@ -6,7 +6,12 @@ segment: the kernel `_sieve_segment`, the class fold `_fold_classes` (the
 omega and the Omega call together) and the sign fold `_SignFold.add` of
 one real character.  Each sign-fold call starts from a fresh fold whose
 running psi_f is the exact psi_f(lo - 1), so the fold sees the same sign
-runs as inside a full pass.  Prints one JSON object with the median
+runs as inside a full pass.  The kernel's stages are also timed one by
+one on one scratch word array ("kernel_stages_ms"): the dense sub-block
+passes, the strided adds of the primes above the sub-block cut, the
+powers outside the pattern, and the split into omega and Omega (the
+stages after the first add into the same array again, whose values do
+not change their time).  Prints one JSON object with the median
 milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
 many of them the fold settled by its 64-wide row sums ("row") and how
@@ -32,9 +37,13 @@ from factorrace.sieve import (
     BLOCK,
     SIGN,
     SieveConfig,
+    _add_strided,
+    _dense_passes,
     _fold_classes,
     _sieve_segment,
     _SignFold,
+    _sparse_powers,
+    _split,
     _tables,
     sieve_run,
     twist,
@@ -99,6 +108,16 @@ def main(argv: list[str] | None = None) -> dict:
         _fold_classes(omega, lo, q)
         _fold_classes(bomega, lo, q)
 
+    word = np.empty(hi - lo, dtype=np.int32)
+    sparse, sparse_words = tables.primes[tables.dense :], tables.words[tables.dense :]
+    kernel_stages = {
+        "dense": _median_ms(lambda: _dense_passes(word, lo, tables), args.repeat),
+        "sparse_primes": _median_ms(lambda: _add_strided(word, lo, sparse, sparse_words), args.repeat),
+        "sparse_powers": _median_ms(lambda: _sparse_powers(word, lo, tables), args.repeat),
+        "split": _median_ms(lambda: _split(word), args.repeat),
+    }
+    del word
+
     table = np.roll(real_sign_table(chi), -lo)
     chi_n = np.tile(table, -(-(hi - lo) // q))[: hi - lo].astype(np.int64)
     result = {
@@ -109,6 +128,7 @@ def main(argv: list[str] | None = None) -> dict:
         "length": hi - lo,
         "repeat": args.repeat,
         "sieve_segment_ms": _median_ms(lambda: _sieve_segment(lo, hi, tables), args.repeat),
+        "kernel_stages_ms": kernel_stages,
         "fold_classes_ms": _median_ms(class_fold, args.repeat),
         "sign_fold_ms": _median_ms(lambda: next(unused).add(lo, omega, bomega), args.repeat),
         "blocks": {

@@ -5,8 +5,11 @@ from __future__ import annotations
 import os
 import tempfile
 from collections.abc import Iterable
+from itertools import chain, islice
 
-__all__ = ["fmt_float", "atomic_write_text", "write_csv"]
+__all__ = ["fmt_float", "write_csv"]
+
+CHUNK_LINES = 1024  # lines joined and written at a time
 
 
 def fmt_float(v: float) -> str:
@@ -14,20 +17,27 @@ def fmt_float(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory + rename, so readers never
-    see a partially written file and an interrupt leaves no torn output.
+def write_csv(path: str, header: str, rows: Iterable[str], comment: str | None = None) -> None:
+    """Write `# comment` (when given), the header and the pre-formatted
+    rows, one per line, via a temp file in the same directory + rename, so
+    readers never see a partially written file and an interrupt leaves no
+    torn output.
 
-    The file gets the mode a plain `open` would give (0o666 less the umask),
-    not the 0o600 of `mkstemp`.  Reading the umask sets it for the whole
-    process for a moment, which is safe because the program has one thread.
+    The lines are joined and written CHUNK_LINES at a time, so a writer
+    that passes a generator of rows never holds more than one chunk of
+    them.  The file gets the mode a plain `open` would give (0o666 less the
+    umask), not the 0o600 of `mkstemp`.  Reading the umask sets it for the
+    whole process for a moment, which is safe because the program has one
+    thread.
     """
+    lines = chain([f"# {comment}"] if comment else [], [header], rows)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".csv")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            while chunk := list(islice(lines, CHUNK_LINES)):
+                fh.write("\n".join(chunk) + "\n")
         umask = os.umask(0o022)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -38,12 +48,3 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def write_csv(path: str, header: str, rows: Iterable[str], comment: str | None = None) -> None:
-    """Atomically write `# comment` (when given), the header and the
-    pre-formatted rows, one per line."""
-    lines = [f"# {comment}"] if comment else []
-    lines.append(header)
-    lines.extend(rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")

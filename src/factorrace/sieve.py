@@ -8,30 +8,18 @@ accumulates exact integer sums
 at the configured checkpoints; twisting by a character is a closing
 root-of-unity combination done afterwards.  Per segment the kernel keeps
 one int32 word per n: a fixed-point log residual in its low 16 bits,
-which starts at LOG_SCALE * log n plus LOG_HEADROOM, omega in bits 16-23
-and Omega in bits 24-31.  Every prime p <= sqrt(x_max) adds one word to its multiples
-that bumps both counts and takes LOG_SCALE * log p from the residual, and
-every p^k <= x_max with k >= 2 adds one that bumps Omega and takes the
-same log; the primes up to 13 come from one precomputed periodic pattern
-of such words (period at most 30030).  Whatever residual is left is
-either about LOG_HEADROOM or that plus the log of the single prime
-factor > sqrt(x_max), which adds one to omega and to Omega.
+omega in bits 16-23 and Omega - omega in bits 24-31.  Every prime p <=
+sqrt(x_max) and every power p^k <= x_max adds one word to its multiples
+that bumps its count and takes LOG_SCALE * log p from the residual; two
+tiled patterns hold the densest words (the wheel of the primes up to 13,
+and the powers dividing POWER_PERIOD).  A carry offset makes the log of
+the single prime factor > sqrt(x_max), if any, carry one into omega.
 
-The same pass can feed the sign fold of one real character.  It carries
+The same pass can feed the sign fold of one real character (`_SignFold`):
 the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n} chi(m) f(m),
-and the harmonic measures H_f = sum 1/n over the biased n (those where
-SIGN[f] * psi_f(n) > 0), one BLOCK = 2^16 block of absolute n at a time.
-The int8 steps SIGN[f] chi(n) f(n) obey |step| <= |chi(n)| Omega(n), as
-omega <= Omega, so the exact run before a ROW = 64 row of n, minus and
-plus the row's sum of |chi(n)| Omega(n), bounds the run at every n of
-the row.  When these bounds put every row of the block above 0, or every
-row at or below 0, the row sums alone settle the block; any other block
-takes the int32 cumsum of its steps, whose extremes plus the run before
-the block settle it the same way or leave it mixed.  A block whose every
-n is biased adds its pairwise 1/n sum (formed once for both kinds), one
-with no biased n adds 0.0, and only a mixed block masks 1/n.  The block
-sums are Neumaier-added.  Because the blocks are anchored to absolute n,
-the floating results are bit-identical for every segment size.
+and the harmonic measures H_f = sum 1/n over the n where it is positive,
+summed one BLOCK = 2^16 block of absolute n at a time, so the floating
+results are bit-identical for every segment size.
 
 SIGN states each race's bias direction once: the omega race leans to
 psi_omega < 0 and the Omega race to psi_Omega > 0.  Its key order, KINDS,
@@ -77,12 +65,14 @@ DEFAULT_SEGMENT = 1 << 20
 MAX_SEGMENT = 1 << 32  # keeps the class fold's int32 column sums exact
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
+POWER_PERIOD = 7200  # 2^5 3^2 5^2: the powers 4, 8, 16, 32, 9 and 25 are tiled from one pattern
+DENSE_MAX = 128  # primes in (WHEEL_MAX, DENSE_MAX) are added per sub-block
+SUB_BLOCK = 1 << 18  # words per pass of the dense stages: 1 MB, inside a core's L2
 LOG_SCALE = 512  # kernel residual units per unit of log
-LOG_HEADROOM = 32  # residual offset; keeps rounding from borrowing from omega
-PRIME_WORD = (1 << 16) + (1 << 24)  # one more omega and Omega, before the log
-POWER_WORD = 1 << 24  # one more Omega, before the log
-# byte offsets of omega and Omega within the int32 word
-_OMEGA, _BIG_OMEGA = (2, 3) if sys.byteorder == "little" else (1, 0)
+PRIME_WORD = 1 << 16  # one more omega, before the log
+POWER_WORD = 1 << 24  # one more Omega - omega, before the log
+# byte offsets of omega and of Omega - omega within the int32 word
+_OMEGA, _EXCESS = (2, 3) if sys.byteorder == "little" else (1, 0)
 
 
 def default_checkpoints(x_max: int, ratio: float = 1.02) -> tuple[int, ...]:
@@ -185,11 +175,12 @@ def _primes_upto(n: int) -> list[int]:
 class _Tables(NamedTuple):
     """What the segment kernel needs to know of x_max, built once per run."""
 
-    threshold: int  # LOG_HEADROOM + round(LOG_SCALE * 0.5 * log(isqrt(x_max) + 1))
-    wheel: np.ndarray  # int32 sum of the wheel primes' words, over two periods
-    primes: list[int]  # the primes in (WHEEL_MAX, isqrt(x_max)]
-    words: list[np.int32]  # PRIME_WORD - round(LOG_SCALE * log p) for each of them
-    powers: np.ndarray  # int64: every p^k <= x_max with k >= 2, ascending
+    wheel: np.ndarray  # int32 over two periods: the carry offset plus the wheel primes' words
+    pattern: np.ndarray  # int32 over two POWER_PERIODs: the words of the powers <= x_max dividing it
+    primes: np.ndarray  # int64: the primes in (WHEEL_MAX, isqrt(x_max)], ascending
+    words: np.ndarray  # int32 PRIME_WORD - round(LOG_SCALE * log p) for each of them
+    dense: int  # how many of `primes` lie below DENSE_MAX
+    powers: np.ndarray  # int64: every other p^k <= x_max with k >= 2, ascending
     power_words: np.ndarray  # int32 POWER_WORD - round(LOG_SCALE * log p) for each power
 
 
@@ -202,22 +193,28 @@ def _tables(x_max: int) -> _Tables:
     primes = _primes_upto(root)
     wheel_primes = [p for p in primes if p <= WHEEL_MAX]
     period = math.prod(wheel_primes)
-    wheel = np.zeros(2 * period, dtype=np.int32)
+    cut = round(LOG_SCALE * 0.5 * math.log(root + 1))  # the large-prime test: residual > cut
+    wheel = np.full(2 * period, (1 << 16) - 1 - cut, dtype=np.int32)
     for p in wheel_primes:
         wheel[::p] += PRIME_WORD - _scaled_log(p)
+    pattern = np.zeros(2 * POWER_PERIOD, dtype=np.int32)
     powers = []
     for p in primes:
         pk = p * p
         while pk <= x_max:
-            powers.append((pk, p))
+            if POWER_PERIOD % pk:
+                powers.append((pk, p))
+            else:
+                pattern[::pk] += POWER_WORD - _scaled_log(p)
             pk *= p
     powers.sort()
     rest = primes[len(wheel_primes) :]
     return _Tables(
-        threshold=LOG_HEADROOM + round(LOG_SCALE * 0.5 * math.log(root + 1)),
         wheel=wheel,
-        primes=rest,
-        words=[np.int32(PRIME_WORD - _scaled_log(p)) for p in rest],
+        pattern=pattern,
+        primes=np.array(rest, dtype=np.int64),
+        words=np.array([PRIME_WORD - _scaled_log(p) for p in rest], dtype=np.int32),
+        dense=bisect_left(rest, DENSE_MAX),
         powers=np.array([pk for pk, _ in powers], dtype=np.int64),
         power_words=np.array([POWER_WORD - _scaled_log(p) for _, p in powers], dtype=np.int32),
     )
@@ -240,52 +237,86 @@ def _scaled_logs(lo: int, hi: int) -> np.ndarray:
     return np.repeat(ks.astype(np.int32), counts)
 
 
+def _tile(out: np.ndarray, table: np.ndarray, n0: int, base: np.ndarray | None = None) -> None:
+    """out = base (default: out) plus the periodic `table`, which holds two
+    periods, read from absolute n0 on."""
+    period = len(table) // 2
+    off = n0 % period
+    full = len(out) - len(out) % period
+    base = out if base is None else base
+    rows = out[:full].reshape(-1, period)
+    np.add(base[:full].reshape(-1, period), table[off : off + period], out=rows)
+    np.add(base[full:], table[off : off + len(out) - full], out=out[full:])
+
+
+def _add_strided(word: np.ndarray, n0: int, steps: np.ndarray, adds: np.ndarray) -> None:
+    """Add adds[i] to the words of the multiples m >= steps[i] of steps[i];
+    word[0] is n = n0."""
+    starts = np.maximum(steps, -(-n0 // steps) * steps) - n0
+    for step, i0, add in zip(steps.tolist(), starts.tolist(), adds.tolist()):
+        view = word[i0::step]
+        np.add(view, add, out=view)
+
+
+def _dense_passes(word: np.ndarray, lo: int, t: _Tables) -> None:
+    """The starting words: the scaled log, both patterns and the primes
+    below DENSE_MAX, one SUB_BLOCK of the segment at a time."""
+    dense, dense_words = t.primes[: t.dense], t.words[: t.dense]
+    for a in range(0, len(word), SUB_BLOCK):
+        n0, sub = lo + a, word[a : a + SUB_BLOCK]
+        _tile(sub, t.wheel, n0, base=_scaled_logs(n0, n0 + len(sub)))
+        _tile(sub, t.pattern, n0)
+        _add_strided(sub, n0, dense, dense_words)
+    if lo == 0:
+        word[0] = t.wheel[1]  # the patterns mark n = 0, which every p divides
+
+
+def _sparse_powers(word: np.ndarray, lo: int, t: _Tables) -> None:
+    """The powers outside the pattern, over the whole segment."""
+    short = int(np.searchsorted(t.powers, len(word)))  # powers that may have several multiples
+    _add_strided(word, lo, t.powers[:short], t.power_words[:short])
+    powers = t.powers[short:]  # at most one multiple each
+    first = np.maximum(powers, -(-lo // powers) * powers)
+    hit = first < lo + len(word)
+    np.add.at(word, first[hit] - lo, t.power_words[short:][hit])
+
+
+def _split(word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, Omega) from the final words: omega's byte, and it plus the top byte."""
+    counts = word.view(np.int8)
+    omega = counts[_OMEGA::4].copy()
+    return omega, omega + counts[_EXCESS::4]
+
+
 def _sieve_segment(lo: int, hi: int, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
     """(omega, Omega) as int8 arrays for n in [lo, hi).
 
     The residual starts at LOG_SCALE * log n and loses LOG_SCALE * log p
-    wherever p or a power p^k <= x_max divides n.  Then it is LOG_SCALE *
-    log r, with r the part of n made of primes > s = isqrt(x_max); since
-    n <= x_max < (s+1)^2, r is 1 or a single prime >= s+1.  So the exact
-    residual is either 0 or at least LOG_SCALE * log(s+1).  Each word and
+    wherever p or a power p^k <= x_max divides n.  Then it is r = LOG_SCALE
+    * log R, with R the part of n made of primes > s = isqrt(x_max); since
+    n <= x_max < (s+1)^2, R is 1 or a single prime >= s+1.  Each word and
     the starting value are rounded by at most 0.5 (plus 1e-9 for the
-    start), and below 2^40 at most 40 words meet one n, so the error is
-    under 21 units, 0.04 in log units, far from the midpoint test
-    residual > LOG_SCALE * 0.5 * log(s+1), which is at least 177 units
-    (0.5 * log 2 = 0.35) once x_max >= 1.  The error also stays below
-    LOG_HEADROOM, so no residual, before or after any add, borrows from
-    omega, and none exceeds LOG_HEADROOM + 14,200 + 21 < 2^15; the counts
-    fit their bytes (omega <= 11, Omega <= 40).
+    start), and below 2^40 at most 40 words meet one n, so r is off by
+    under 21 units, 0.04 in log units, far from the midpoint test r > cut
+    = round(LOG_SCALE * 0.5 * log(s+1)), which is at least 177 units (0.5
+    * log 2 = 0.35) once x_max >= 1.  Every word starts at 2^16 - 1 - cut
+    (the wheel holds it), so the low 16 bits end at 2^16 - 1 - cut + r:
+    below 2^16 when R = 1, and in [2^16, 2^17) when R > 1, as r < 14,221
+    below 2^40.  That carries exactly the large prime's one into omega's
+    byte (omega <= 11), so the split copies that byte and adds the top
+    one, Omega - omega <= 39, to it for Omega: no mask and no compare.
+    Every add is positive and no int32 total reaches 2^31, and integer
+    adds commute, so the order of the adds is free.
+
+    The patterns and the primes below DENSE_MAX are added one SUB_BLOCK at
+    a time, while it sits in cache; call overhead dominates the larger
+    primes and the other powers, so each takes one add over the segment.
     """
-    length = hi - lo
-    period = len(t.wheel) // 2
-    off = lo % period
-    word = _scaled_logs(lo, hi)
-    word += LOG_HEADROOM
-    full = length - length % period
-    rows = word[:full].reshape(-1, period)
-    rows += t.wheel[off : off + period]
-    word[full:] += t.wheel[off : off + length - full]
-    if lo == 0:
-        word[0] = LOG_HEADROOM  # the wheel marks n = 0, which every p divides
-    for p, add in zip(t.primes, t.words):
-        i0 = max(p, -(-lo // p) * p) - lo
-        word[i0::p] += add
-    short = int(np.searchsorted(t.powers, length))  # powers that may have several multiples
-    for pk, add in zip(t.powers[:short].tolist(), t.power_words[:short].tolist()):
-        i0 = max(pk, -(-lo // pk) * pk) - lo
-        word[i0::pk] += add
-    powers = t.powers[short:]  # at most one multiple each
-    first = np.maximum(powers, -(-lo // powers) * powers)
-    hit = first < hi
-    np.add.at(word, first[hit] - lo, t.power_words[short:][hit])
-    counts = word.view(np.int8)
-    omega, bomega = counts[_OMEGA::4].copy(), counts[_BIG_OMEGA::4].copy()
-    word &= 0xFFFF  # the residual alone
-    large = (word > t.threshold).view(np.int8)
-    omega += large
-    bomega += large
-    return omega, bomega
+    word = np.empty(hi - lo, dtype=np.int32)
+    _dense_passes(word, lo, t)
+    _add_strided(word, lo, t.primes[t.dense :], t.words[t.dense :])
+    _sparse_powers(word, lo, t)
+    return _split(word)
 
 
 def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
@@ -307,6 +338,17 @@ def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
     return np.roll(acc.reshape(-1, q).sum(axis=0), u % q)
 
 
+_ONES = np.ones(ROW, dtype=np.float32)
+
+
+def _row_sums(steps: np.ndarray) -> np.ndarray:
+    """The int64 sums of the ROW-wide rows of int8 `steps`, as one float32
+    matrix-vector product.  Every partial sum, in whatever order the
+    product takes them, is an integer of size at most 40 * ROW = 2560, far
+    below 2^24, so each is exact."""
+    return (steps.astype(np.float32).reshape(-1, ROW) @ _ONES).astype(np.int64)
+
+
 def _row_bounds(run: int, steps: np.ndarray, spread: np.ndarray) -> tuple[int, int, int] | None:
     """(low, high, total) for the block-local prefix of `steps`, from ROW-wide
     row sums alone, or None when they cannot settle the block.
@@ -318,8 +360,8 @@ def _row_bounds(run: int, steps: np.ndarray, spread: np.ndarray) -> tuple[int, i
     They are returned only when every n is biased (run + low > 0) or none
     is (run + high <= 0).  Every comparison is in int64 or Python ints.
     """
-    rows = steps.reshape(-1, ROW).sum(axis=1, dtype=np.int32)
-    ahead = np.cumsum(rows, dtype=np.int64)
+    rows = _row_sums(steps)
+    ahead = np.cumsum(rows)
     total = int(ahead[-1])
     ahead -= rows
     low, high = int((ahead - spread).min()), int((ahead + spread).max())
@@ -355,8 +397,8 @@ class _SignFold:
     Per block and kind, the run before the block stays a Python int.  The
     block is first tried by `_row_bounds`: the spread of a ROW-wide row is
     its sum of |chi(n)| Omega(n), which bounds |SIGN[f] chi(n) f(n)| for
-    both kinds, and the int64 row sums of the steps give the exact run
-    before each row.  Rows are tried only when the block is a whole number
+    both kinds, and the row sums of the steps (`_row_sums`, one exact
+    float32 matrix-vector product) give the exact run before each row.  Rows are tried only when the block is a whole number
     of rows and the run before it already settles the first row (run >
     that row's spread, or run <= -spread).  A block they leave open takes
     the int32 prefix sum of its steps, never above 40 * BLOCK in size, and
@@ -385,18 +427,20 @@ class _SignFold:
         self.h = {x: [0.0, 0.0] for x in self.marks}  # mark -> [H_omega, H_Omega]
         self.row_blocks = [0, 0]  # blocks per f settled by `_row_bounds`
         self.exact_blocks = [0, 0]  # blocks per f that took the exact prefix
+        span = BLOCK // cfg.q + 2  # periods that cover a block from any offset below q
+        self.periodic = [np.tile(signs, span) for signs in self.signs]  # SIGN[f] chi(n) from n = 0
+        self.reach = np.abs(self.periodic[0])  # |chi(n)| from n = 0
         self.ramp = np.arange(BLOCK, dtype=np.float64)  # n - first over a block
+        self.inv = np.empty(BLOCK, dtype=np.float64)  # 1/n over the current block
+        self.steps = np.empty(BLOCK, dtype=np.int8)
+        self.prefix = np.empty(BLOCK, dtype=np.int32)
 
     def add(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
         """Fold the segment [lo, lo + len(omega)); lo is a multiple of BLOCK."""
-        q = self.cfg.q
-        periodic = [np.tile(signs, BLOCK // q + 2) for signs in self.signs]  # SIGN[f] chi(n) from n = 0
-        reach = np.abs(periodic[0])  # |chi(n)| from n = 0
-        steps = np.empty(BLOCK, dtype=np.int8)
-        local = np.empty(BLOCK, dtype=np.int32)
+        q, periodic, reach = self.cfg.q, self.periodic, self.reach
         for start in range(0, len(omega), BLOCK):
             first, end = lo + start, min(start + BLOCK, len(omega))
-            block, prefix = steps[: end - start], local[: end - start]
+            block, prefix = self.steps[: end - start], self.prefix[: end - start]
             marks = self.marks[bisect_left(self.marks, first) : bisect_left(self.marks, lo + end)]
             off = first % q
             head = None  # sum of |chi(n)| Omega(n) over the first row; None for a partial row
@@ -409,7 +453,7 @@ class _SignFold:
                 settles = head is not None and not -head < run <= head  # the first row is settled
                 if settles and spread is None:
                     np.multiply(reach[off : off + len(block)], bomega[start:end], out=block)
-                    spread = block.reshape(-1, ROW).sum(axis=1, dtype=np.int32)
+                    spread = _row_sums(block)
                 np.multiply(periodic[f][off : off + len(block)], values[start:end], out=block)
                 bounds = _row_bounds(run, block, spread) if settles else None
                 if bounds is None:  # the exact block-local prefix, |prefix| <= 40 * BLOCK
@@ -423,7 +467,7 @@ class _SignFold:
                     terms, block_sum = None, 0.0
                 else:
                     if inv is None:
-                        inv = self.ramp[: end - start] + first
+                        inv = np.add(self.ramp[: end - start], first, out=self.inv[: end - start])
                         if first == 0:
                             inv[0] = np.inf  # n = 0 adds nothing
                         np.divide(1.0, inv, out=inv)

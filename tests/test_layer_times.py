@@ -25,6 +25,8 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     for kind, counts in result["blocks"].items():
         assert sum(counts.values()) == 3  # the last block is padded
         assert sum(result["paths"][kind].values()) == 3
+    assert set(result["kernel_stages_ms"]) == {"dense", "sparse_primes", "sparse_powers", "split"}
+    assert all(ms > 0 for ms in result["kernel_stages_ms"].values())
     assert '"sign_fold_ms"' in capsys.readouterr().out
 
 

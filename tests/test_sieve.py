@@ -119,6 +119,53 @@ def test_kernel_at_the_design_ceiling():
         assert (w[n - lo], big[n - lo]) == trial_factor_counts(n)
 
 
+def _pattern_powers():
+    """(p^k, p) for every power with k >= 2 that divides POWER_PERIOD."""
+    period = sieve_module.POWER_PERIOD
+    return [(p**k, p) for p in (2, 3, 5, 7) for k in range(2, 40) if period % p**k == 0]
+
+
+def test_pattern_powers_enter_only_below_x_max():
+    """x_max on each side of every power the pattern tiles and of its period,
+    so that a power above x_max never enters the pattern: at n = 0 the
+    pattern holds the word of every tiled power up to x_max, and no other."""
+    assert [pk for pk, _ in _pattern_powers()] == [4, 8, 16, 32, 9, 25]
+    edges = {3599, 3600, 3601}
+    for v in [pk for pk, _ in _pattern_powers()] + [sieve_module.POWER_PERIOD]:
+        edges.update((v - 1, v, v + 1))
+    for x_max in sorted(edges):
+        words = [sieve_module.POWER_WORD - sieve_module._scaled_log(p) for pk, p in _pattern_powers() if pk <= x_max]
+        assert sieve_module._tables(x_max).pattern[0] == sum(words), x_max
+        for size in (97, 65536):
+            _assert_kernel_matches_reference(x_max, size)
+
+
+SUB = sieve_module.SUB_BLOCK
+PERIOD = sieve_module.POWER_PERIOD
+
+
+@pytest.mark.parametrize("lo", [0, 10**7 + 13])
+@pytest.mark.parametrize(
+    "length", [1, 2, PERIOD - 1, PERIOD, PERIOD + 1, SUB - 1, SUB, SUB + 1, 3 * SUB + PERIOD + 12345]
+)
+def test_kernel_at_sub_block_and_period_edges(lo, length):
+    """Segments shorter than a sub-block or the pattern period, and lengths
+    that are multiples of neither, from n = 0 and from an unaligned start."""
+    x_max = 10**8
+    tables = sieve_module._tables(x_max)
+    w, big = sieve_module._sieve_segment(lo, lo + length, tables)
+    rw, rbig = cofactor_sieve_segment(lo, lo + length, primes_upto(math.isqrt(x_max)).tolist())
+    assert np.array_equal(w, rw) and np.array_equal(big, rbig)
+
+
+@pytest.mark.parametrize("segment_size", [2, 3, 1000, SUB - 1, SUB + 1])
+def test_factor_counts_at_odd_segment_sizes(segment_size):
+    x_max = 5000 if segment_size < 1000 else 2 * SUB + 4321
+    w, big = factor_counts(x_max, segment_size=segment_size)
+    rw, rbig = cofactor_sieve_segment(0, x_max + 1, primes_upto(math.isqrt(x_max)).tolist())
+    assert np.array_equal(w, rw) and np.array_equal(big, rbig)
+
+
 EXTREME_N = {
     "primes_17_to_43": 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43,  # most sieved primes above 13
     "primorial_31": 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31,  # omega = 11
@@ -163,35 +210,56 @@ def test_kernel_at_seeded_windows(center):
 def test_kernel_error_budget(x_max):
     """The fixed-point rounding of the kernel words stays far from its tests.
 
-    Every add and the starting step log are rounded by at most 0.5 units;
-    at most log2(x_max) adds meet one n.  That budget must stay below half
-    of the gap LOG_SCALE * 0.5 * log(s + 1) between a residual with and
-    one without a large prime, the threshold must sit at least the budget
-    away from both, and the budget must stay below LOG_HEADROOM, so that
-    the residual of n = 1, of a prime, or of any n part way through its
-    adds never borrows from omega.
+    Every table is rebuilt here word by word: the wheel is its carry offset
+    plus one word per wheel prime, the power pattern one word per power
+    dividing POWER_PERIOD, and the other primes and powers have a word
+    each.  Every add and the starting step log are rounded by at most 0.5
+    units; at most log2(x_max) adds meet one n.  That budget must stay
+    below half of the gap LOG_SCALE * 0.5 * log(s + 1) between a residual
+    with and one without a large prime, and the cut must sit at least the
+    budget away from both.  The carry offset must then leave the low 16
+    bits of an n without a large prime in [0, 2^16), so nothing carries
+    into omega, and put those of an n with one in [2^16, 2^17), so exactly
+    one carries.
     """
-    scale, headroom = sieve_module.LOG_SCALE, sieve_module.LOG_HEADROOM
+    scale = sieve_module.LOG_SCALE
+    prime_word, power_word = sieve_module.PRIME_WORD, sieve_module.POWER_WORD
     t = sieve_module._tables(x_max)
     s = math.isqrt(x_max)
     primes = primes_upto(s).tolist()
-    wheel_primes = primes[: len(primes) - len(t.primes)]
-    assert t.primes == primes[len(wheel_primes) :]
-    assert all(p <= sieve_module.WHEEL_MAX for p in wheel_primes)
-    # (the word, the prime whose log it takes, the (omega, Omega) it adds)
-    adds = [(int(t.wheel[p]), p, (1, 1)) for p in wheel_primes]
-    adds += [(int(word), p, (1, 1)) for word, p in zip(t.words, t.primes)]
+    wheel_primes = [p for p in primes if p <= sieve_module.WHEEL_MAX]
+    assert t.primes.tolist() == primes[len(wheel_primes) :]
+    assert t.dense == sum(p < sieve_module.DENSE_MAX for p in t.primes.tolist())
+    offset = int(t.wheel[1])
+    cut = (1 << 16) - 1 - offset
+    # (the word, the prime whose log it takes, PRIME_WORD or POWER_WORD)
+    adds = [(int(t.wheel[p]) - offset, p, prime_word) for p in wheel_primes]
+    adds += [(int(word), p, prime_word) for word, p in zip(t.words.tolist(), t.primes.tolist())]
+    wheel = np.full(len(t.wheel), offset, dtype=np.int64)
+    for word, p, _ in adds[: len(wheel_primes)]:
+        wheel[::p] += word
+    assert np.array_equal(wheel, t.wheel)
+
     base = {}
     for p in primes:
         pk = p * p
         while pk <= x_max:
             base[pk] = p
             pk *= p
-    assert t.powers.tolist() == sorted(base)
-    adds += [(int(word), base[pk], (0, 1)) for word, pk in zip(t.power_words.tolist(), t.powers.tolist())]
+    period = sieve_module.POWER_PERIOD
+    tiled = sorted(pk for pk in base if period % pk == 0)
+    assert t.powers.tolist() == sorted(set(base) - set(tiled))
+    pattern = np.zeros(len(t.pattern), dtype=np.int64)
+    for pk in tiled:  # pattern[pk] holds the words of pk and of every lower power of its prime
+        word = int(t.pattern[pk]) - int(t.pattern[pk // base[pk]])
+        adds.append((word, base[pk], power_word))
+        pattern[::pk] += word
+    assert np.array_equal(pattern, t.pattern)
+    adds += [(int(word), base[pk], power_word) for word, pk in zip(t.power_words.tolist(), t.powers.tolist())]
+    assert len(adds) == len(primes) + len(base)
     rounding = 0.0
-    for word, p, (dw, dW) in adds:
-        scaled = (dw << 16) + (dW << 24) - word
+    for word, p, unit in adds:
+        scaled = unit - word
         assert 0 < scaled < 1 << 16, (word, p)
         rounding = max(rounding, abs(scaled - scale * math.log(p)))
     assert rounding <= 0.5
@@ -207,14 +275,11 @@ def test_kernel_error_budget(x_max):
     budget = max(0, x_max.bit_length() - 1) * rounding + 0.5 + 1e-9
     gap = scale * 0.5 * math.log(s + 1)
     assert budget < 0.5 * gap, (budget, gap)
-    assert budget <= t.threshold - headroom <= 2 * gap - budget
-    assert budget < headroom  # no n borrows part way through its adds
-    starts = sieve_module._scaled_logs(0, s + 1)
-    assert headroom + int(starts[1]) - budget >= 0  # n = 1
-    for word, p, _ in adds[: len(wheel_primes) + len(t.primes)]:  # a prime p <= s, after its add
-        assert headroom + int(starts[p]) + word - sieve_module.PRIME_WORD >= 0, p
+    assert budget <= cut <= 2 * gap - budget
+    assert 0 <= offset - budget and offset + budget < 1 << 16  # no large prime: no carry
+    assert offset + 2 * gap - budget >= 1 << 16  # a large prime: one carry
     top = int(sieve_module._scaled_logs(x_max, x_max + 1)[0])
-    assert headroom + top + budget < 1 << 15  # no carry into omega either
+    assert offset + top + budget < 1 << 17  # and never two
 
 
 def test_class_sums_toy_x10():
@@ -613,6 +678,20 @@ def test_blocks_the_row_test_leaves_open(chi4, skip, residues, start):
     fold, ref = _folds(cfg, chi4, [(lo, lo + BLOCK, *_odd_counts(lo, skip, residues))], start)
     _assert_same_bits(fold.result(), ref.result(), start)
     assert (fold.row_blocks, fold.exact_blocks) == ([0, 0], [1, 1])
+
+
+@pytest.mark.parametrize("nrows", [BLOCK // sieve_module.ROW, 5])
+def test_row_sums_are_exact(nrows):
+    """The float32 product behind `_row_sums` against int64 sums: rows of
+    all +40 and all -40 (+-2560), alternating +-40, and seed-drawn steps,
+    in a whole block and in a partial one of 5 rows."""
+    row = sieve_module.ROW
+    steps = np.random.default_rng(11).integers(-40, 41, size=nrows * row).astype(np.int8)
+    steps[:row], steps[row : 2 * row], steps[2 * row : 3 * row] = 40, -40, [40, -40] * (row // 2)
+    got = sieve_module._row_sums(steps)
+    assert got.dtype == np.int64
+    assert got.tolist() == steps.reshape(-1, row).sum(axis=1, dtype=np.int64).tolist()
+    assert got[:3].tolist() == [2560, -2560, 0]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
