@@ -11,8 +11,11 @@ one on one scratch word array ("kernel_stages_ms"): the dense sub-block
 passes, the strided adds of the primes above the sub-block cut, the
 powers outside the pattern, and the split into omega and Omega (the
 stages after the first add into the same array again, whose values do
-not change their time).  Prints one JSON object with the median
-milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
+not change their time).  One L-evaluation `l_value(chi, 1/2 + it)` is
+timed at q = 4 (chi 1, t = 200) and q = 163 (chi 81, t = 30), points of
+the two zero-scan workloads, with the Euler-Maclaurin head length N
+there ("l_value_us", "head_length").  Prints one JSON object with the
+median milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
 many of them the fold settled by its 64-wide row sums ("row") and how
 many took the exact block prefix ("exact").  It is offline;
@@ -32,7 +35,8 @@ import time
 
 import numpy as np
 
-from factorrace.characters import enumerate_characters, real_sign_table
+from factorrace.characters import character, enumerate_characters, real_sign_table
+from factorrace.lfunction import _truncation, l_value
 from factorrace.sieve import (
     BLOCK,
     SIGN,
@@ -50,6 +54,7 @@ from factorrace.sieve import (
 )
 
 SEGMENT = 1 << 20
+L_POINTS = {"q4_t200": (4, 1, 200.0), "q163_t30": (163, 81, 30.0)}  # name: (q, chi index, t)
 
 
 def _median_ms(fn, repeat: int) -> float:
@@ -69,6 +74,17 @@ def _block_kinds(run: int, steps: np.ndarray) -> dict[str, int]:
     biased = (rows.min(axis=1) > 0).sum()
     unbiased = (rows.max(axis=1) <= 0).sum()
     return {"biased": int(biased), "unbiased": int(unbiased), "mixed": len(rows) - int(biased + unbiased)}
+
+
+def _l_value_layer(repeat: int) -> tuple[dict[str, float], dict[str, int]]:
+    """Median microseconds of one l_value call, and the head length N, per L_POINTS entry."""
+    us, head = {}, {}
+    for name, (q, index, t) in L_POINTS.items():
+        chi, s = character(q, index), complex(0.5, t)
+        l_value(chi, s)  # caches the character's shifts and weights outside the timing
+        us[name] = 1e3 * _median_ms(lambda: l_value(chi, s), repeat)
+        head[name] = _truncation(s)[0]
+    return us, head
 
 
 def main(argv: list[str] | None = None) -> dict:
@@ -118,6 +134,7 @@ def main(argv: list[str] | None = None) -> dict:
     }
     del word
 
+    l_value_us, head_length = _l_value_layer(args.repeat)
     table = np.roll(real_sign_table(chi), -lo)
     chi_n = np.tile(table, -(-(hi - lo) // q))[: hi - lo].astype(np.int64)
     result = {
@@ -139,6 +156,8 @@ def main(argv: list[str] | None = None) -> dict:
             kind: {"row": row, "exact": exact}
             for kind, row, exact in zip(SIGN, folds[0].row_blocks, folds[0].exact_blocks)
         },
+        "l_value_us": l_value_us,
+        "head_length": head_length,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -63,6 +63,7 @@ ROW = 64  # row width of the sign fold's row test
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
 DEFAULT_SEGMENT = 1 << 20
 MAX_SEGMENT = 1 << 32  # keeps the class fold's int32 column sums exact
+TWIST_ELEMENTS = 1 << 18  # class sums per block of write_twists_csv: 2 MB per int64 copy
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
 POWER_PERIOD = 7200  # 2^5 3^2 5^2: the powers 4, 8, 16, 32, 9 and 25 are tiled from one pattern
@@ -642,22 +643,30 @@ def write_twists_csv(
 ) -> None:
     """One row per (checkpoint, character), checkpoint-major.
 
-    `_twist_block` over all checkpoints gives every psi one kernel group of
-    characters at a time: one `reduceat` of exact exponent counts per
-    group and one fold step per exponent for all its characters.  Each
-    character's rows are formatted from `.tolist()` with one %-template
-    (`'%.17g' % v` is `fmt_float(v)`) before the next group is twisted,
-    and the count matrix is freed before the rows are joined.
+    The checkpoints are twisted a block at a time, at most TWIST_ELEMENTS
+    class sums (omega and Omega rows times q) per block, and each block's
+    rows reach the file before the next block is twisted, so memory stays
+    bounded at any checkpoint count and q.  In a block, `_twist_block`
+    gives every psi one kernel group of characters at a time: one
+    `reduceat` of exact exponent counts per group and one fold step per
+    exponent for all its characters.  Each character's rows are formatted
+    from `.tolist()` with one %-template (`'%.17g' % v` is `fmt_float(v)`).
+    Every element is twisted alone, so no bit depends on the block.
     """
-    n = len(sums.checkpoints)
-    both = np.concatenate([sums.omega, sums.big_omega])
-    by_chi = [None] * len(chis)  # per character: its row at every checkpoint
-    for group, psi in _twist_block(both, chis):
-        for j, col in zip(group, psi.T):
-            re, im = col.real.tolist(), col.imag.tolist()
-            template = f"%d,{sums.q},{chis[j].index},%.17g,%.17g,%.17g,%.17g"
-            by_chi[j] = [template % row for row in zip(sums.checkpoints, re[:n], im[:n], re[n:], im[n:])]
-    del both
-    rows = (chi_rows[k] for k in range(n) for chi_rows in by_chi)
+    step = max(1, TWIST_ELEMENTS // (2 * sums.q))
+
+    def rows():
+        for lo in range(0, len(sums.checkpoints), step):
+            xs = sums.checkpoints[lo : lo + step]
+            n = len(xs)
+            both = np.concatenate([sums.omega[lo : lo + n], sums.big_omega[lo : lo + n]])
+            by_chi = [None] * len(chis)  # per character: its row at every checkpoint of the block
+            for group, psi in _twist_block(both, chis):
+                for j, col in zip(group, psi.T):
+                    re, im = col.real.tolist(), col.imag.tolist()
+                    template = f"%d,{sums.q},{chis[j].index},%.17g,%.17g,%.17g,%.17g"
+                    by_chi[j] = [template % row for row in zip(xs, re[:n], im[:n], re[n:], im[n:])]
+            yield from (chi_rows[k] for k in range(n) for chi_rows in by_chi)
+
     header = "x,q,chi_index,re_psi_omega,im_psi_omega,re_psi_Omega,im_psi_Omega"
-    write_csv(path, header, rows, comment)
+    write_csv(path, header, rows(), comment)

@@ -20,9 +20,11 @@ warning, never absorbed (simple zeros are the working assumption).
 
     N_hat(T) = (T/pi) * log(q*T / (2*pi*e))        (zeros with |gamma| <= T):
 
-a total off N_hat by more than 2 + log(qT), or a unit window [n, n+1) in
-|gamma| crowded above 2 log(qT) zeros, raises MissedZeroError rather than
-returning a silently incomplete cache.
+a total off N_hat by more than 2 + log(qT), or a unit window crowded
+above 2 log(qT) zeros, raises MissedZeroError rather than returning a
+silently incomplete cache.  A window is [n, n+1) in |gamma| for a real
+character, whose zeros are mirrored, and [m, m+1) in gamma for a complex
+one, so the zeros at +gamma and -gamma never share it.
 
 Real characters are scanned on [0, T] only and mirrored, since their zeros
 come in conjugate pairs with L'(conj rho) = conj L'(rho); complex
@@ -38,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._csvio import fmt_float, write_csv
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, character
 from .lfunction import _rotation_phase, l_value
 
 __all__ = [
@@ -57,7 +59,7 @@ __all__ = [
     "cache_filename",
 ]
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"  # "1": caches of the fixed-rule Euler-Maclaurin kernel
 MAX_SCAN_HEIGHT = 1.0e3
 MAX_REFINE_STEPS = 64
 MIN_ZERO_GAP = 1e-6
@@ -262,19 +264,24 @@ class CountReport:
     expected: float
     deviation: float
     allowed: float
-    bad_windows: tuple[int, ...]  # crowded: more than 2 log(qT) zeros
+    bad_windows: tuple[int, ...]  # crowded (more than 2 log(qT) zeros), by count_check's keys
     passed: bool
 
 
 def count_check(cache: ZeroCache) -> CountReport:
     """Compare the cache against the smooth zero count: the total, and the
-    crowded unit windows [n, n+1) in |gamma|."""
+    crowded unit windows, [n, n+1) in |gamma| for a real character (whose
+    zeros come in mirrored pairs) and [m, m+1) in gamma for a complex one,
+    so the limit applies to each side of the real axis on its own."""
     t = cache.t_scanned
     q = cache.q
     expected = smooth_zero_count(t, q)
     deviation = abs(cache.count - expected)
     allowed = 2 + math.log(max(q * t, 1.0))
-    occ = Counter(int(abs(r.gamma)) for r in cache.records)
+    if character(q, cache.chi_index).is_real:  # zeros mirrored: window n holds |gamma| in [n, n+1)
+        occ = Counter(int(abs(r.gamma)) for r in cache.records)
+    else:  # one side per window: window m holds gamma in [m, m+1)
+        occ = Counter(math.floor(r.gamma) for r in cache.records)
     limit = 2 * math.log(max(q * t, math.e))
     bad = tuple(w for w, c in sorted(occ.items()) if c > limit)
     passed = deviation <= allowed and not bad

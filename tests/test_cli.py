@@ -8,7 +8,7 @@ import pytest
 
 from factorrace import cli, density
 from factorrace.characters import enumerate_characters
-from factorrace.zeros import MissedZeroError
+from factorrace.zeros import FORMAT_VERSION, MissedZeroError
 
 BASE = ["--xmax", "50000", "--q", "4", "--T", "15", "--T0", "10", "--trials", "1000"]
 
@@ -151,6 +151,31 @@ def test_refuses_another_characters_zero_cache(tmp_path, capsys, cmd, target):
     assert target_file.read_text().startswith(f"# q=5 chi={target} T=15 ")
 
 
+def test_a_cache_of_another_kernel_version_is_rescanned_or_refused(tmp_path, capsys):
+    """A cache whose header carries another format version (written by
+    another L-kernel) is refused by `compare` and `density` (exit 4) and
+    rescanned by `zeros` and `all`, so two kernels' bits never mix."""
+    out = tmp_path / "o"
+    assert run(out, "sieve") == 0
+    assert run(out, "zeros") == 0
+    path = out / "zeros_q4_chi1.csv"
+    fresh = path.read_bytes()
+    stale = fresh.replace(f"version={FORMAT_VERSION}\n".encode(), b"version=1\n", 1)
+    assert stale != fresh
+    for cmd in ("compare", "density"):
+        path.write_bytes(stale)
+        capsys.readouterr()
+        assert run(out, cmd) == cli.EXIT_IO
+        assert "version '1'" in capsys.readouterr().err
+        assert not (out / "meansq.csv").exists() and not (out / "mc.csv").exists()
+    for cmd in ("zeros", "all"):
+        path.write_bytes(stale)
+        capsys.readouterr()
+        assert run(out, cmd) == 0
+        assert "cached" not in capsys.readouterr().out
+        assert path.read_bytes() == fresh
+
+
 def test_compare_refuses_a_truncated_twists_row(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(out, "sieve") == 0
@@ -269,16 +294,16 @@ def test_run_below_x_2_compares_nothing(tmp_path, cmd, xmax):
 GOLDEN_RUN = ["all", "--q", "24", "--chi", "all", "--xmax", "20000", "--T", "15", "--T0", "15", "--trials", "1000"]
 GOLDEN_SHA256 = {
     "checkpoints.csv": "424b1faaae06d27437161f15d4c4457210f395a5600d4f2d28904645a2dc7003",
-    "compare_Omega_q24_chi3_T15.csv": "7cb52380de026035c33da19a7bd8c343897f4345e0ec6728d7e452123818afe0",
-    "compare_Omega_q24_chi7_T15.csv": "4f53b76a92fbd06627cf05704f1ba5126d8c5cbf2b6c6eef89af4f3999239124",
-    "compare_omega_q24_chi3_T15.csv": "beb5881fb7f6b146b52db7fc4844b6573501b378c7dd224348d3066ae5b98c66",
-    "compare_omega_q24_chi7_T15.csv": "002fd0fdff5ec1ce695854a08f0a1fb8fec30f40882cce37a5bff9d1b0ae80df",
+    "compare_Omega_q24_chi3_T15.csv": "a91794a445ed96f4c2fac889cdf6f9faf472d62bd92ae0151b26da516527094c",
+    "compare_Omega_q24_chi7_T15.csv": "d29adeb9462c1af086964cc975448d1125434923bcbd69680ba944cb533df69e",
+    "compare_omega_q24_chi3_T15.csv": "6e738558537c657a4de07b3486fd5a5dc93a425ab2746734e513028428060cda",
+    "compare_omega_q24_chi7_T15.csv": "030473d1d47afb7d22cb015d157b1c1547d3e7ab9fb118a0b73c0c3a2d0248fb",
     "density.csv": "8c8b1a70e70d9da1aaf11494138b5f623feb1d72e07cd7d9591473aa26dd0e03",
     "mc.csv": "c0574e2c1fc66d2725dab9c952f3cdf5bb1ddebfc64098d21f94bdcd861236c7",
-    "meansq.csv": "03de6a6b88bab9038ffed6b5c804a714df10f64f52630c901a31b1b2396db480",
+    "meansq.csv": "649f0c23f59d976d10d3d31f4f4d95a5ab22ef79be6a607ed1143b53334a2f37",
     "twists.csv": "d7d526360b316ea3e8737251b80732306dd36185c61c8a23dea1b76a2091ab65",
-    "zeros_q24_chi3.csv": "0e4b6e6118afe5493a212ffb3667a11be7a659fb3b59e0b8e262048b9e144e43",
-    "zeros_q24_chi7.csv": "a46f2bda4b565f88dcf394c9b488730b8df2cf9a0d2f893e07113b43e2b0d0b7",
+    "zeros_q24_chi3.csv": "98078df532e9912f9ca557654b34e512003ee737f4d6ea426a61b406ada1c851",
+    "zeros_q24_chi7.csv": "1d2e0dd5c9d000d29329eaf337019860d98ac23efbe71f074aff5c5dd8be4327",
 }
 
 

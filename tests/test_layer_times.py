@@ -27,6 +27,9 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
         assert sum(result["paths"][kind].values()) == 3
     assert set(result["kernel_stages_ms"]) == {"dense", "sparse_primes", "sparse_powers", "split"}
     assert all(ms > 0 for ms in result["kernel_stages_ms"].values())
+    assert set(result["l_value_us"]) == set(result["head_length"]) == {"q4_t200", "q163_t30"}
+    assert all(us > 0 for us in result["l_value_us"].values())
+    assert all(isinstance(n, int) and n >= 1 for n in result["head_length"].values())
     assert '"sign_fold_ms"' in capsys.readouterr().out
 
 

@@ -2,10 +2,14 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from factorrace import lfunction
 from factorrace.characters import character, conjugate_character, enumerate_characters, root_number
 from factorrace.lfunction import (
+    _head_length,
+    _hurwitz_block,
     _loggamma,
     completed_lambda,
     hurwitz_zeta,
@@ -238,3 +242,81 @@ def test_l_value_against_mpmath(q, indices, heights):
             lv = l_value(chi, s)
             assert abs(lv.value - ref) / max(1.0, abs(ref)) <= 1.3e-12, (chi, t)
             assert abs(lv.derivative - dref) / max(1.0, abs(dref)) <= 1.3e-12, (chi, t)
+
+
+def test_l_value_near_the_design_ceiling(chi4):
+    """L and L' at q = 4 high on the critical line, against 30-digit mpmath.
+
+    The head length is shortest relative to |t| here, so a truncation error
+    would show first.  The bound 1e-11 is fixed from the rounding of each
+    head term's phase t * log(k + a): about u * |t| * log(N + 1) = 1e-11 at
+    t = 1e4 (u = 2^-53, N of a few thousand), summed over terms of
+    independent sign.  This rounding, not the truncation, sets the error
+    here, which is why the 1.3e-12 gate of the heights below 1e3 does not
+    apply.
+    """
+    for t in (3000.0, 9999.3):
+        s = complex(0.5, t)
+        [(ref, dref)] = mp_dirichlet_l(s, [chi4], dps=30)
+        lv = l_value(chi4, s)
+        assert abs(lv.value - ref) / max(1.0, abs(ref)) <= 1e-11, t
+        assert abs(lv.derivative - dref) / max(1.0, abs(dref)) <= 1e-11, t
+
+
+def _remainder_bound(s, n, d_sum):
+    """The module docstring's bound on the remainder of zeta(s, a) and its
+    derivative for head length n, in mpmath, with d_sum in place of
+    sum_{i<=2M} 1/|s+i|."""
+    import mpmath
+
+    m = lfunction._BERNOULLI_ORDER
+    alpha = s.real + 2 * m
+    rising = mpmath.fprod(abs(s + i) for i in range(2 * m + 1))
+    bound = 2 * mpmath.zeta(2 * m + 1) * rising / (
+        (2 * mpmath.pi) ** (2 * m + 1) * alpha * mpmath.mpf(n) ** alpha
+    )
+    return bound * max(1, d_sum + mpmath.log(n + 1) + 1 / alpha)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 14.1, 30.0, 200.0, 999.0, 9999.3])
+def test_head_length_is_the_shortest_that_meets_the_bound(t):
+    """N meets the bound and N - 1 does not, with D's sum bounded by
+    (2M+1)/|s| as the kernel does; the exact sum only lowers the bound."""
+    import mpmath
+
+    s = complex(0.5, t)
+    m = lfunction._BERNOULLI_ORDER
+    n = _head_length(s, math.prod(abs(s + i) for i in range(2 * m + 1)))
+    target = lfunction._REMAINDER_TARGET
+    exact = mpmath.fsum(1 / abs(s + i) for i in range(2 * m + 1))
+    assert _remainder_bound(s, n, exact) <= _remainder_bound(s, n, (2 * m + 1) / abs(s)) <= target
+    assert n == 1 or _remainder_bound(s, n - 1, (2 * m + 1) / abs(s)) > target
+
+
+@pytest.mark.parametrize("t", [0.3, 30.0, 999.0])
+def test_a_longer_head_changes_nothing_above_rounding(monkeypatch, t):
+    """Doubling N moves zeta(s, a) and its derivative only by rounding,
+    which grows with t through the phases t * log(k + a); a head at half
+    of N moves them by 6e-11 to 2e-9 here."""
+    s = complex(0.5, t)
+    shifts = np.array([1 / 163, 0.25, 0.5, 1.0])
+    val, der = _hurwitz_block(s, shifts)
+    short = lfunction._head_length
+    monkeypatch.setattr(lfunction, "_head_length", lambda s, rising: 2 * short(s, rising))
+    val2, der2 = _hurwitz_block(s, shifts)
+    floor = 4e-16 * max(1.0, t)
+    assert np.abs(val - val2).max() <= floor * np.abs(val).max()
+    assert np.abs(der - der2).max() <= floor * np.abs(der).max()
+
+
+@pytest.mark.parametrize("cap", [None, 40, 1000])
+def test_hurwitz_block_rows_depend_on_their_row_alone(monkeypatch, cap):
+    """Every row equals its one-row call bit for bit, whatever the block cap."""
+    shifts = np.array([a / 163 for a in range(1, 164)])
+    if cap is not None:
+        monkeypatch.setattr(lfunction, "_BLOCK_ELEMENTS", cap)
+    for s in (complex(0.5, 30.0), complex(0.5, 0.3), complex(2.0, -7.5)):
+        val, der = _hurwitz_block(s, shifts)
+        for a, v, d in zip(shifts, val, der):
+            v1, d1 = _hurwitz_block(s, np.array([a]))
+            assert (v1[0], d1[0]) == (v, d), (s, a)

@@ -5,7 +5,7 @@ import pytest
 
 from factorrace import sieve as sieve_module
 from factorrace._csvio import fmt_float
-from factorrace.characters import _root_of_unity, enumerate_characters, real_sign_table
+from factorrace.characters import _root_of_unity, character, enumerate_characters, real_sign_table
 from factorrace.density import windowed_density
 from factorrace.sieve import (
     BLOCK,
@@ -455,6 +455,35 @@ def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
     write_twists_csv(sums, chis, str(tmp_path / "twists.csv"))
     # a fold per (x, chi) calls it once per nonzero count: tens of thousands here
     assert len(calls) <= sum({chi.order for chi in chis})
+
+
+def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
+    """At q = 2003 with 600 checkpoints (19 MB of class sums) write_twists_csv
+    twists one block of checkpoints at a time: its peak traced memory stays
+    below 12 MB, where the whole-matrix gather and exponent counts took
+    about three times the sums.  A real character and one of order 2002
+    are twisted, and the bytes do not depend on the block size."""
+    import tracemalloc
+
+    q, n = 2003, 600
+    rng = np.random.default_rng(2003)
+    xs = tuple(range(10_000, 10_000 + 100 * n, 100))
+    omega = rng.integers(0, 10**9, size=(n, q), dtype=np.int64)
+    sums = ClassSums(q, xs[-1], xs, omega, omega + rng.integers(0, 10**6, size=(n, q), dtype=np.int64))
+    chis = [next(c for c in enumerate_characters(q) if c.is_real and not c.is_principal), character(q, 5)]
+    assert chis[1].order == 2002
+    path = tmp_path / "twists.csv"
+    tracemalloc.start()
+    try:
+        write_twists_csv(sums, chis, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
+    assert sieve_module.TWIST_ELEMENTS // (2 * q) < n  # more than one block
+    monkeypatch.setattr(sieve_module, "TWIST_ELEMENTS", 2 * q * 7)
+    write_twists_csv(sums, chis, str(tmp_path / "small.csv"))
+    assert (tmp_path / "small.csv").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("q", [1, 4, 163, 1000])

@@ -6,6 +6,7 @@ import pytest
 from factorrace.characters import character, enumerate_characters
 from factorrace.lfunction import l_value, rotated_z
 from factorrace.zeros import (
+    FORMAT_VERSION,
     CacheFormatError,
     ZeroCache,
     ZeroRecord,
@@ -91,6 +92,29 @@ def test_count_check_rejects_crowded_window(chi4):
     assert 7 in rep.bad_windows
 
 
+def test_count_check_windows_of_a_complex_character_are_per_side():
+    """At q=5, T=40 the limit 2 log(qT) is 10.6: 10 zeros near +7 and 10
+    near -7 pass, as the two sides are separate windows, and 11 on one side
+    fail.  Eleven single zeros elsewhere bring the total near the smooth
+    count (31.3), so only the windows decide."""
+    assert character(5, 1).is_real is False
+    limit = 2 * math.log(5 * 40.0)
+    k = 10
+    assert k <= limit < 2 * k
+
+    def rep(plus, minus):
+        gammas = [-(7.005 + 0.01 * j) for j in range(minus)] + [7.005 + 0.01 * j for j in range(plus)]
+        gammas += [20.5 + j for j in range(11)]
+        records = tuple(ZeroRecord(g, complex(1.0, 0.0), 1e-12) for g in sorted(gammas))
+        return count_check(ZeroCache(5, 1, 40.0, FORMAT_VERSION, records))
+
+    assert rep(k, k).passed
+    more = rep(k + 1, k)
+    assert not more.passed and more.bad_windows == (7,)
+    fewer = rep(k, k + 1)
+    assert not fewer.passed and fewer.bad_windows == (-8,)
+
+
 def test_count_check_fails_when_record_deleted(chi4):
     cache = scan_zeros(chi4, 50.0)
     # removing an interior pair must push the deviation past the allowance
@@ -140,7 +164,9 @@ def test_cache_parse_errors(tmp_path, cache15):
         load_cache(str(badheader))
 
     badversion = tmp_path / "badversion.csv"
-    badversion.write_text(good[0].replace("version=1", "version=99") + "\n" + "\n".join(good[1:]) + "\n")
+    assert good[0].endswith(f" version={FORMAT_VERSION}")
+    stale = good[0].replace(f"version={FORMAT_VERSION}", "version=99")
+    badversion.write_text(stale + "\n" + "\n".join(good[1:]) + "\n")
     with pytest.raises(CacheFormatError):
         load_cache(str(badversion))
 
