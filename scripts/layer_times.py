@@ -14,7 +14,11 @@ stages after the first add into the same array again, whose values do
 not change their time).  One L-evaluation `l_value(chi, 1/2 + it)` is
 timed at q = 4 (chi 1, t = 200) and q = 163 (chi 81, t = 30), points of
 the two zero-scan workloads, with the Euler-Maclaurin head length N
-there ("l_value_us", "head_length").  Prints one JSON object with the
+there ("l_value_us", "head_length").  "pipeline_ms" gives the two sides
+of a pass per segment: the producer, which is the kernel with its split
+as the forked helper runs it (into a preallocated slot), and the
+consumer, which is the class fold plus the sign fold, and says which of
+the two bounds the pipelined pass.  Prints one JSON object with the
 median milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
 many of them the fold settled by its 64-wide row sums ("row") and how
@@ -137,6 +141,11 @@ def main(argv: list[str] | None = None) -> dict:
     l_value_us, head_length = _l_value_layer(args.repeat)
     table = np.roll(real_sign_table(chi), -lo)
     chi_n = np.tile(table, -(-(hi - lo) // q))[: hi - lo].astype(np.int64)
+    slot = np.empty((2, hi - lo), dtype=np.int8)
+    producer = _median_ms(lambda: _sieve_segment(lo, hi, tables, slot), args.repeat)
+    fold_classes_ms = _median_ms(class_fold, args.repeat)
+    sign_fold_ms = _median_ms(lambda: next(unused).add(lo, omega, bomega), args.repeat)
+    consumer = fold_classes_ms + sign_fold_ms
     result = {
         "x_max": x_max,
         "q": q,
@@ -144,10 +153,15 @@ def main(argv: list[str] | None = None) -> dict:
         "lo": lo,
         "length": hi - lo,
         "repeat": args.repeat,
-        "sieve_segment_ms": _median_ms(lambda: _sieve_segment(lo, hi, tables), args.repeat),
+        "sieve_segment_ms": producer,
         "kernel_stages_ms": kernel_stages,
-        "fold_classes_ms": _median_ms(class_fold, args.repeat),
-        "sign_fold_ms": _median_ms(lambda: next(unused).add(lo, omega, bomega), args.repeat),
+        "fold_classes_ms": fold_classes_ms,
+        "sign_fold_ms": sign_fold_ms,
+        "pipeline_ms": {
+            "producer": producer,
+            "consumer": consumer,
+            "bound": "producer" if producer >= consumer else "consumer",
+        },
         "blocks": {
             kind: _block_kinds(run, sign * chi_n * values)
             for (kind, sign), run, values in zip(SIGN.items(), start, (omega, bomega))

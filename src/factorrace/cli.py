@@ -4,8 +4,10 @@ Subcommands write plain CSV files into the output directory; every file
 carries a comment header with a hash of the resolved configuration, so a
 file can always be traced back to the run that produced it.  Outputs are
 byte-identical given the same configuration and seed: no timestamps, fixed
-float formatting, one serial sieve pass.  The hash excludes the output path
-and `threads`, which is accepted and validated but selects no code path.
+float formatting, one sieve pass whose kernel runs ahead in a forked
+helper process and whose folds stay in order in this one.  The hash
+excludes the output path and `threads`, which is accepted and validated
+but selects no code path.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric verification failure
 (zero-count consistency), 4 I/O or missing-input error.
@@ -124,7 +126,7 @@ _OPTIONS = {
     "segment_size": ("segment_size", int, dict(help="sieve segment size")),
     "out": ("out", str, dict(help="output directory")),
     "seed": ("seed", int, dict(help="Monte Carlo seed")),
-    "threads": ("threads", int, dict(help="accepted (>= 1) for compatibility; runs are serial")),
+    "threads": ("threads", int, dict(help="accepted (>= 1); selects nothing")),
     "trials": ("trials", int, dict(help="Monte Carlo trials")),
 }
 

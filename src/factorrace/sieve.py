@@ -15,6 +15,11 @@ tiled patterns hold the densest words (the wheel of the primes up to 13,
 and the powers dividing POWER_PERIOD).  A carry offset makes the log of
 the single prime factor > sqrt(x_max), if any, carry one into omega.
 
+A pass (`_segments`) runs the kernel in one forked helper process, which
+sieves the next segment into a two-slot shared ring while the caller
+folds the current one; each segment it yields is a pair of int8 views
+that are valid only until the next step.
+
 The same pass can feed the sign fold of one real character (`_SignFold`):
 the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n} chi(m) f(m),
 and the harmonic measures H_f = sum 1/n over the n where it is positive,
@@ -29,9 +34,14 @@ fixes the order of every (omega, Omega) pair in the package.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 import sys
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -282,15 +292,21 @@ def _sparse_powers(word: np.ndarray, lo: int, t: _Tables) -> None:
     np.add.at(word, first[hit] - lo, t.power_words[short:][hit])
 
 
-def _split(word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, Omega) from the final words: omega's byte, and it plus the top byte."""
+def _split(word: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, Omega) from the final words: omega's byte, and it plus the
+    top byte; written into the two int8 rows of `out` when it is given."""
     counts = word.view(np.int8)
-    omega = counts[_OMEGA::4].copy()
-    return omega, omega + counts[_EXCESS::4]
+    omega, bomega = np.empty((2, len(word)), dtype=np.int8) if out is None else out
+    np.copyto(omega, counts[_OMEGA::4])
+    np.add(omega, counts[_EXCESS::4], out=bomega)
+    return omega, bomega
 
 
-def _sieve_segment(lo: int, hi: int, t: _Tables) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, Omega) as int8 arrays for n in [lo, hi).
+def _sieve_segment(
+    lo: int, hi: int, t: _Tables, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, Omega) as int8 arrays for n in [lo, hi), the two rows of `out`
+    when it is given.
 
     The residual starts at LOG_SCALE * log n and loses LOG_SCALE * log p
     wherever p or a power p^k <= x_max divides n.  Then it is r = LOG_SCALE
@@ -317,7 +333,7 @@ def _sieve_segment(lo: int, hi: int, t: _Tables) -> tuple[np.ndarray, np.ndarray
     _dense_passes(word, lo, t)
     _add_strided(word, lo, t.primes[t.dense :], t.words[t.dense :])
     _sparse_powers(word, lo, t)
-    return _split(word)
+    return _split(word, out)
 
 
 def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
@@ -503,17 +519,90 @@ class _SignFold:
         )
 
 
-def _segments(x_max: int, size: int):
-    """(lo, hi, omega, Omega) for consecutive segments [lo, hi) covering [0, x_max]."""
+def _sieve_pass(x_max: int, size: int, slots: np.ndarray):
+    """(lo, hi, omega, Omega) for consecutive segments [lo, hi) covering
+    [0, x_max], segment i written into the two rows of slots[i % 2].  The
+    helper of `_segments` runs it, or the caller where there is no fork."""
     tables = _tables(x_max)
-    for lo in range(0, x_max + 1, size):
+    for i, lo in enumerate(range(0, x_max + 1, size)):
         hi = min(lo + size, x_max + 1)
-        yield lo, hi, *_sieve_segment(lo, hi, tables)
+        yield lo, hi, *_sieve_segment(lo, hi, tables, slots[i % 2, :, : hi - lo])
+
+
+def _helper(segments, count: int, ready: int, free: int) -> None:
+    """The forked side of `_segments`: step the pass, write b"+" to `ready`
+    after each segment, and before each segment from the third on read
+    the token that frees its slot from `free`; EOF there means the parent
+    is gone.  An error goes to `ready` as b"!" and its text, then on."""
+    try:
+        for i, _ in enumerate(segments):
+            os.write(ready, b"+")
+            if 1 <= i < count - 1 and not os.read(free, 1):
+                return
+    except BaseException as exc:
+        os.write(ready, b"!" + f"{type(exc).__name__}: {exc}".encode(errors="replace"))
+        raise
+
+
+def _segments(x_max: int, size: int):
+    """(lo, hi, omega, Omega) for consecutive segments [lo, hi) covering
+    [0, x_max].  omega and Omega are int8 views that are valid only until
+    the next step of the generator.
+
+    The kernel runs ahead in one forked helper process per pass, which
+    writes each segment into one of two slots of an anonymous shared
+    mmap, so it sieves segment i + 1 while the caller folds segment i.
+    One pipe says "slot ready" (or carries the helper's error), the other
+    "slot free".  The helper leaves only through os._exit, and the
+    generator's exit, normal or not, kills and reaps it.  Where os.fork
+    does not exist, `_sieve_pass` runs in-process over private slots.
+    """
+    width = min(size, x_max + 1)
+    if not hasattr(os, "fork"):
+        yield from _sieve_pass(x_max, size, np.empty((2, 2, width), dtype=np.int8))
+        return
+    slots = np.frombuffer(mmap.mmap(-1, 4 * width), dtype=np.int8).reshape(2, 2, width)
+    starts = range(0, x_max + 1, size)
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            _helper(_sieve_pass(x_max, size, slots), len(starts), ready_w, free_r)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for i, lo in enumerate(starts):
+            hi = min(lo + size, x_max + 1)
+            status = os.read(ready_r, 1)
+            if status != b"+":
+                detail = b"".join(iter(lambda: os.read(ready_r, 4096), b""))
+                reason = detail.decode(errors="replace") if status else "the helper exited"
+                raise RuntimeError(f"sieve helper failed at segment {i} [{lo}, {hi}): {reason}")
+            yield lo, hi, slots[i % 2, 0, : hi - lo], slots[i % 2, 1, : hi - lo]
+            if i + 2 < len(starts):
+                try:
+                    os.write(free_w, b"+")
+                except BrokenPipeError:  # the helper is gone; the next read says why
+                    pass
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):
-    """Shared driver: one serial sieve pass filling the class sums and,
-    optionally, the sign fold of one real character."""
+    """Shared driver: one sieve pass (`_segments`) filling the class sums
+    and, optionally, the sign fold of one real character.  The segment
+    views are folded before the next step of the pass, the only time they
+    are valid."""
     fold = None if density_chi is None else _SignFold(cfg, density_chi)
     q = cfg.q
     cps = cfg.checkpoints
@@ -521,19 +610,20 @@ def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):
     running = np.zeros((2, q), dtype=np.int64)
     k = 0  # the next checkpoint
     eff = max(BLOCK, (cfg.segment_size // BLOCK) * BLOCK)
-    for lo, hi, omega, bomega in _segments(cfg.x_max, eff):
-        u = lo
-        while u < hi:  # class sums piece by piece, split after each checkpoint
-            at_cp = k < len(cps) and cps[k] < hi
-            v = cps[k] + 1 if at_cp else hi
-            running[0] += _fold_classes(omega[u - lo : v - lo], u, q)
-            running[1] += _fold_classes(bomega[u - lo : v - lo], u, q)
-            if at_cp:
-                sums[:, k] = running
-                k += 1
-            u = v
-        if fold is not None:
-            fold.add(lo, omega, bomega)
+    with closing(_segments(cfg.x_max, eff)) as segments:
+        for lo, hi, omega, bomega in segments:
+            u = lo
+            while u < hi:  # class sums piece by piece, split after each checkpoint
+                at_cp = k < len(cps) and cps[k] < hi
+                v = cps[k] + 1 if at_cp else hi
+                running[0] += _fold_classes(omega[u - lo : v - lo], u, q)
+                running[1] += _fold_classes(bomega[u - lo : v - lo], u, q)
+                if at_cp:
+                    sums[:, k] = running
+                    k += 1
+                u = v
+            if fold is not None:
+                fold.add(lo, omega, bomega)
     return ClassSums(q, cfg.x_max, cps, *sums), (None if fold is None else fold.result())
 
 
@@ -546,9 +636,10 @@ def factor_counts(x_max: int, segment_size: int = DEFAULT_SEGMENT) -> tuple[np.n
         raise ValueError("x_max out of range")
     omega = np.zeros(x_max + 1, dtype=np.int8)
     bomega = np.zeros(x_max + 1, dtype=np.int8)
-    for lo, hi, w, b in _segments(x_max, max(2, segment_size)):
-        omega[lo:hi] = w
-        bomega[lo:hi] = b
+    with closing(_segments(x_max, max(2, segment_size))) as segments:
+        for lo, hi, w, b in segments:
+            omega[lo:hi] = w
+            bomega[lo:hi] = b
     return omega, bomega
 
 
@@ -569,6 +660,12 @@ def combined_run(
     return _execute(cfg, chi)
 
 
+@cache
+def _roots(d: int) -> tuple[complex, ...]:
+    """exp(2 pi i e / d) for e < d, from the scalar `_root_of_unity`."""
+    return tuple(_root_of_unity(e, d) for e in range(d))
+
+
 def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
     """psi(chi) = sum_a chi(a) rows[:, a] for every row of int64 class sums
     and every character of `chis`, yielded one kernel group at a time as
@@ -586,14 +683,13 @@ def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
     exponent for the whole group, and every element takes the operations
     of its own counts, so no bit depends on the grouping.  The roots come
     from the scalar `_root_of_unity` (`np.cos` may differ in the last bit),
-    built once per order d.
+    built once per order d for the life of the process (`_roots`).
     """
     groups: dict[bytes, list[int]] = {}  # positions in `chis` by kernel {a : chi(a) = 1}
     for j, chi in enumerate(chis):
         if chi.modulus != rows.shape[1]:
             raise ValueError(f"character modulus {chi.modulus} does not match sums q={rows.shape[1]}")
         groups.setdefault((chi.value_exponents == 0).tobytes(), []).append(j)
-    roots: dict[int, list[complex]] = {}
     for group in groups.values():
         first = chis[group[0]]
         d = first.order
@@ -608,10 +704,8 @@ def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
             continue
         g = by_exp[starts[1]]  # a unit with e_chi0(g) = 1
         inv = np.array([pow(int(chis[j].value_exponents[g]), -1, d) for j in group])
-        if d not in roots:
-            roots[d] = [_root_of_unity(e, d) for e in range(d)]
         psi = np.zeros((len(rows), len(group)), dtype=np.complex128)
-        for e, root in enumerate(roots[d]):
+        for e, root in enumerate(_roots(d)):
             psi += acc[:, e * inv % d] * root
         yield group, psi
 

@@ -27,6 +27,10 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
         assert sum(result["paths"][kind].values()) == 3
     assert set(result["kernel_stages_ms"]) == {"dense", "sparse_primes", "sparse_powers", "split"}
     assert all(ms > 0 for ms in result["kernel_stages_ms"].values())
+    pipeline = result["pipeline_ms"]
+    assert pipeline["producer"] == result["sieve_segment_ms"] > 0
+    assert pipeline["consumer"] == result["fold_classes_ms"] + result["sign_fold_ms"] > 0
+    assert pipeline["bound"] == ("producer" if pipeline["producer"] >= pipeline["consumer"] else "consumer")
     assert set(result["l_value_us"]) == set(result["head_length"]) == {"q4_t200", "q163_t30"}
     assert all(us > 0 for us in result["l_value_us"].values())
     assert all(isinstance(n, int) and n >= 1 for n in result["head_length"].values())

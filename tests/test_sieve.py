@@ -1,4 +1,9 @@
 import math
+import os
+import select
+import signal
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -442,6 +447,8 @@ def test_twists_csv_any_character_order(tmp_path):
 
 
 def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
+    """A write of three blocks, one checkpoint each, calls `_root_of_unity`
+    exactly d times per complex order d: the tables outlive the blocks."""
     q = 1000
     sums = sieve_run(SieveConfig(x_max=20_000, q=q, checkpoints=(5000, 10_000, 20_000)))
     chis = enumerate_characters(q)
@@ -452,9 +459,10 @@ def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
         return _root_of_unity(e, d)
 
     monkeypatch.setattr(sieve_module, "_root_of_unity", counted)
+    monkeypatch.setattr(sieve_module, "TWIST_ELEMENTS", 2 * q)
+    sieve_module._roots.cache_clear()
     write_twists_csv(sums, chis, str(tmp_path / "twists.csv"))
-    # a fold per (x, chi) calls it once per nonzero count: tens of thousands here
-    assert len(calls) <= sum({chi.order for chi in chis})
+    assert Counter(calls) == {d: d for d in {chi.order for chi in chis if not chi.is_real}}
 
 
 def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
@@ -609,6 +617,11 @@ def _block_kind(walk):
     return "biased" if walk.min() > 0 else "unbiased" if walk.max() <= 0 else "mixed"
 
 
+def _segment_copies(x_max, size):
+    """Every segment of a pass, copied: the pass's views last one step."""
+    return [(lo, hi, w.copy(), big.copy()) for lo, hi, w, big in sieve_module._segments(x_max, size)]
+
+
 def _folds(cfg, chi, segments, start):
     """The sign fold and its reference after the same segments from the same running psi."""
     fold, ref = sieve_module._SignFold(cfg, chi), sieve_module._SignFold(cfg, chi)
@@ -644,7 +657,7 @@ def test_sign_fold_matches_reference():
     x_max = (1 << 20) + 5 * BLOCK + 1234
     counts = factor_counts(x_max)
     races = [(4, 1), (5, 2), (8, 1), (12, 3), (24, 3), (163, 81)]
-    segments = {size: list(sieve_module._segments(x_max, size)) for size in (BLOCK, 3 * BLOCK, 1 << 20)}
+    segments = {size: _segment_copies(x_max, size) for size in (BLOCK, 3 * BLOCK, 1 << 20)}
     seen = set()
     for q, index in races:
         chi = enumerate_characters(q)[index]
@@ -671,7 +684,7 @@ def test_row_test_settles_blocks_far_from_a_sign_change(chi4, segment_size, psi)
     long and so not a whole number of rows, takes the exact prefix."""
     x_max = 4 * BLOCK + 1000
     cfg = SieveConfig(x_max=x_max, q=4, checkpoints=(BLOCK // 2, 2 * BLOCK + 77, 4 * BLOCK + 500))
-    segments = list(sieve_module._segments(x_max, segment_size))
+    segments = _segment_copies(x_max, segment_size)
     fold, ref = _folds(cfg, chi4, segments, (psi, psi))
     _assert_same_bits(fold.result(), ref.result(), (segment_size, psi))
     assert (fold.row_blocks, fold.exact_blocks) == ([4, 4], [1, 1])
@@ -780,3 +793,115 @@ def test_csv_writers_roundtrip(tmp_path, chi4):
     assert tw_lines[1].startswith("x,q,chi_index")
     first = tw_lines[2].split(",")
     assert first[0] == "10" and first[2] == "1"
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", [0, 3, 6])
+def test_helper_error_names_its_segment(monkeypatch, failing):
+    """A kernel error in the helper comes back as a RuntimeError naming the
+    segment; segment 6 of [0, 6 * BLOCK] is one n long."""
+    kernel = sieve_module._sieve_segment
+
+    def broken(lo, hi, t, out=None):
+        if lo == failing * BLOCK:
+            raise ValueError("broken kernel")
+        return kernel(lo, hi, t, out)
+
+    monkeypatch.setattr(sieve_module, "_sieve_segment", broken)
+    where = rf"segment {failing} \[{failing * BLOCK}, {min((failing + 1) * BLOCK, 6 * BLOCK + 1)}\)"
+    with pytest.raises(RuntimeError, match=where + ": ValueError: broken kernel"):
+        sieve_run(SieveConfig(x_max=6 * BLOCK, q=4, segment_size=BLOCK))
+    _assert_no_child()
+
+
+def test_a_failing_consumer_leaves_no_helper(monkeypatch, chi4):
+    add = sieve_module._SignFold.add
+
+    def broken(self, lo, omega, bomega):
+        if lo == 2 * BLOCK:
+            raise KeyError("broken fold")
+        add(self, lo, omega, bomega)
+
+    monkeypatch.setattr(sieve_module._SignFold, "add", broken)
+    with pytest.raises(KeyError, match="broken fold"):
+        combined_run(SieveConfig(x_max=6 * BLOCK, q=4, segment_size=BLOCK), chi4)
+    _assert_no_child()
+
+
+def test_a_closed_pass_leaves_no_helper():
+    segments = sieve_module._segments(6 * BLOCK, BLOCK)
+    next(segments)
+    next(segments)
+    segments.close()
+    _assert_no_child()
+
+
+def test_helper_exits_within_a_segment_of_its_parent(monkeypatch):
+    """A stand-in parent takes the first segment of a 64-segment pass, waits
+    until the helper has sieved the second and waits for a free slot, and
+    is killed.  The helper, which logs the start of each segment to a pipe,
+    sieves no third: every write end of that pipe closes when the helper
+    exits, which reads as EOF here."""
+    log_r, log_w = os.pipe()
+    kernel = sieve_module._sieve_segment
+
+    def logged(lo, hi, t, out=None):
+        os.write(log_w, lo.to_bytes(8, "little"))
+        return kernel(lo, hi, t, out)
+
+    monkeypatch.setattr(sieve_module, "_sieve_segment", logged)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            segments = sieve_module._segments(64 * BLOCK - 1, BLOCK)
+            next(segments)
+            time.sleep(0.5)
+            os.kill(os.getpid(), signal.SIGKILL)
+        finally:
+            os._exit(1)
+    os.close(log_w)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    log, deadline = b"", time.monotonic() + 30
+    try:
+        while select.select([log_r], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            chunk = os.read(log_r, 4096)
+            if not chunk:
+                break
+            log += chunk
+        else:
+            pytest.fail("the helper outlived its parent by 30 s")
+    finally:
+        os.close(log_r)
+    starts = [int.from_bytes(log[i : i + 8], "little") for i in range(0, len(log), 8)]
+    assert starts in ([0], [0, BLOCK])
+
+
+@pytest.mark.parametrize("size", [2, 1 << 12, BLOCK, 1 << 20])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_forked_pass_equals_the_in_process_pass(monkeypatch, chi4, size, edge):
+    """`factor_counts` and `combined_run` through the helper, against the
+    same generator run in-process (no os.fork), with x_max on a segment
+    edge and one either side; each pass forks exactly one helper."""
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    x_counts = max(3, 4096 // size) * size + edge - 1
+    x_run = 3 * max(size, BLOCK) + edge - 1
+    cfg = SieveConfig(x_max=x_run, q=4, segment_size=size, checkpoints=(BLOCK - 1, BLOCK, x_run // 2))
+    forked = factor_counts(x_counts, size), combined_run(cfg, chi4)
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")
+    (w, big), (sums, trace) = forked
+    (ref_w, ref_big), (ref_sums, ref_trace) = factor_counts(x_counts, size), combined_run(cfg, chi4)
+    assert np.array_equal(w, ref_w) and np.array_equal(big, ref_big)
+    assert np.array_equal(sums.omega, ref_sums.omega) and np.array_equal(sums.big_omega, ref_sums.big_omega)
+    _assert_same_bits(trace, ref_trace, (size, edge))
