@@ -13,8 +13,10 @@ powers outside the pattern, and the split into omega and Omega (the
 stages after the first add into the same array again, whose values do
 not change their time).  One L-evaluation `l_value(chi, 1/2 + it)` is
 timed at q = 4 (chi 1, t = 200) and q = 163 (chi 81, t = 30), points of
-the two zero-scan workloads, with the Euler-Maclaurin head length N
-there ("l_value_us", "head_length").  "pipeline_ms" gives the two sides
+the two zero-scan workloads, and at q = 13 (chi 1, t = 100), a point of
+the small-moduli zero tables, with the Euler-Maclaurin head length N
+there and the complex exponentials one evaluation takes, one per prime
+up to (N + 1) q ("l_value_us", "head_length", "exps").  "pipeline_ms" gives the two sides
 of a pass per segment: the producer, which is the kernel with its split
 as the forked helper runs it (into a preallocated slot), and the
 consumer, which is the class fold plus the sign fold, and says which of
@@ -40,6 +42,7 @@ import time
 import numpy as np
 
 from factorrace.characters import character, enumerate_characters, real_sign_table
+from factorrace import lfunction
 from factorrace.lfunction import _truncation, l_value
 from factorrace.sieve import (
     BLOCK,
@@ -58,7 +61,7 @@ from factorrace.sieve import (
 )
 
 SEGMENT = 1 << 20
-L_POINTS = {"q4_t200": (4, 1, 200.0), "q163_t30": (163, 81, 30.0)}  # name: (q, chi index, t)
+L_POINTS = {"q4_t200": (4, 1, 200.0), "q163_t30": (163, 81, 30.0), "q13_t100": (13, 1, 100.0)}  # name: (q, chi index, t)
 
 
 def _median_ms(fn, repeat: int) -> float:
@@ -80,15 +83,17 @@ def _block_kinds(run: int, steps: np.ndarray) -> dict[str, int]:
     return {"biased": int(biased), "unbiased": int(unbiased), "mixed": len(rows) - int(biased + unbiased)}
 
 
-def _l_value_layer(repeat: int) -> tuple[dict[str, float], dict[str, int]]:
-    """Median microseconds of one l_value call, and the head length N, per L_POINTS entry."""
-    us, head = {}, {}
+def _l_value_layer(repeat: int) -> tuple[dict[str, float], dict[str, int], dict[str, int]]:
+    """Median microseconds of one l_value call, the head length N and the
+    complex exponentials of one call, per L_POINTS entry."""
+    us, head, exps = {}, {}, {}
     for name, (q, index, t) in L_POINTS.items():
         chi, s = character(q, index), complex(0.5, t)
-        l_value(chi, s)  # caches the character's shifts and weights outside the timing
+        l_value(chi, s)  # caches the character's weights and grows the factor ladder outside the timing
         us[name] = 1e3 * _median_ms(lambda: l_value(chi, s), repeat)
         head[name] = _truncation(s)[0]
-    return us, head
+        exps[name] = lfunction._LADDER.exponentials((head[name] + 1) * q)
+    return us, head, exps
 
 
 def main(argv: list[str] | None = None) -> dict:
@@ -138,7 +143,7 @@ def main(argv: list[str] | None = None) -> dict:
     }
     del word
 
-    l_value_us, head_length = _l_value_layer(args.repeat)
+    l_value_us, head_length, exps = _l_value_layer(args.repeat)
     table = np.roll(real_sign_table(chi), -lo)
     chi_n = np.tile(table, -(-(hi - lo) // q))[: hi - lo].astype(np.int64)
     slot = np.empty((2, hi - lo), dtype=np.int8)
@@ -172,6 +177,7 @@ def main(argv: list[str] | None = None) -> dict:
         },
         "l_value_us": l_value_us,
         "head_length": head_length,
+        "exps": exps,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -1,20 +1,22 @@
 """Numerical Dirichlet L-function kernel.
 
-Everything reduces to the Hurwitz zeta function via
+The Hurwitz zeta function is evaluated by the Euler-Maclaurin truncation
 
-    L(s, chi) = q^{-s} * sum_{a=1}^{q} chi(a) * zeta(s, a/q),
+    zeta(s, a) ~ sum_{k=0}^{N-1} (k+a)^{-s} + (N+a)^{-s} T(N+a, s),
+    T(z, s) = z/(s-1) + 1/2 + sum_{j=1}^{M} B_{2j}/(2j)! * (s)_{2j-1} * z^{1-2j},
 
-with zeta(s, a) evaluated by the Euler-Maclaurin truncation
+where (s)_m is the rising factorial.  With L(s, chi) = q^{-s} sum_{a=1}^{q}
+chi(a) zeta(s, a/q) and (k + a/q)^{-s} = q^{s} (kq + a)^{-s}, the factors
+q^{-s} and q^{s} cancel and the head is a Dirichlet series:
 
-    zeta(s, a) ~ sum_{k=0}^{N-1} (k+a)^{-s}
-               + (N+a)^{1-s}/(s-1) + (N+a)^{-s}/2
-               + sum_{j=1}^{M} B_{2j}/(2j)! * (s)_{2j-1} * (N+a)^{-s-2j+1},
+    L(s, chi) ~ sum_{m <= Nq} chi(m) m^{-s}
+              + sum_{a=1}^{q} chi(a) (Nq+a)^{-s} T(N + a/q, s).
 
-where (s)_m is the rising factorial.  The s-derivative is the exact
-term-wise derivative of the same truncation (a -log(k+a) factor per power,
-plus the product rule on the rising factorial), so L'(s, chi) stays
-accurate at points where L itself nearly vanishes -- finite differences
-would lose most digits there.
+The s-derivative is the exact term-wise derivative of the same truncation,
+-sum chi(m) log(m) m^{-s} for the head and (Nq+a)^{-s} (T' - log(Nq+a) T)
+for each tail, T' = dT/ds at fixed z (the product rule on the rising
+factorial), so L'(s, chi) stays accurate at points where L itself nearly
+vanishes -- finite differences would lose most digits there.
 
 M = 20 Bernoulli terms, tabulated exactly as rationals before the single
 conversion to float.  N is the smallest head length whose explicit bound
@@ -30,26 +32,42 @@ decades under its unit roundoff: the truncation never shows.  N is about
 |Im s|/2 at large height (19 at |Im s| = 30, 101 at 200, 5321 at 9999.3)
 and 8 near the real axis; the former fixed rule, ceil(1.3|Im s|) + 10
 with M = 12, took 49, 270 and 13010.  Design ceiling |Im s| <= 1e4, where
-rounding in (Im s) * log(k + a) sets the error: 3e-12 to 4e-12 relative
-at q = 4, t = 9999.3 against 30-digit mpmath (2.7e-12 with the former rule).
+rounding in (Im s) * log(m) sets the error: 4.8e-12 (L) and 1.7e-12 (L')
+relative at q = 4, t = 9999.3 against 30-digit mpmath.
 
-One kernel evaluates a whole (shift x term) block: a row per shift a,
-with the N head terms and the Euler-Maclaurin point N + a as columns, in
-whole-array numpy operations (binary64, numpy's pairwise summation along
-each row).  The rising factorials depend on s alone and are formed once
-per call, and the tail is an elementwise product summed along each row,
-so every row's bits depend on that row alone.
-`hurwitz_zeta` is its one-row case and `l_value` the chi(a)-weighted sum
-of its rows, so q = 1 reproduces `hurwitz_zeta` bit for bit.  The unit
-shifts a/q with their weights chi(a), and the root-number phase of the
-rotated function, are computed once per character (q, index) and cached.
+The (N+1) q values m^{-s}, m <= (N+1) q, come from one factor ladder per
+process (`_FactorLadder`), as n^{-s} is completely multiplicative: a
+complex exponential exp(-s log p) at each prime p, then every composite
+as the product of two smaller entries, level by level -- a balanced split
+m = d * e takes ceil(log2 Omega(m)) levels.  So an evaluation at q = 163,
+t = 30 takes 461 exponentials where a head of exp(-s log(k + a/q)) took
+(N+1) phi(q) = 3,240.  The ladder is built with numpy, without a Python
+loop over m, at the first evaluation, and grown geometrically (to the
+larger of the size asked and twice its capacity), so a process holds one,
+at most twice the largest size it was asked for; an evaluation reads the
+prefix m <= (N+1) q of each level, so its work does not depend on the
+capacity.  The ladder keeps log m for every m and three int64 positions
+per composite, about 31 bytes per entry: 15.4 MiB at q = 1000, t = 1e3
+(the zero-scan ceiling, 515,000 entries) and 25.9 MiB at q = 163,
+t = 9999.3 (867,486), up to twice that after growth; its build holds
+32 bytes per entry more while it runs, and an evaluation allocates 32
+bytes per m for m^{-s} and log(m) m^{-s}.
+
+`l_value` lays these out as N + 1 rows of q, row k holding m = kq + a for
+a = 1..q: rows 0..N-1 are the head, row N the tail points Nq + a, and
+the weights chi(a) (0 off the units) are one row, so both sums are one
+matrix-vector product.  The tail coefficients depend on s alone and are
+formed once per call, and the real powers z^e = exp(e log z) meet them
+as one real product.  `hurwitz_zeta` takes a real shift a, so it keeps
+its own head of exp(-s log(k + a)) and shares the truncation and the
+tail.  The weights chi(a), and the root-number phase of the rotated
+function, are computed once per character (q, index) and cached.
 
 `_loggamma` shifts z up to |z| >= 15 through one running product, sums
 Stirling's series with B_2..B_16 (first omitted term < 1e-20) by Horner's
 rule in 1/z^2 and subtracts the product's log: log Gamma modulo 2 pi i,
 all the callers need, as they use exp(log Gamma) and exp(i Im log Gamma).
 """
-
 from __future__ import annotations
 
 import cmath
@@ -89,15 +107,13 @@ def _bernoulli_even_floats(count: int) -> tuple[float, ...]:
 _B_EVEN = _bernoulli_even_floats(_BERNOULLI_ORDER)
 # coefficient B_{2j} / (2j)! for j = 1..M
 _EM_COEFF = tuple(b / math.factorial(2 * j) for j, b in enumerate(_B_EVEN, start=1))
-# exponents e of z^e in the tail terms of _hurwitz_block: 1, 0, then -(2j - 1)
+# exponents e of z^e in the tail terms of the truncation: 1, 0, then -(2j - 1)
 _TAIL_EXPONENTS = np.array([1.0, 0.0] + [-(2.0 * j - 1) for j in range(1, _BERNOULLI_ORDER + 1)])
 # log of 2 zeta(2M+1) / (2 pi)^{2M+1}, the constant of the remainder bound,
 # with zeta(2M+1) < 1 + 2^{-2M}
 _LOG_REMAINDER_CONST = math.log(2 + 2.0 ** (1 - 2 * _BERNOULLI_ORDER)) - math.log(2 * math.pi) * (
     2 * _BERNOULLI_ORDER + 1
 )
-# cap on rows * terms of one block, so memory stays bounded at large q * |Im s|
-_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,12 +122,13 @@ class LValue:
     derivative: complex
 
 
-def hurwitz_zeta(s: complex, a: float) -> tuple[complex, complex]:
-    """(zeta(s, a), d/ds zeta(s, a)) for Re s > 0, s != 1, a in (0, 1]."""
-    if not 0 < a <= 1:
-        raise ValueError(f"require a in (0, 1], got {a}")
-    val, der = _hurwitz_block(complex(s), np.array([float(a)]))
-    return complex(val[0]), complex(der[0])
+def _check_domain(s: complex) -> None:
+    if s == 1:
+        raise ValueError("zeta(s, a) has a pole at s = 1")
+    if s.real <= 0:
+        raise ValueError(f"require Re s > 0, got {s}")
+    if abs(s.imag) > MAX_IM:
+        raise ValueError(f"|Im s| exceeds design ceiling {MAX_IM}")
 
 
 def _head_length(s: complex, rising: float) -> int:
@@ -140,7 +157,7 @@ def _truncation(s: complex) -> tuple[int, np.ndarray]:
 
     Every tail term is z^{-s} * c * z^e with z = N + a and c depending on s
     alone, so the coefficients c of the powers z^e, e in _TAIL_EXPONENTS,
-    are formed once per call: row 0 for the value, row 1 for the
+    are formed once per call: column 0 for the value, column 1 for the
     s-derivative.  The rising factorial they run through gives the
     |(s)_{2M+1}| of the remainder bound.
     """
@@ -159,68 +176,157 @@ def _truncation(s: complex) -> tuple[int, np.ndarray]:
         val.append(c * p)
         der.append(c * dp)
     f = s + (2 * _BERNOULLI_ORDER - 1)
-    return _head_length(s, abs(p * f * (f + 1))), np.array([val, der])
+    coef = np.empty((len(val), 2), dtype=np.complex128)
+    coef[:, 0], coef[:, 1] = val, der
+    return _head_length(s, abs(p * f * (f + 1))), coef
 
 
-def _hurwitz_block(s: complex, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row a of `shifts`: zeta(s, a) and its s-derivative.
+def _brackets(z: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail brackets at each point z: tv with z^{-s} tv the tail of the
+    value, and td with z^{-s} (td - log(z) tv) the tail of the s-derivative.
 
-    The (row x term) block is evaluated in whole-array operations, at most
-    _BLOCK_ELEMENTS entries at a time.  Every sum runs along one row, so a
-    row's bits depend neither on the block cap nor on the other shifts.
+    The powers are real, z^e = exp(e log z), so they meet the complex
+    coefficients as one real product with their (re, im) pairs.
     """
-    if s == 1:
-        raise ValueError("zeta(s, a) has a pole at s = 1")
-    if s.real <= 0:
-        raise ValueError(f"require Re s > 0, got {s}")
-    if abs(s.imag) > MAX_IM:
-        raise ValueError(f"|Im s| exceeds design ceiling {MAX_IM}")
+    powers = np.exp(np.log(z)[:, None] * _TAIL_EXPONENTS)
+    return np.dot(powers, coef.view(np.float64)).view(np.complex128).T
 
+
+def hurwitz_zeta(s: complex, a: float) -> tuple[complex, complex]:
+    """(zeta(s, a), d/ds zeta(s, a)) for Re s > 0, s != 1, a in (0, 1]."""
+    if not 0 < a <= 1:
+        raise ValueError(f"require a in (0, 1], got {a}")
+    s = complex(s)
+    _check_domain(s)
     n, coef = _truncation(s)
-    cols = np.arange(n + 1, dtype=np.float64)  # column n is the Euler-Maclaurin point z
-    val = np.empty(len(shifts), dtype=np.complex128)
-    der = np.empty_like(val)
-    step = max(1, _BLOCK_ELEMENTS // (n + 1))
-    for lo in range(0, len(shifts), step):
-        rows = slice(lo, lo + step)
-        logk = np.log(shifts[rows, None] + cols)
-        terms = np.exp(-s * logk)
-        lz = logk[:, n]
-        zp = terms[:, n]  # z^{-s}
-        powers = (shifts[rows, None, None] + n) ** _TAIL_EXPONENTS
-        tv, td = (powers * coef).sum(axis=2).T  # brackets of the tail value and of its s-derivative
-        val[rows] = terms[:, :n].sum(axis=1) + zp * tv
-        der[rows] = zp * (td - lz * tv) - (logk[:, :n] * terms[:, :n]).sum(axis=1)
-    return val, der
+    logk = np.log(float(a) + np.arange(n + 1.0))  # entry n is the Euler-Maclaurin point z
+    terms = np.exp(-s * logk)
+    [tv], [td] = _brackets(np.array([float(a) + n]), coef)
+    value = terms[:n].sum() + terms[n] * tv
+    derivative = terms[n] * (td - logk[n] * tv) - (logk[:n] * terms[:n]).sum()
+    return complex(value), complex(derivative)
+
+
+class _FactorLadder:
+    """m^{-s} for m = 1..size, with complex exponentials at the primes alone.
+
+    Built once for every m up to its capacity and grown geometrically
+    (to the larger of the size asked and twice the capacity), so a process
+    holds one ladder, at most twice the largest size it was asked for.
+    Level 0 is the primes; a composite m with Omega(m) prime factors sits
+    on level ceil(log2 Omega(m)), as the product d * e of a divisor d with
+    ceil(Omega/2) and e = m / d with floor(Omega/2) prime factors, both on
+    lower levels.  Each level holds the positions m - 1 of its entries,
+    ascending in m, and those of their factors d and e as one two-row
+    array, so an evaluation of size L takes the prefix m <= L of each and
+    its work is proportional to L, not to the capacity.
+    """
+
+    def __init__(self) -> None:
+        self.capacity = 0  # built lazily, at the first evaluation
+
+    def _build(self, capacity: int) -> None:
+        m = np.arange(capacity + 1)
+        spf = np.zeros(capacity + 1, dtype=np.intp)  # smallest prime factor
+        for p in range(math.isqrt(capacity), 1, -1):  # a smaller p overwrites its multiples later
+            spf[p * p :: p] = p
+        prime = spf == 0
+        spf[prime] = m[prime]  # the primes (and 0, 1) are their own smallest factor
+        omega = np.zeros(capacity + 1, dtype=np.intp)  # Omega(m)
+        half = np.ones(capacity + 1, dtype=np.intp)  # a divisor of m with floor(Omega(m)/2) prime factors
+        lo = 2
+        while lo <= capacity:  # [lo, 2 lo): m / spf(m) < lo is done
+            hi = min(2 * lo, capacity + 1)
+            p = spf[lo:hi]
+            rest = m[lo:hi] // p
+            omega[lo:hi] = omega[rest] + 1
+            half[lo:hi] = half[rest] * np.where(omega[lo:hi] % 2, 1, p)
+            lo = hi
+        self.logs = np.log(np.arange(1, capacity + 1, dtype=np.float64))  # log m at position m - 1
+        self.prime_positions = np.flatnonzero(omega == 1) - 1
+        self.prime_logs = self.logs[self.prime_positions]
+        self.levels = []
+        top, largest = 1, omega.max()
+        while top < largest:  # the level of top < Omega(m) <= 2 top
+            at = np.flatnonzero((omega - 1) // top == 1)
+            e = half[at]
+            self.levels.append((at - 1, np.stack([at // e, e]) - 1))
+            top *= 2
+        self.capacity = capacity
+        self._plans = {}
+
+    def _plan(self, size: int):
+        """The primes and each level's prefix of m <= size, as views kept per
+        size (about 1.3 kB each; a scan meets one size per head length)."""
+        if size > self.capacity:
+            self._build(max(size, 2 * self.capacity))
+        plan = self._plans.get(size)
+        if plan is None:
+            k = self.prime_positions.searchsorted(size)
+            steps = []
+            for at, factors in self.levels:
+                c = at.searchsorted(size)
+                if not c:
+                    break
+                steps.append((at[:c], factors[:, :c]))
+            plan = self._plans[size] = (self.prime_positions[:k], self.prime_logs[:k], steps)
+        return plan
+
+    def exponentials(self, size: int) -> int:
+        """The number of complex exponentials an evaluation of this size takes."""
+        return len(self._plan(size)[0])
+
+    def fill(self, out: np.ndarray, s: complex) -> None:
+        """out[m - 1] = m^{-s} for m = 1..len(out)."""
+        primes, logs, steps = self._plan(len(out))
+        out[0] = 1.0
+        out[primes] = np.exp(-s * logs)
+        for at, factors in steps:
+            pair = out.take(factors)
+            out[at] = pair[0] * pair[1]
+
+
+_LADDER = _FactorLadder()
 
 
 @lru_cache(maxsize=None)
 def _shifts_and_weights(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
-    """Shifts a/q over the units a in [1, q] and the weights chi(a), cached per (q, index)."""
+    """Shifts a/q and weights chi(a) (0 off the units) for a = 1..q, cached per (q, index)."""
     q = chi.modulus
-    units = [a for a in range(1, q + 1) if chi.value_exponents[a % q] >= 0]
-    shifts = np.array([a / q for a in units])
-    weights = np.array([_root_of_unity(int(chi.value_exponents[a % q]), chi.order) for a in units])
+    shifts = np.arange(1, q + 1) / q
+    weights = np.array(
+        [_root_of_unity(int(e), chi.order) if e >= 0 else 0j for e in np.roll(chi.value_exponents, -1)]
+    )
     shifts.setflags(write=False)
     weights.setflags(write=False)
     return shifts, weights
 
 
 def l_value(chi: DirichletCharacter, s: complex) -> LValue:
-    """L(s, chi) and L'(s, chi) via the Hurwitz-zeta decomposition.
+    """L(s, chi) and L'(s, chi) as a Dirichlet series head plus the
+    Euler-Maclaurin tails (module docstring).
 
-    For q = 1 this collapses to the Riemann zeta path, identically.
+    The (N+1) q values m^{-s} form N + 1 rows of q: row k holds
+    m = kq + a, a = 1..q, so the weights chi(a) are one row, the head is
+    rows 0..N-1 and row N holds the tail points Nq + a.
     """
     s = complex(s)
     if chi.is_principal and s == 1:
         raise ValueError("L(s, chi0) has a pole at s = 1")
+    _check_domain(s)
+    n, coef = _truncation(s)
     shifts, weights = _shifts_and_weights(chi)
-    val, der = _hurwitz_block(s, shifts)
-    lq = math.log(chi.modulus)
-    qs = cmath.exp(-s * lq)
-    value = qs * complex(weights @ val)
-    derivative = -lq * value + qs * complex(weights @ der)
-    return LValue(value=value, derivative=derivative)
+    q = chi.modulus
+    size = (n + 1) * q
+    table = np.empty((2, size), dtype=np.complex128)  # m^{-s} and log(m) m^{-s}
+    _LADDER.fill(table[0], s)
+    np.multiply(_LADDER.logs[:size], table[0], out=table[1])
+    rows = table.reshape(2, n + 1, q)
+    tv, td = _brackets(n + shifts, coef)
+    rows[1, n] = rows[1, n] * tv - rows[0, n] * td
+    rows[0, n] *= tv
+    value, derivative = (rows @ weights).sum(axis=1)
+    return LValue(value=complex(value), derivative=-complex(derivative))
 
 
 def _loggamma(z: complex) -> complex:

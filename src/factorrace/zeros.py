@@ -59,7 +59,7 @@ __all__ = [
     "cache_filename",
 ]
 
-FORMAT_VERSION = "2"  # "1": caches of the fixed-rule Euler-Maclaurin kernel
+FORMAT_VERSION = "3"  # "1": the fixed-rule Euler-Maclaurin kernel; "2": the Hurwitz block kernel
 MAX_SCAN_HEIGHT = 1.0e3
 MAX_REFINE_STEPS = 64
 MIN_ZERO_GAP = 1e-6

@@ -151,22 +151,19 @@ def test_refuses_another_characters_zero_cache(tmp_path, capsys, cmd, target):
     assert target_file.read_text().startswith(f"# q=5 chi={target} T=15 ")
 
 
-def test_a_cache_of_another_kernel_version_is_rescanned_or_refused(tmp_path, capsys):
-    """A cache whose header carries another format version (written by
-    another L-kernel) is refused by `compare` and `density` (exit 4) and
-    rescanned by `zeros` and `all`, so two kernels' bits never mix."""
+def _check_stale_version(tmp_path, capsys, version):
     out = tmp_path / "o"
     assert run(out, "sieve") == 0
     assert run(out, "zeros") == 0
     path = out / "zeros_q4_chi1.csv"
     fresh = path.read_bytes()
-    stale = fresh.replace(f"version={FORMAT_VERSION}\n".encode(), b"version=1\n", 1)
+    stale = fresh.replace(f"version={FORMAT_VERSION}\n".encode(), f"version={version}\n".encode(), 1)
     assert stale != fresh
     for cmd in ("compare", "density"):
         path.write_bytes(stale)
         capsys.readouterr()
         assert run(out, cmd) == cli.EXIT_IO
-        assert "version '1'" in capsys.readouterr().err
+        assert f"version '{version}'" in capsys.readouterr().err
         assert not (out / "meansq.csv").exists() and not (out / "mc.csv").exists()
     for cmd in ("zeros", "all"):
         path.write_bytes(stale)
@@ -174,6 +171,20 @@ def test_a_cache_of_another_kernel_version_is_rescanned_or_refused(tmp_path, cap
         assert run(out, cmd) == 0
         assert "cached" not in capsys.readouterr().out
         assert path.read_bytes() == fresh
+
+
+def test_a_cache_of_another_kernel_version_is_rescanned_or_refused(tmp_path, capsys):
+    """A cache whose header carries another format version (written by
+    another L-kernel) is refused by `compare` and `density` (exit 4) and
+    rescanned by `zeros` and `all`, so two kernels' bits never mix."""
+    _check_stale_version(tmp_path, capsys, "1")
+
+
+def test_a_cache_of_the_hurwitz_block_kernel_is_rescanned_or_refused(tmp_path, capsys):
+    """Version 2, the caches of the per-residue Hurwitz block kernel that
+    the Dirichlet series head replaced, is refused and rescanned alike."""
+    assert FORMAT_VERSION == "3"
+    _check_stale_version(tmp_path, capsys, "2")
 
 
 def test_compare_refuses_a_truncated_twists_row(tmp_path, capsys):
@@ -294,16 +305,16 @@ def test_run_below_x_2_compares_nothing(tmp_path, cmd, xmax):
 GOLDEN_RUN = ["all", "--q", "24", "--chi", "all", "--xmax", "20000", "--T", "15", "--T0", "15", "--trials", "1000"]
 GOLDEN_SHA256 = {
     "checkpoints.csv": "424b1faaae06d27437161f15d4c4457210f395a5600d4f2d28904645a2dc7003",
-    "compare_Omega_q24_chi3_T15.csv": "a91794a445ed96f4c2fac889cdf6f9faf472d62bd92ae0151b26da516527094c",
-    "compare_Omega_q24_chi7_T15.csv": "d29adeb9462c1af086964cc975448d1125434923bcbd69680ba944cb533df69e",
-    "compare_omega_q24_chi3_T15.csv": "6e738558537c657a4de07b3486fd5a5dc93a425ab2746734e513028428060cda",
-    "compare_omega_q24_chi7_T15.csv": "030473d1d47afb7d22cb015d157b1c1547d3e7ab9fb118a0b73c0c3a2d0248fb",
+    "compare_Omega_q24_chi3_T15.csv": "ee0bd7f52e3277ae29d6a5169480efe2c39e770d88db15892677af412ecd072f",
+    "compare_Omega_q24_chi7_T15.csv": "9a096db0fbc1931d25809e39b2546683fe8825e96a12cd3e8068feb269af27d5",
+    "compare_omega_q24_chi3_T15.csv": "94ba27b3e1c2b466365408c6ef6b344052220d89fba48c25160c024ba36ec246",
+    "compare_omega_q24_chi7_T15.csv": "7e71b14165d5d84ed37d39555a9f12dad2ca5dc95113b8d53708cf3da34311c6",
     "density.csv": "8c8b1a70e70d9da1aaf11494138b5f623feb1d72e07cd7d9591473aa26dd0e03",
     "mc.csv": "c0574e2c1fc66d2725dab9c952f3cdf5bb1ddebfc64098d21f94bdcd861236c7",
-    "meansq.csv": "649f0c23f59d976d10d3d31f4f4d95a5ab22ef79be6a607ed1143b53334a2f37",
+    "meansq.csv": "f27fc8193e2b52b5ed484717dffb59e8b5d7466c7a4cf836565b62c551286ad6",
     "twists.csv": "d7d526360b316ea3e8737251b80732306dd36185c61c8a23dea1b76a2091ab65",
-    "zeros_q24_chi3.csv": "98078df532e9912f9ca557654b34e512003ee737f4d6ea426a61b406ada1c851",
-    "zeros_q24_chi7.csv": "1d2e0dd5c9d000d29329eaf337019860d98ac23efbe71f074aff5c5dd8be4327",
+    "zeros_q24_chi3.csv": "c02043fe56657a6e443c16ce42bccf346cd51fa1bf23d140fa98fef64b81cc5d",
+    "zeros_q24_chi7.csv": "0e8d033d32fd2e3b2169d2ee320874295f98e8b3360a0a57d4f048e29edf8ab4",
 }
 
 

@@ -1,7 +1,8 @@
-"""scripts/layer_times.py at tiny sizes, so a rename of the private sieve
-names it imports fails here rather than in the script."""
+"""scripts/layer_times.py at tiny sizes, so a rename of the private sieve and
+L-kernel names it imports fails here rather than in the script."""
 
 import importlib.util
+import math
 import pathlib
 
 import pytest
@@ -31,9 +32,13 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     assert pipeline["producer"] == result["sieve_segment_ms"] > 0
     assert pipeline["consumer"] == result["fold_classes_ms"] + result["sign_fold_ms"] > 0
     assert pipeline["bound"] == ("producer" if pipeline["producer"] >= pipeline["consumer"] else "consumer")
-    assert set(result["l_value_us"]) == set(result["head_length"]) == {"q4_t200", "q163_t30"}
+    points = {"q4_t200": 4, "q163_t30": 163, "q13_t100": 13}  # name: q
+    assert set(result["l_value_us"]) == set(result["head_length"]) == set(result["exps"]) == set(points)
     assert all(us > 0 for us in result["l_value_us"].values())
     assert all(isinstance(n, int) and n >= 1 for n in result["head_length"].values())
+    for name, q in points.items():  # one exponential per prime up to (N + 1) q
+        size = (result["head_length"][name] + 1) * q
+        assert result["exps"][name] == sum(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in range(2, size + 1))
     assert '"sign_fold_ms"' in capsys.readouterr().out
 
 

@@ -1,6 +1,9 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +11,10 @@ import pytest
 from factorrace import lfunction
 from factorrace.characters import character, conjugate_character, enumerate_characters, root_number
 from factorrace.lfunction import (
+    _FactorLadder,
     _head_length,
-    _hurwitz_block,
     _loggamma,
+    _truncation,
     completed_lambda,
     hurwitz_zeta,
     l_value,
@@ -80,13 +84,25 @@ def test_l_prime_chi4_at_half_against_series_oracle(chi4):
     assert abs(lv.derivative - beta_prime_chi4(0.5)) < 1e-10
 
 
-def test_l_mod1_collapses_to_hurwitz():
+def test_l_mod1_agrees_with_hurwitz_and_mpmath():
+    """q = 1: the Dirichlet series head of `l_value` and the one-row head of
+    `hurwitz_zeta` sum the same terms m^{-s} in different roundings, so they
+    agree within rounding (the floor of `_rounding_floor`), and both meet
+    30-digit mpmath within the 1.3e-12 gate of `test_l_value_against_mpmath`."""
+    import mpmath
+
     chi1 = enumerate_characters(1)[0]
-    for s in (2.0, 0.5, complex(0.7, 3.3)):
+    for s in (2.0, 0.5, complex(0.7, 3.3), complex(0.5, 30.0)):
         z, dz = hurwitz_zeta(s, 1.0)
         lv = l_value(chi1, s)
-        assert lv.value == z
-        assert lv.derivative == dz
+        floor = _rounding_floor(s, 1)
+        assert abs(lv.value - z) <= floor * max(1.0, abs(z)), s
+        assert abs(lv.derivative - dz) <= floor * max(1.0, abs(dz)), s
+        with mpmath.workdps(30):
+            ref, dref = complex(mpmath.zeta(s)), complex(mpmath.zeta(s, 1, 1))
+        for v, d in ((z, dz), (lv.value, lv.derivative)):
+            assert abs(v - ref) / max(1.0, abs(ref)) <= 1.3e-12, s
+            assert abs(d - dref) / max(1.0, abs(dref)) <= 1.3e-12, s
 
 
 def test_l_principal_pole():
@@ -228,10 +244,11 @@ def test_mp_oracle_is_mpmath_dirichlet(chi4):
     [
         (4, (1,), (0.3, 14.1, 200.0, 999.0)),
         (5, (1,), (0.3, 14.1, 200.0, 999.0)),
+        (13, (1,), (0.3, 14.1, 200.0, 999.0)),
         # mpmath takes seconds per Hurwitz sum at q = 163, so lower heights only
         (163, (81, 5), (0.3, 14.1, 30.0)),
     ],
-    ids=["q4", "q5", "q163"],
+    ids=["q4", "q5", "q13", "q163"],
 )
 def test_l_value_against_mpmath(q, indices, heights):
     """Relative error (to max(1, |.|)) of L and L' at 1/2 + it against 20-digit mpmath."""
@@ -293,30 +310,102 @@ def test_head_length_is_the_shortest_that_meets_the_bound(t):
     assert n == 1 or _remainder_bound(s, n - 1, (2 * m + 1) / abs(s)) > target
 
 
+def _rounding_floor(s, q):
+    """Rounding allowance, relative to max(1, |.|), for an evaluation whose
+    doubled head runs to size = (2N + 1) q: the sum of the terms m^{-1/2},
+    whose partial sums reach about 2 sqrt(size) before they cancel near the
+    real axis, and the phases t * log(m), each rounded by about u * |t| * log(m)."""
+    n, _ = _truncation(complex(s))
+    size = (2 * n + 1) * q
+    return 4e-16 * (2 * math.sqrt(size) + abs(complex(s).imag) * math.log(size))
+
+
 @pytest.mark.parametrize("t", [0.3, 30.0, 999.0])
 def test_a_longer_head_changes_nothing_above_rounding(monkeypatch, t):
-    """Doubling N moves zeta(s, a) and its derivative only by rounding,
-    which grows with t through the phases t * log(k + a); a head at half
-    of N moves them by 6e-11 to 2e-9 here."""
+    """Doubling N moves L, zeta(s, a) and their derivatives only by rounding:
+    for L the floor of `_rounding_floor`, for zeta(s, a) over the shifts
+    4e-16 max(1, t) of their largest value, as rounding grows with t
+    through the phases t * log(k + a).  A head at half of N moves them by
+    7e-12 to 8e-10 here, at least 16 times either floor."""
     s = complex(0.5, t)
-    shifts = np.array([1 / 163, 0.25, 0.5, 1.0])
-    val, der = _hurwitz_block(s, shifts)
+    chars = [character(4, 1), character(163, 81)]
+    shifts = (1 / 163, 0.25, 0.5, 1.0)
+
+    def evaluate():
+        lvs = [l_value(chi, s) for chi in chars]
+        return [(lv.value, lv.derivative) for lv in lvs], np.array([hurwitz_zeta(s, a) for a in shifts])
+
+    lvs, zetas = evaluate()
+    floors = [_rounding_floor(s, chi.modulus) for chi in chars]
     short = lfunction._head_length
     monkeypatch.setattr(lfunction, "_head_length", lambda s, rising: 2 * short(s, rising))
-    val2, der2 = _hurwitz_block(s, shifts)
+    lvs2, zetas2 = evaluate()
+    for chi, floor, pair, pair2 in zip(chars, floors, lvs, lvs2):
+        for v, v2 in zip(pair, pair2):
+            assert abs(v - v2) <= floor * max(1.0, abs(v)), (chi, t)
     floor = 4e-16 * max(1.0, t)
-    assert np.abs(val - val2).max() <= floor * np.abs(val).max()
-    assert np.abs(der - der2).max() <= floor * np.abs(der).max()
+    assert (np.abs(zetas - zetas2).max(axis=0) <= floor * np.abs(zetas).max(axis=0)).all()
 
 
-@pytest.mark.parametrize("cap", [None, 40, 1000])
-def test_hurwitz_block_rows_depend_on_their_row_alone(monkeypatch, cap):
-    """Every row equals its one-row call bit for bit, whatever the block cap."""
-    shifts = np.array([a / 163 for a in range(1, 164)])
-    if cap is not None:
-        monkeypatch.setattr(lfunction, "_BLOCK_ELEMENTS", cap)
-    for s in (complex(0.5, 30.0), complex(0.5, 0.3), complex(2.0, -7.5)):
-        val, der = _hurwitz_block(s, shifts)
-        for a, v, d in zip(shifts, val, der):
-            v1, d1 = _hurwitz_block(s, np.array([a]))
-            assert (v1[0], d1[0]) == (v, d), (s, a)
+@pytest.mark.parametrize("q", [4, 163])
+@pytest.mark.parametrize("t", [0.3, 30.0, 999.0])
+def test_ladder_powers_against_exponentials(q, t):
+    """Every m^{-s} of the factor ladder, m <= (N + 1) q, against
+    exp(-s log m) in long double: within 4 u (1 + |t| log m) of |m^{-s}|.
+
+    A prime's exponential rounds its phase t * log p once; a product of
+    two lower entries adds their phase errors, which sum to about
+    u * |t| * log m, and one rounding of its own.  Measured here: at most
+    2.1 u (1 + |t| log m).  Where long double is binary64 the reference
+    rounds as much again, still within the bound.
+    """
+    s = complex(0.5, t)
+    n, _ = _truncation(s)
+    size = (n + 1) * q
+    powers = np.empty(size, dtype=np.complex128)
+    _FactorLadder().fill(powers, s)
+    m = np.arange(1, size + 1)
+    log_m = np.log(m.astype(np.longdouble))
+    magnitude, phase = np.exp(-0.5 * log_m), t * log_m
+    err = np.hypot(
+        (powers.real - magnitude * np.cos(phase)).astype(np.float64),
+        (powers.imag + magnitude * np.sin(phase)).astype(np.float64),
+    )
+    bound = 4 * 2.0**-53 * (1 + t * np.log(m)) * np.abs(powers)
+    assert (err <= bound).all(), (m[err > bound][:5], (err / bound).max())
+
+
+def test_one_ladder_at_most_twice_the_largest_size(monkeypatch):
+    """Evaluations at several heights and moduli leave one ladder, whose
+    capacity lies between the largest (N + 1) q asked for and twice it;
+    what each size uses of it are views, never copies."""
+    ladder = _FactorLadder()
+    monkeypatch.setattr(lfunction, "_LADDER", ladder)
+    largest = 0
+    for q, index, t in ((4, 1, 14.1), (163, 81, 0.3), (4, 1, 200.0), (13, 1, 100.0), (163, 81, 30.0), (5, 1, 60.0)):
+        s = complex(0.5, t)
+        l_value(character(q, index), s)
+        largest = max(largest, (_truncation(s)[0] + 1) * q)
+        assert lfunction._LADDER is ladder
+        assert largest <= ladder.capacity <= 2 * largest, (q, t)
+    assert len(ladder.logs) == ladder.capacity
+    owned = [ladder.logs, ladder.prime_positions, ladder.prime_logs] + [a for level in ladder.levels for a in level]
+    assert sum(a.nbytes for a in owned) <= 32 * ladder.capacity
+    for primes, logs, steps in ladder._plans.values():
+        assert np.shares_memory(primes, ladder.prime_positions) and np.shares_memory(logs, ladder.prime_logs)
+        for (at, factors), (level_at, level_factors) in zip(steps, ladder.levels):
+            assert np.shares_memory(at, level_at) and np.shares_memory(factors, level_factors)
+
+
+def test_the_ladder_is_not_built_at_import():
+    code = (
+        "import factorrace, factorrace.cli\n"
+        "from factorrace import lfunction\n"
+        "assert lfunction._LADDER.capacity == 0\n"
+        "lfunction.l_value(factorrace.character(4, 1), 0.5 + 14j)\n"
+        "assert lfunction._LADDER.capacity == (lfunction._truncation(0.5 + 14j)[0] + 1) * 4\n"
+    )
+    src = os.path.dirname(os.path.dirname(lfunction.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
