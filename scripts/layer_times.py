@@ -16,7 +16,10 @@ timed at q = 4 (chi 1, t = 200) and q = 163 (chi 81, t = 30), points of
 the two zero-scan workloads, and at q = 13 (chi 1, t = 100), a point of
 the small-moduli zero tables, with the Euler-Maclaurin head length N
 there and the complex exponentials one evaluation takes, one per prime
-up to (N + 1) q ("l_value_us", "head_length", "exps").  "pipeline_ms" gives the two sides
+up to (N + 1) q ("l_value_us", "head_length", "exps").  "scan" splits one
+zero scan (q = 163, chi 81, T = `--scan-t`, the `q163_zeros` point at the
+default T = 30) into its grid, its rescans of the dips and its refinement:
+the L-evals and seconds of each, and L-evals per zero found.  "pipeline_ms" gives the two sides
 of a pass per segment: the producer, which is the kernel with its split
 as the forked helper runs it (into a preallocated slot), and the
 consumer, which is the class fold plus the sign fold, and says which of
@@ -42,7 +45,7 @@ import time
 import numpy as np
 
 from factorrace.characters import character, enumerate_characters, real_sign_table
-from factorrace import lfunction
+from factorrace import lfunction, zeros
 from factorrace.lfunction import _truncation, l_value
 from factorrace.sieve import (
     BLOCK,
@@ -96,6 +99,51 @@ def _l_value_layer(repeat: int) -> tuple[dict[str, float], dict[str, int], dict[
     return us, head, exps
 
 
+def _scan_layer(t_max: float) -> dict:
+    """L-evals and seconds of the grid, the dip rescans and the refinement of
+    scan_zeros(chi 81 mod 163, t_max), counted at `zeros.l_value`."""
+    evals = dict.fromkeys(("grid", "rescan", "refine"), 0)
+    seconds = dict.fromkeys(evals, 0.0)
+    phase = []  # the layer running now: a grid at step scale 1, a finer one, or _refine
+    originals = {name: getattr(zeros, name) for name in ("l_value", "_scan_grid", "_refine")}
+
+    def timed(layer, fn, *args):
+        phase.append(layer)
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            seconds[layer] += time.perf_counter() - t0
+            phase.pop()
+
+    def counted_l_value(*args):
+        evals[phase[-1]] += 1
+        return originals["l_value"](*args)
+
+    def scan_grid(chi, t_lo, t_hi, step_scale=1.0):
+        return timed("grid" if step_scale == 1.0 else "rescan", originals["_scan_grid"], chi, t_lo, t_hi, step_scale)
+
+    zeros.l_value = counted_l_value
+    zeros._scan_grid = scan_grid
+    zeros._refine = lambda *args: timed("refine", originals["_refine"], *args)
+    try:
+        t0 = time.perf_counter()
+        found = zeros.scan_zeros(character(163, 81), t_max).count
+        total_s = time.perf_counter() - t0
+    finally:
+        for name, fn in originals.items():
+            setattr(zeros, name, fn)
+    return {
+        "q": 163,
+        "chi_index": 81,
+        "t_max": t_max,
+        "zeros": found,
+        "evals": evals,
+        "evals_per_zero": sum(evals.values()) / found if found else 0.0,
+        "seconds": {**seconds, "total": total_s},
+    }
+
+
 def main(argv: list[str] | None = None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--xmax", type=int, default=100_000_000)
@@ -105,6 +153,7 @@ def main(argv: list[str] | None = None) -> dict:
     )
     ap.add_argument("--lo", type=int, default=48 * SEGMENT, help="segment start, a multiple of 2^16")
     ap.add_argument("--repeat", type=int, default=15)
+    ap.add_argument("--scan-t", type=float, default=30.0, help="height T of the q=163 zero scan")
     args = ap.parse_args(argv)
     x_max, q, lo = args.xmax, args.q, args.lo
     if lo % BLOCK or not 0 <= lo <= x_max:
@@ -178,6 +227,7 @@ def main(argv: list[str] | None = None) -> dict:
         "l_value_us": l_value_us,
         "head_length": head_length,
         "exps": exps,
+        "scan": _scan_layer(args.scan_t),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -183,8 +183,14 @@ def test_a_cache_of_another_kernel_version_is_rescanned_or_refused(tmp_path, cap
 def test_a_cache_of_the_hurwitz_block_kernel_is_rescanned_or_refused(tmp_path, capsys):
     """Version 2, the caches of the per-residue Hurwitz block kernel that
     the Dirichlet series head replaced, is refused and rescanned alike."""
-    assert FORMAT_VERSION == "3"
     _check_stale_version(tmp_path, capsys, "2")
+
+
+def test_a_cache_of_the_illinois_refinement_is_rescanned_or_refused(tmp_path, capsys):
+    """Version 3, the caches whose gammas came from Illinois regula falsi
+    before the Newton refinement moved them, is refused and rescanned alike."""
+    assert FORMAT_VERSION == "4"
+    _check_stale_version(tmp_path, capsys, "3")
 
 
 def test_compare_refuses_a_truncated_twists_row(tmp_path, capsys):
@@ -305,16 +311,16 @@ def test_run_below_x_2_compares_nothing(tmp_path, cmd, xmax):
 GOLDEN_RUN = ["all", "--q", "24", "--chi", "all", "--xmax", "20000", "--T", "15", "--T0", "15", "--trials", "1000"]
 GOLDEN_SHA256 = {
     "checkpoints.csv": "424b1faaae06d27437161f15d4c4457210f395a5600d4f2d28904645a2dc7003",
-    "compare_Omega_q24_chi3_T15.csv": "ee0bd7f52e3277ae29d6a5169480efe2c39e770d88db15892677af412ecd072f",
-    "compare_Omega_q24_chi7_T15.csv": "9a096db0fbc1931d25809e39b2546683fe8825e96a12cd3e8068feb269af27d5",
-    "compare_omega_q24_chi3_T15.csv": "94ba27b3e1c2b466365408c6ef6b344052220d89fba48c25160c024ba36ec246",
-    "compare_omega_q24_chi7_T15.csv": "7e71b14165d5d84ed37d39555a9f12dad2ca5dc95113b8d53708cf3da34311c6",
+    "compare_Omega_q24_chi3_T15.csv": "9d1b524d405998f3f3f856a18dd3233e1ac438d8010c8ed52e6d15c809641dbe",
+    "compare_Omega_q24_chi7_T15.csv": "719a09d5ad6d01acbbfa18b86f10f6026fa5515d9ce147e3294849f7463d5bc9",
+    "compare_omega_q24_chi3_T15.csv": "9b1580d77be8c21cce1d5b64a5776751ffc62cff5447035e6d642ac06abf6df4",
+    "compare_omega_q24_chi7_T15.csv": "ce64b8e7a3f835b4a175eb66ed5197c43ff9c827c4379d1c6406fccff32ba1b2",
     "density.csv": "8c8b1a70e70d9da1aaf11494138b5f623feb1d72e07cd7d9591473aa26dd0e03",
     "mc.csv": "c0574e2c1fc66d2725dab9c952f3cdf5bb1ddebfc64098d21f94bdcd861236c7",
-    "meansq.csv": "f27fc8193e2b52b5ed484717dffb59e8b5d7466c7a4cf836565b62c551286ad6",
+    "meansq.csv": "4e9a98380377f2126aa32e05e70a8c7fc003494953aa63864d5a3a6f11a4f3d9",
     "twists.csv": "d7d526360b316ea3e8737251b80732306dd36185c61c8a23dea1b76a2091ab65",
-    "zeros_q24_chi3.csv": "c02043fe56657a6e443c16ce42bccf346cd51fa1bf23d140fa98fef64b81cc5d",
-    "zeros_q24_chi7.csv": "0e8d033d32fd2e3b2169d2ee320874295f98e8b3360a0a57d4f048e29edf8ab4",
+    "zeros_q24_chi3.csv": "ab18f00d75e596179468f72f58190c84e9d81abd05f6179de792804bb523fceb",
+    "zeros_q24_chi7.csv": "f5ac597953315c98509081c167f9e59ede39930230c49cd8572d6fc6197f8ee3",
 }
 
 

@@ -20,7 +20,8 @@ def layer_times():
 
 @pytest.mark.parametrize("q, first_real", [(4, 1), (1000, 50)])
 def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real):
-    result = layer_times.main(["--xmax", "200000", "--lo", "65536", "--repeat", "1", "--q", str(q)])
+    argv = ["--xmax", "200000", "--lo", "65536", "--repeat", "1", "--scan-t", "8", "--q", str(q)]
+    result = layer_times.main(argv)
     assert result["chi_index"] == first_real
     assert result["length"] == 200_001 - 65536
     for kind, counts in result["blocks"].items():
@@ -39,6 +40,13 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     for name, q in points.items():  # one exponential per prime up to (N + 1) q
         size = (result["head_length"][name] + 1) * q
         assert result["exps"][name] == sum(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in range(2, size + 1))
+    scan = result["scan"]
+    assert (scan["q"], scan["chi_index"], scan["t_max"]) == (163, 81, 8.0)
+    assert set(scan["evals"]) == {"grid", "rescan", "refine"}
+    assert set(scan["seconds"]) == {"grid", "rescan", "refine", "total"}
+    assert scan["zeros"] > 0 and scan["evals"]["grid"] > 0 and scan["evals"]["refine"] > 0
+    assert scan["evals_per_zero"] == sum(scan["evals"].values()) / scan["zeros"]
+    assert 0 < scan["seconds"]["grid"] + scan["seconds"]["rescan"] + scan["seconds"]["refine"] <= scan["seconds"]["total"]
     assert '"sign_fold_ms"' in capsys.readouterr().out
 
 

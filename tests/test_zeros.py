@@ -16,7 +16,7 @@ from factorrace.zeros import (
     smooth_zero_count,
     store_cache,
 )
-from oracles import bisect_sign_change
+from oracles import bisect_sign_change, mp_dirichlet_l
 
 FIRST_ZEROS_CHI4 = (6.0209, 10.2437, 12.9880)
 
@@ -301,6 +301,88 @@ def test_refinement_evals_per_zero(monkeypatch):
     assert counts["evals"] / counts["refines"] <= 12
 
 
+@pytest.mark.parametrize("q, index", [(4, 1), (5, 1), (163, 81)])
+def test_slope_is_minus_im_phase_times_l_prime(q, index):
+    """Z'(t) = -Im(phase(t) L'(1/2 + it)) against the fourth-order central
+    difference of rotated_z (h = 1e-3), at fixed heights and at every fifth
+    zero of [-30, 30] and 1e-3 and 4e-4 beside it; chi 1 mod 5 is complex.
+    Measured at most 8.1e-12 relative to max(1, |Z'|)."""
+    import factorrace.zeros as zmod
+
+    chi = character(q, index)
+    heights = [3.3, 17.25, 11.5 if chi.is_real else -11.5]
+    heights += [g + d for g in scan_zeros(chi, 30.0).gammas()[1::5] for d in (0.0, 1e-3, -4e-4)]
+    h = 1e-3
+    for t in heights:
+        z, slope, lv = zmod._z_and_l(chi, t)
+        assert z == rotated_z(chi, t) and lv == l_value(chi, complex(0.5, t))
+        ahead = rotated_z(chi, t + h) - rotated_z(chi, t - h)
+        wide = rotated_z(chi, t + 2 * h) - rotated_z(chi, t - 2 * h)
+        difference = (8 * ahead - wide) / (12 * h)
+        assert abs(slope - difference) <= 1e-10 * max(1.0, abs(slope)), t
+
+
+def test_a_wrong_sign_slope_falls_back_to_false_position(monkeypatch):
+    """With Z' of the wrong sign every Newton point leaves its bracket, so
+    each step is the Illinois false-position fallback: the scan finds the
+    same zeros at the same gammas, and no refinement runs out of steps."""
+    import factorrace.zeros as zmod
+
+    chi = character(163, 81)
+    reference = scan_zeros(chi, 30.0)
+    slope, refine, z_and_l = zmod._slope, zmod._refine, zmod._z_and_l
+    evals, inside = [], []  # L-evals of each _refine call; non-empty while one runs
+
+    def counting_refine(*args):
+        evals.append(0)
+        inside.append(True)
+        try:
+            return refine(*args)
+        finally:
+            inside.pop()
+
+    def counting_z_and_l(chi, t):
+        if inside:
+            evals[-1] += 1
+        return z_and_l(chi, t)
+
+    monkeypatch.setattr(zmod, "_slope", lambda phase, lv: -slope(phase, lv))
+    monkeypatch.setattr(zmod, "_refine", counting_refine)
+    monkeypatch.setattr(zmod, "_z_and_l", counting_z_and_l)
+    cache = scan_zeros(chi, 30.0)
+    assert cache.count == reference.count == 56
+    for got, want in zip(cache.gammas(), reference.gammas()):
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), want
+    assert len(evals) == 28 and max(evals) < zmod.MAX_REFINE_STEPS
+
+
+def test_refined_zeros_against_mpmath():
+    """|L(1/2 + i gamma)| by 30-digit mpmath at refined zeros: the zero near
+    gamma = 185.374 at q=4, where Illinois regula falsi returned a bracket
+    end with |L| = 4.4e-12, and the first and last zero above 0 at q=163."""
+    samples = [(character(4, 1), [g for g in scan_zeros(character(4, 1), 186.0).gammas() if g > 185.3])]
+    positive = [g for g in scan_zeros(character(163, 81), 30.0).gammas() if g > 0]
+    samples.append((character(163, 81), [positive[0], positive[-1]]))
+    for chi, gammas in samples:
+        assert gammas
+        for g in gammas:
+            (value, _), = mp_dirichlet_l(complex(0.5, g), [chi], dps=30)
+            assert abs(value) < 5e-13, (chi.modulus, g)
+
+
+def test_scan_eval_budget(monkeypatch):
+    """q=163 chi 81 T=30 takes at most 260 L-evals, counted at
+    `zeros.l_value`: 124 on the grid and 90 in Newton refinement, against
+    202 in refinement by Illinois regula falsi."""
+    import factorrace.zeros as zmod
+
+    calls = []
+    evaluate = zmod.l_value
+    monkeypatch.setattr(zmod, "l_value", lambda *args: calls.append(args) or evaluate(*args))
+    assert scan_zeros(character(163, 81), 30.0).count == 56
+    assert len(calls) <= 260
+
+
 def test_count_check_short_window_decides_nothing(cache100):
     """Taking the zero pair near 40.32 out of cache100 leaves window 40 short
     of the smooth count; the verdict still follows the total alone."""
@@ -358,7 +440,8 @@ def test_even_order_dip_warns_and_adds_nothing(chi4, monkeypatch):
 
     def z_and_l(chi, t):
         z = ((t - touch) ** 2 + 1e-12) * (t - 3.7)
-        return z, LValue(complex(z), complex(1.0, 0.0))
+        dz = 2 * (t - touch) * (t - 3.7) + (t - touch) ** 2 + 1e-12
+        return z, dz, LValue(complex(z), complex(dz))
 
     monkeypatch.setattr(zmod, "_z_and_l", z_and_l)
     with pytest.warns(RuntimeWarning, match="even-order") as record:
