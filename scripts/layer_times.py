@@ -1,10 +1,11 @@
 """Per-layer sieve timings on one fixed in-memory segment.
 
-Sieves the 2^20-wide segment [lo, lo + 2^20) of a run to `--xmax` once
-and times, `--repeat` times each, the three layers a sieve pass runs per
-segment: the kernel `_sieve_segment`, the class fold `_fold_classes` (the
-omega and the Omega call together) and the sign fold `_SignFold.add` of
-one real character.  Each sign-fold call starts from a fresh fold whose
+Sieves the segment [lo, lo + SEGMENT) of a run to `--xmax` once, at the
+width `factorrace.sieve.SEGMENT` (2^20) of every segment of a pass, and
+times, `--repeat` times each, the three layers a pass runs per segment:
+the kernel `_sieve_segment`, the class fold `_fold_classes` (the omega
+and the Omega call together) and the sign fold `_SignFold.add` of one
+real character.  Each sign-fold call starts from a fresh fold whose
 running psi_f is the exact psi_f(lo - 1), so the fold sees the same sign
 runs as inside a full pass.  The kernel's stages are also timed one by
 one on one scratch word array ("kernel_stages_ms"): the dense sub-block
@@ -49,6 +50,7 @@ from factorrace import lfunction, zeros
 from factorrace.lfunction import _truncation, l_value
 from factorrace.sieve import (
     BLOCK,
+    SEGMENT,
     SIGN,
     SieveConfig,
     _add_strided,
@@ -63,7 +65,6 @@ from factorrace.sieve import (
     twist,
 )
 
-SEGMENT = 1 << 20
 L_POINTS = {"q4_t200": (4, 1, 200.0), "q163_t30": (163, 81, 30.0), "q13_t100": (13, 1, 100.0)}  # name: (q, chi index, t)
 
 

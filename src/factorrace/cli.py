@@ -79,7 +79,6 @@ class RunConfig:
     t_scan: float = 50.0
     t0_list: tuple[float, ...] = (50.0,)
     ratio: float = 1.02
-    segment_size: int = 1 << 20
     out: str = "out"
     seed: int = 42
     threads: int = 1
@@ -96,7 +95,7 @@ class RunConfig:
                 f"T={self.t_scan!r}",
                 f"T0={','.join(repr(t) for t in self.t0_list)}",
                 f"ratio={self.ratio!r}",
-                f"segment={self.segment_size}",
+                "segment=1048576",  # once a setting, now fixed; the token keeps existing config ids
                 f"seed={self.seed}",
                 f"trials={self.trials}",
                 f"version={__version__}",
@@ -112,18 +111,23 @@ def _tuple_of(conv):
     return lambda text: tuple(conv(v) for v in text.split(","))
 
 
-# One table for the config file and the command line.  Key (also the flag,
-# with "_" spelled "-") -> (RunConfig field, converter of the text value,
-# argparse options).  A repeated flag is joined with "," like a file value.
+def _chi(text: str) -> str:
+    """'all' or the canonical decimal index, so that 1 and 01 hash alike."""
+    return text if text == "all" else str(int(text))
+
+
+# One table for the config file and the command line.  Key (also the flag)
+# -> (RunConfig field, converter of the text value, argparse options).  A
+# repeated flag is joined with "," like a file value; a repeated file key is
+# refused.
 _OPTIONS = {
     "xmax": ("x_max", int, dict(help="sieve ceiling x_max")),
     "q": ("q", int, dict(help="modulus")),
-    "chi": ("chi", str, dict(help="character index or 'all'")),
+    "chi": ("chi", _chi, dict(help="character index or 'all'")),
     "kind": ("kinds", _tuple_of(str), dict(action="append", choices=KINDS, help="race kind (repeatable)")),
     "T": ("t_scan", float, dict(help="zero-scan height")),
     "T0": ("t0_list", _tuple_of(float), dict(action="append", help="zero-sum truncation (repeatable)")),
     "ratio": ("ratio", float, dict(help="checkpoint grid ratio")),
-    "segment_size": ("segment_size", int, dict(help="sieve segment size")),
     "out": ("out", str, dict(help="output directory")),
     "seed": ("seed", int, dict(help="Monte Carlo seed")),
     "threads": ("threads", int, dict(help="accepted (>= 1); selects nothing")),
@@ -153,6 +157,8 @@ def _read_config_file(path: str) -> dict:
                 if key not in _OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 field, value = _convert(key, val, f"{path}:{lineno}")
+                if field in updates:
+                    raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
                 updates[field] = value
     except OSError as exc:
         raise MissingInputError(f"cannot read config file {path}: {exc}") from exc
@@ -168,7 +174,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key)
         if val is not None:
             text = ",".join(val) if isinstance(val, list) else val
-            field, value = _convert(key, text, "--" + key.replace("_", "-"))
+            field, value = _convert(key, text, "--" + key)
             overrides[field] = value
     rc = replace(rc, **overrides)
     _validate(rc)
@@ -185,11 +191,6 @@ def _validate(rc: RunConfig) -> None:
             raise ConfigError(f"kind must be in {KINDS}, got {kind!r}")
     if len(set(rc.kinds)) < len(rc.kinds):
         raise ConfigError(f"each kind may be given once, got {','.join(rc.kinds)}")
-    if rc.chi != "all":
-        try:
-            int(rc.chi)
-        except ValueError:
-            raise ConfigError(f"--chi must be 'all' or an integer index, got {rc.chi!r}") from None
     if rc.seed < 0:
         raise ConfigError("seed must be >= 0")
     if not 0 < rc.t_scan <= MAX_SCAN_HEIGHT:
@@ -206,7 +207,7 @@ def _validate(rc: RunConfig) -> None:
 
 
 def _sieve_config(rc: RunConfig) -> SieveConfig:
-    return SieveConfig(x_max=rc.x_max, q=rc.q, segment_size=rc.segment_size, ratio=rc.ratio)
+    return SieveConfig(x_max=rc.x_max, q=rc.q, ratio=rc.ratio)
 
 
 def _characters(rc: RunConfig) -> list[DirichletCharacter]:
@@ -399,10 +400,7 @@ def cmd_all(rc: RunConfig) -> None:
     _zero_targets(rc)  # refuse a bad --chi before the sieve
     cfg = _sieve_config(rc)
     targets = _density_targets(rc)
-    if targets:
-        sums, first = combined_run(cfg, targets[0])
-    else:
-        sums = sieve_run(cfg)
+    sums, first = combined_run(cfg, targets[0] if targets else None)
     cmd_sieve(rc, sums=sums)
     cmd_zeros(rc)
     cmd_compare(rc)
@@ -427,7 +425,7 @@ def _make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value configuration file")
         for key, (_, _, options) in _OPTIONS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, **options)
+            p.add_argument("--" + key, dest=key, **options)
     return parser
 
 

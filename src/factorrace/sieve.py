@@ -53,6 +53,7 @@ __all__ = [
     "KINDS",
     "SIGN",
     "BLOCK",
+    "SEGMENT",
     "MAX_X",
     "SieveConfig",
     "ClassSums",
@@ -69,10 +70,9 @@ __all__ = [
 SIGN = {"omega": -1, "Omega": 1}  # the side each race leans to
 KINDS = tuple(SIGN)
 BLOCK = 1 << 16  # harmonic-accumulation granularity, aligned to absolute n
+SEGMENT = 1 << 20  # the width of every segment of a pass, a multiple of BLOCK
 ROW = 64  # row width of the sign fold's row test
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
-DEFAULT_SEGMENT = 1 << 20
-MAX_SEGMENT = 1 << 32  # keeps the class fold's int32 column sums exact
 TWIST_ELEMENTS = 1 << 18  # class sums per block of write_twists_csv: 2 MB per int64 copy
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
@@ -105,7 +105,6 @@ def default_checkpoints(x_max: int, ratio: float = 1.02) -> tuple[int, ...]:
 class SieveConfig:
     x_max: int
     q: int
-    segment_size: int = DEFAULT_SEGMENT
     checkpoints: tuple[int, ...] | None = None  # None: default geometric grid
     ratio: float = 1.02
 
@@ -116,8 +115,6 @@ class SieveConfig:
             raise ValueError(f"x_max exceeds the design ceiling 2^40 ({MAX_X})")
         if not isinstance(self.q, int) or self.q < 1:
             raise ValueError(f"q must be a positive integer, got {self.q!r}")
-        if not 2 <= self.segment_size <= MAX_SEGMENT:
-            raise ValueError(f"segment_size must be in [2, 2^32], got {self.segment_size!r}")
         if not 1.0 < self.ratio <= 2.0:
             raise ValueError("checkpoint ratio must be in (1, 2]")
         if self.checkpoints is None:
@@ -344,8 +341,8 @@ def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
     q), the row sums and the short tail are folded to q columns, and the
     roll puts n = u at residue u mod q.  The column sums over the rows are
     int32, widened to int64 after: each is at most 40 * nrows, and a piece
-    of a segment is at most MAX_SEGMENT = 2^32 long with width >= 2731, so
-    nrows < 2^21 and every column stays below 2^26.
+    of a segment is at most SEGMENT = 2^20 long with width >= 2731, so
+    nrows < 384 and every column stays below 2^14.
     """
     width = q * max(1, round(FOLD_WIDTH / q))
     nrows = len(piece) // width
@@ -598,19 +595,19 @@ def _segments(x_max: int, size: int):
         os.waitpid(pid, 0)
 
 
-def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):
-    """Shared driver: one sieve pass (`_segments`) filling the class sums
-    and, optionally, the sign fold of one real character.  The segment
-    views are folded before the next step of the pass, the only time they
-    are valid."""
-    fold = None if density_chi is None else _SignFold(cfg, density_chi)
+def combined_run(
+    cfg: SieveConfig, chi: DirichletCharacter | None = None
+) -> tuple[ClassSums, DensityTrace | None]:
+    """Class sums plus (optionally) the density scan of one real character,
+    in one sieve pass (`_segments`).  The segment views are folded before
+    the next step of the pass, the only time they are valid."""
+    fold = None if chi is None else _SignFold(cfg, chi)
     q = cfg.q
     cps = cfg.checkpoints
     sums = np.zeros((2, len(cps), q), dtype=np.int64)  # omega, Omega at each checkpoint
     running = np.zeros((2, q), dtype=np.int64)
     k = 0  # the next checkpoint
-    eff = max(BLOCK, (cfg.segment_size // BLOCK) * BLOCK)
-    with closing(_segments(cfg.x_max, eff)) as segments:
+    with closing(_segments(cfg.x_max, SEGMENT)) as segments:
         for lo, hi, omega, bomega in segments:
             u = lo
             while u < hi:  # class sums piece by piece, split after each checkpoint
@@ -627,7 +624,7 @@ def _execute(cfg: SieveConfig, density_chi: DirichletCharacter | None):
     return ClassSums(q, cfg.x_max, cps, *sums), (None if fold is None else fold.result())
 
 
-def factor_counts(x_max: int, segment_size: int = DEFAULT_SEGMENT) -> tuple[np.ndarray, np.ndarray]:
+def factor_counts(x_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(omega(n), Omega(n)) as int8 arrays indexed by n for 0 <= n <= x_max.
 
     Same segmented algorithm as the class-sum pass; n = 0 and n = 1 count 0.
@@ -636,28 +633,23 @@ def factor_counts(x_max: int, segment_size: int = DEFAULT_SEGMENT) -> tuple[np.n
         raise ValueError("x_max out of range")
     omega = np.zeros(x_max + 1, dtype=np.int8)
     bomega = np.zeros(x_max + 1, dtype=np.int8)
-    with closing(_segments(x_max, max(2, segment_size))) as segments:
+    with closing(_segments(x_max, SEGMENT)) as segments:
         for lo, hi, w, b in segments:
             omega[lo:hi] = w
             bomega[lo:hi] = b
     return omega, bomega
 
 
+# Views of `combined_run` under their own names, which benchmarks/tracer.py
+# and benchmarks/probes.py look up to count and time sieve passes.
 def sieve_run(cfg: SieveConfig) -> ClassSums:
     """Run the sieve and return exact per-class sums at every checkpoint."""
-    return _execute(cfg, None)[0]
+    return combined_run(cfg)[0]
 
 
 def density_scan(cfg: SieveConfig, chi: DirichletCharacter) -> DensityTrace:
     """Sign-bias measurement for a real non-principal character."""
-    return _execute(cfg, chi)[1]
-
-
-def combined_run(
-    cfg: SieveConfig, chi: DirichletCharacter | None = None
-) -> tuple[ClassSums, DensityTrace | None]:
-    """Class sums plus (optionally) the density scan, in a single sieve pass."""
-    return _execute(cfg, chi)
+    return combined_run(cfg, chi)[1]
 
 
 @cache

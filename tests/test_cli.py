@@ -396,6 +396,13 @@ def test_config_errors_exit_2(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+def test_segment_size_flag_is_retired(tmp_path):
+    """The sieve owns its segment width; argparse refuses the old flag."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sieve", "--segment-size", "65536", "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_CONFIG
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("xmax = 300\nq = 4\nT = 15\nT0 = 10\n# a comment\n")
@@ -405,10 +412,20 @@ def test_config_file_and_override(tmp_path):
     assert rows[-1].split(",")[0] == "400"  # override wins over the file
 
 
-def test_config_file_unknown_key(tmp_path):
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("bogus = 1\n", "run.cfg:1: unknown key 'bogus'"),
+        ("T0 = 10\nT0 = 20\n", "run.cfg:2: repeated key 'T0'"),
+        ("segment_size = 65536\n", "run.cfg:1: unknown key 'segment_size'"),
+    ],
+    ids=["unknown", "repeated", "retired"],
+)
+def test_config_file_unknown_key(tmp_path, capsys, text, error):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
+    cfg.write_text(text)
     assert cli.main(["sieve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert error in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -438,6 +455,11 @@ def test_config_hash_stable_across_threads_and_out(tmp_path):
         cli._make_parser().parse_args(["all", "--out", "x", "--seed", "7"] + BASE)
     )
     assert rc3.hash() != rc1.hash()
+    rc4, rc5 = (
+        cli._build_run_config(cli._make_parser().parse_args(["sieve", "--q", "4", "--xmax", "5000", "--chi", chi]))
+        for chi in ("1", "01")
+    )
+    assert rc4.hash() == rc5.hash() and rc4.chi == "1"
 
 
 def test_config_hash_covers_trials():

@@ -53,11 +53,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SieveConfig(x_max=100, q=0)
     with pytest.raises(ValueError):
-        SieveConfig(x_max=100, q=4, segment_size=1)
-    with pytest.raises(ValueError, match="segment_size"):
-        SieveConfig(x_max=100, q=4, segment_size=(1 << 32) + 1)
-    assert SieveConfig(x_max=100, q=4, segment_size=1 << 32).segment_size == 1 << 32
-    with pytest.raises(ValueError):
         SieveConfig(x_max=100, q=4, checkpoints=(10, 10))
     with pytest.raises(ValueError):
         SieveConfig(x_max=100, q=4, checkpoints=(50, 200))
@@ -83,17 +78,25 @@ def test_class_fold_of_a_long_all_40_piece():
     assert got.tolist() == [int(piece.sum(dtype=np.int64))]
 
 
+def _pass_counts(x_max, size):
+    """(omega, Omega) over [0, x_max] from one pass of `size`-wide segments."""
+    segments = _segment_copies(x_max, size)
+    return tuple(np.concatenate([segment[k] for segment in segments]) for k in (2, 3))
+
+
 def test_factor_counts_match_trial_division():
     n_max = 10_000
-    w, big = factor_counts(n_max, segment_size=1 << 12)
     tw, tbig = trial_factor_table(n_max)
-    assert np.array_equal(w, tw)
-    assert np.array_equal(big, tbig)
+    for w, big in (factor_counts(n_max), _pass_counts(n_max, 1 << 12)):
+        assert np.array_equal(w, tw)
+        assert np.array_equal(big, tbig)
 
 
 def _assert_kernel_matches_reference(x_max, size):
+    """The pass's generator, run in-process, against the cofactor oracle."""
     primes = primes_upto(math.isqrt(x_max)).tolist()
-    for lo, hi, w, big in sieve_module._segments(x_max, size):
+    slots = np.empty((2, 2, min(size, x_max + 1)), dtype=np.int8)
+    for lo, hi, w, big in sieve_module._sieve_pass(x_max, size, slots):
         rw, rbig = cofactor_sieve_segment(lo, hi, primes)
         assert w.dtype == big.dtype == np.int8
         assert np.array_equal(w, rw) and np.array_equal(big, rbig), (x_max, size, lo)
@@ -166,7 +169,7 @@ def test_kernel_at_sub_block_and_period_edges(lo, length):
 @pytest.mark.parametrize("segment_size", [2, 3, 1000, SUB - 1, SUB + 1])
 def test_factor_counts_at_odd_segment_sizes(segment_size):
     x_max = 5000 if segment_size < 1000 else 2 * SUB + 4321
-    w, big = factor_counts(x_max, segment_size=segment_size)
+    w, big = _pass_counts(x_max, segment_size)
     rw, rbig = cofactor_sieve_segment(0, x_max + 1, primes_upto(math.isqrt(x_max)).tolist())
     assert np.array_equal(w, rw) and np.array_equal(big, rbig)
 
@@ -334,12 +337,12 @@ def test_class_sums_monotone_and_omega_dominance():
             assert total_W > total_w
 
 
-def test_determinism_across_segment_size(chi4):
+def test_determinism_across_segment_size(monkeypatch, chi4):
     x = 3 * 10**5
-    cfg_ref = SieveConfig(x_max=x, q=4, segment_size=1 << 20)
-    ref_sums, ref_dens = combined_run(cfg_ref, chi4)
-    for seg in [1 << 16, 1 << 18, 1 << 20, 300_000]:
-        cfg = SieveConfig(x_max=x, q=4, segment_size=seg)
+    cfg = SieveConfig(x_max=x, q=4)
+    ref_sums, ref_dens = combined_run(cfg, chi4)
+    for seg in [1 << 16, 3 * BLOCK, 1 << 18, 1 << 20]:
+        monkeypatch.setattr(sieve_module, "SEGMENT", seg)
         sums, dens = combined_run(cfg, chi4)
         assert np.array_equal(sums.omega, ref_sums.omega)
         assert np.array_equal(sums.big_omega, ref_sums.big_omega)
@@ -495,7 +498,7 @@ def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [1, 4, 163, 1000])
-def test_class_sums_match_factor_counts(q):
+def test_class_sums_match_factor_counts(monkeypatch, q):
     x_max = 3 * BLOCK + 500
     # BLOCK - 1 ends the first segment of size BLOCK; the pieces ending at
     # BLOCK, BLOCK + 1 and BLOCK + 4 are 1, 1 and 3 long, shorter than q > 4
@@ -504,7 +507,8 @@ def test_class_sums_match_factor_counts(q):
     ref_w = np.array([[omega[a : x + 1 : q].sum(dtype=np.int64) for a in range(q)] for x in cps])
     ref_W = np.array([[bomega[a : x + 1 : q].sum(dtype=np.int64) for a in range(q)] for x in cps])
     for seg in (BLOCK, 2 * BLOCK, 1 << 20):
-        sums = sieve_run(SieveConfig(x_max=x_max, q=q, segment_size=seg, checkpoints=cps))
+        monkeypatch.setattr(sieve_module, "SEGMENT", seg)
+        sums = sieve_run(SieveConfig(x_max=x_max, q=q, checkpoints=cps))
         assert np.array_equal(sums.omega, ref_w)
         assert np.array_equal(sums.big_omega, ref_W)
 
@@ -591,10 +595,11 @@ def test_density_bounds(chi4):
         (4, 1, 2 * 10**6, "0x1.801c572ddccffp+3", "0x1.46808fa697f28p+3", -70, 78),
     ],
 )
-def test_density_bits(q, index, x_max, h_omega, h_big_omega, psi_omega, psi_big_omega, segment_size):
+def test_density_bits(monkeypatch, q, index, x_max, h_omega, h_big_omega, psi_omega, psi_big_omega, segment_size):
     """The exact H_f bits of the block-pairwise, Neumaier-folded sums."""
     chi = enumerate_characters(q)[index]
-    dens = density_scan(SieveConfig(x_max=x_max, q=q, segment_size=segment_size), chi)
+    monkeypatch.setattr(sieve_module, "SEGMENT", segment_size)
+    dens = density_scan(SieveConfig(x_max=x_max, q=q), chi)
     assert (dens.h_omega.hex(), dens.h_big_omega.hex()) == (h_omega, h_big_omega)
     assert (dens.psi_omega_final, dens.psi_big_omega_final) == (psi_omega, psi_big_omega)
 
@@ -812,9 +817,10 @@ def test_helper_error_names_its_segment(monkeypatch, failing):
         return kernel(lo, hi, t, out)
 
     monkeypatch.setattr(sieve_module, "_sieve_segment", broken)
+    monkeypatch.setattr(sieve_module, "SEGMENT", BLOCK)
     where = rf"segment {failing} \[{failing * BLOCK}, {min((failing + 1) * BLOCK, 6 * BLOCK + 1)}\)"
     with pytest.raises(RuntimeError, match=where + ": ValueError: broken kernel"):
-        sieve_run(SieveConfig(x_max=6 * BLOCK, q=4, segment_size=BLOCK))
+        sieve_run(SieveConfig(x_max=6 * BLOCK, q=4))
     _assert_no_child()
 
 
@@ -827,8 +833,9 @@ def test_a_failing_consumer_leaves_no_helper(monkeypatch, chi4):
         add(self, lo, omega, bomega)
 
     monkeypatch.setattr(sieve_module._SignFold, "add", broken)
+    monkeypatch.setattr(sieve_module, "SEGMENT", BLOCK)
     with pytest.raises(KeyError, match="broken fold"):
-        combined_run(SieveConfig(x_max=6 * BLOCK, q=4, segment_size=BLOCK), chi4)
+        combined_run(SieveConfig(x_max=6 * BLOCK, q=4), chi4)
     _assert_no_child()
 
 
@@ -884,9 +891,10 @@ def test_helper_exits_within_a_segment_of_its_parent(monkeypatch):
 @pytest.mark.parametrize("size", [2, 1 << 12, BLOCK, 1 << 20])
 @pytest.mark.parametrize("edge", [-1, 0, 1])
 def test_forked_pass_equals_the_in_process_pass(monkeypatch, chi4, size, edge):
-    """`factor_counts` and `combined_run` through the helper, against the
-    same generator run in-process (no os.fork), with x_max on a segment
-    edge and one either side; each pass forks exactly one helper."""
+    """A pass of `size`-wide segments and `combined_run` at SEGMENT =
+    max(size, BLOCK) through the helper, against the same generator run
+    in-process (no os.fork), with x_max on a segment edge and one either
+    side; each pass forks exactly one helper."""
     fork, forks = os.fork, []
 
     def counted():
@@ -896,12 +904,13 @@ def test_forked_pass_equals_the_in_process_pass(monkeypatch, chi4, size, edge):
     monkeypatch.setattr(os, "fork", counted)
     x_counts = max(3, 4096 // size) * size + edge - 1
     x_run = 3 * max(size, BLOCK) + edge - 1
-    cfg = SieveConfig(x_max=x_run, q=4, segment_size=size, checkpoints=(BLOCK - 1, BLOCK, x_run // 2))
-    forked = factor_counts(x_counts, size), combined_run(cfg, chi4)
+    monkeypatch.setattr(sieve_module, "SEGMENT", max(size, BLOCK))
+    cfg = SieveConfig(x_max=x_run, q=4, checkpoints=(BLOCK - 1, BLOCK, x_run // 2))
+    forked = _pass_counts(x_counts, size), combined_run(cfg, chi4)
     assert len(forks) == 2
     monkeypatch.delattr(os, "fork")
     (w, big), (sums, trace) = forked
-    (ref_w, ref_big), (ref_sums, ref_trace) = factor_counts(x_counts, size), combined_run(cfg, chi4)
+    (ref_w, ref_big), (ref_sums, ref_trace) = _pass_counts(x_counts, size), combined_run(cfg, chi4)
     assert np.array_equal(w, ref_w) and np.array_equal(big, ref_big)
     assert np.array_equal(sums.omega, ref_sums.omega) and np.array_equal(sums.big_omega, ref_sums.big_omega)
     _assert_same_bits(trace, ref_trace, (size, edge))
