@@ -3,8 +3,8 @@
 Sieves the segment [lo, lo + SEGMENT) of a run to `--xmax` once, at the
 width `factorrace.sieve.SEGMENT` (2^20) of every segment of a pass, and
 times, `--repeat` times each, the three layers a pass runs per segment:
-the kernel `_sieve_segment`, the class fold `_fold_classes` (the omega
-and the Omega call together) and the sign fold `_SignFold.add` of one
+the kernel `_sieve_segment`, the class fold `_fold_classes` (one call
+for the omega and the Omega row) and the sign fold `_SignFold.add` of one
 real character.  Each sign-fold call starts from a fresh fold whose
 running psi_f is the exact psi_f(lo - 1), so the fold sees the same sign
 runs as inside a full pass.  The kernel's stages are also timed one by
@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> dict:
     hi = min(lo + SEGMENT, x_max + 1)
     cfg = SieveConfig(x_max=x_max, q=q)
     tables = _tables(x_max)
-    omega, bomega = _sieve_segment(lo, hi, tables)
+    counts = _sieve_segment(lo, hi, tables)
     psi = [0, 0]
     if lo > 0:
         before = sieve_run(SieveConfig(x_max=lo - 1, q=q, checkpoints=(lo - 1,)))
@@ -178,10 +178,6 @@ def main(argv: list[str] | None = None) -> dict:
         folds.append(_SignFold(cfg, chi))
         folds[-1].run = list(start)
     unused = iter(folds)
-
-    def class_fold():
-        _fold_classes(omega, lo, q)
-        _fold_classes(bomega, lo, q)
 
     word = np.empty(hi - lo, dtype=np.int32)
     sparse, sparse_words = tables.primes[tables.dense :], tables.words[tables.dense :]
@@ -196,10 +192,10 @@ def main(argv: list[str] | None = None) -> dict:
     l_value_us, head_length, exps = _l_value_layer(args.repeat)
     table = np.roll(real_sign_table(chi), -lo)
     chi_n = np.tile(table, -(-(hi - lo) // q))[: hi - lo].astype(np.int64)
-    slot = np.empty((2, hi - lo), dtype=np.int8)
+    slot = np.empty_like(counts)
     producer = _median_ms(lambda: _sieve_segment(lo, hi, tables, slot), args.repeat)
-    fold_classes_ms = _median_ms(class_fold, args.repeat)
-    sign_fold_ms = _median_ms(lambda: next(unused).add(lo, omega, bomega), args.repeat)
+    fold_classes_ms = _median_ms(lambda: _fold_classes(counts, lo, q), args.repeat)
+    sign_fold_ms = _median_ms(lambda: next(unused).add(lo, counts), args.repeat)
     consumer = fold_classes_ms + sign_fold_ms
     result = {
         "x_max": x_max,
@@ -219,7 +215,7 @@ def main(argv: list[str] | None = None) -> dict:
         },
         "blocks": {
             kind: _block_kinds(run, sign * chi_n * values)
-            for (kind, sign), run, values in zip(SIGN.items(), start, (omega, bomega))
+            for (kind, sign), run, values in zip(SIGN.items(), start, counts)
         },
         "paths": {
             kind: {"row": row, "exact": exact}

@@ -6,7 +6,7 @@ densities delta(P_omega), delta(P_Omega), the C implied by the
 extrapolation delta = 1 - C / log X, the windowed densities over
 (10^k, X] for every power of ten 10^k >= 1000 below X, the final
 psi_f and the wall time.  It is offline and slow (about a minute per
-1e9 on one core); the test suite does not collect it.
+1e9 on one core); `tests/test_reach_density.py` runs it once at 1e5.
 
     PYTHONPATH=src python scripts/reach_density.py --xmax 1000000000 --out reach_density.json
 """
@@ -40,17 +40,19 @@ def main(argv: list[str] | None = None) -> dict:
     trace = density_scan(cfg, chi)
     wall = time.perf_counter() - t0
     log_x = math.log(x_max)
+    delta_w, delta_W = trace.delta
+    psi_w, psi_W = trace.psi_final
     result = {
         "q": 4,
         "chi_index": chi.index,
         "x_max": x_max,
-        "delta_omega": trace.delta_omega,
-        "delta_Omega": trace.delta_big_omega,
-        "C_omega": (1 - trace.delta_omega) * log_x,
-        "C_Omega": (1 - trace.delta_big_omega) * log_x,
+        "delta_omega": delta_w,
+        "delta_Omega": delta_W,
+        "C_omega": (1 - delta_w) * log_x,
+        "C_Omega": (1 - delta_W) * log_x,
         "windowed": {str(x0): list(windowed_density(trace, x0)) for x0 in decades},
-        "psi_omega_final": trace.psi_omega_final,
-        "psi_Omega_final": trace.psi_big_omega_final,
+        "psi_omega_final": psi_w,
+        "psi_Omega_final": psi_W,
         "wall_s": wall,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),

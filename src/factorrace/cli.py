@@ -4,8 +4,11 @@ Subcommands write plain CSV files into the output directory; every file
 carries a comment header with a hash of the resolved configuration, so a
 file can always be traced back to the run that produced it.  Outputs are
 byte-identical given the same configuration and seed: no timestamps, fixed
-float formatting, one sieve pass whose kernel runs ahead in a forked
-helper process and whose folds stay in order in this one.  The hash
+float formatting, and sieve passes whose kernel runs ahead in a forked
+helper process and whose folds stay in order in this one.  In `all` one
+pass serves the class sums, the twists and the density of the first real
+non-principal character; each further real character takes its own pass
+in `density`.  The hash
 excludes the output path and `threads`, which is accepted and validated
 but selects no code path.
 
@@ -240,8 +243,7 @@ def cmd_sieve(rc: RunConfig, sums=None) -> None:
     print(f"sieve: x_max={rc.x_max} q={rc.q} checkpoints={len(sums.checkpoints)} -> {rc.out}")
 
 
-def cmd_zeros(rc: RunConfig) -> dict[int, ZeroCache]:
-    caches = {}
+def cmd_zeros(rc: RunConfig) -> None:
     for chi in _zero_targets(rc):
         try:
             cache = _load_zero_cache(rc, chi, rc.t_scan)
@@ -253,8 +255,6 @@ def cmd_zeros(rc: RunConfig) -> dict[int, ZeroCache]:
             cache = scan_zeros(chi, rc.t_scan)
             store_cache(cache, _path(rc, cache_filename(rc.q, chi.index)))
             print(f"zeros: q={rc.q} chi={chi.index} T={rc.t_scan} -> {cache.count} zeros")
-        caches[chi.index] = cache
-    return caches
 
 
 def _read_twists(
@@ -388,10 +388,8 @@ def cmd_density(rc: RunConfig, first=None) -> None:
             flags = [m.kind for m in own if disagrees(dens, m)]
             if flags:
                 print(f"density: WARNING empirical vs Monte Carlo disagree (> {DISAGREE_TOL}) for {flags}")
-        print(
-            f"density: q={rc.q} chi={chi.index} X={rc.x_max} "
-            f"delta_omega={dens.delta_omega:.4f} delta_Omega={dens.delta_big_omega:.4f}"
-        )
+        deltas = " ".join(f"delta_{kind}={delta:.4f}" for kind, delta in zip(KINDS, dens.delta))
+        print(f"density: q={rc.q} chi={chi.index} X={rc.x_max} {deltas}")
     write_density_csv(traces[0], _path(rc, "density.csv"), rc.comment())
     write_mc_csv(estimates, _path(rc, "mc.csv"), rc.comment())
 

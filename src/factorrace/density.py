@@ -78,10 +78,7 @@ def windowed_density(trace: DensityTrace, x0: int) -> tuple[float, float]:
         raise ValueError(f"window start {x0} is not a checkpoint of the trace")
     log_x0 = math.log(x0)
     span = math.log(trace.x_max / x0)
-    return (
-        (trace.h_omega - row[1] * log_x0) / span,
-        (trace.h_big_omega - row[2] * log_x0) / span,
-    )
+    return tuple((h - delta * log_x0) / span for h, delta in zip(trace.h, row[1:]))
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def disagrees(trace: DensityTrace, mc: MonteCarloEstimates) -> bool:
     if starts and starts[-1] < trace.x_max:
         empirical = windowed_density(trace, starts[-1])[column]
     else:
-        empirical = (trace.delta_omega, trace.delta_big_omega)[column]
+        empirical = trace.delta[column]
     return abs(empirical - model) > DISAGREE_TOL
 
 

@@ -17,8 +17,8 @@ the single prime factor > sqrt(x_max), if any, carry one into omega.
 
 A pass (`_segments`) runs the kernel in one forked helper process, which
 sieves the next segment into a two-slot shared ring while the caller
-folds the current one; each segment it yields is a pair of int8 views
-that are valid only until the next step.
+folds the current one; each segment it yields is one (omega, Omega)
+int8 view of shape (len(KINDS), n) that is valid only until the next step.
 
 The same pass can feed the sign fold of one real character (`_SignFold`):
 the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n} chi(m) f(m),
@@ -28,7 +28,9 @@ results are bit-identical for every segment size.
 
 SIGN states each race's bias direction once: the omega race leans to
 psi_omega < 0 and the Omega race to psi_Omega > 0.  Its key order, KINDS,
-fixes the order of every (omega, Omega) pair in the package.
+fixes the order of every (omega, Omega) pair in the package: the leading
+axis of the segment counts, of `ClassSums.counts` and of the pairs of
+`DensityTrace`.
 """
 
 from __future__ import annotations
@@ -135,8 +137,7 @@ class ClassSums:
     q: int
     x_max: int
     checkpoints: tuple[int, ...]
-    omega: np.ndarray  # (n_checkpoints, q) int64
-    big_omega: np.ndarray  # (n_checkpoints, q) int64
+    counts: np.ndarray  # (len(KINDS), n_checkpoints, q) int64
 
     def row(self, x: int) -> int:
         try:
@@ -147,26 +148,27 @@ class ClassSums:
 
 @dataclass(frozen=True)
 class DensityTrace:
-    """Harmonic sign-set measures for one real character.
+    """Harmonic sign-set measures for one real character, each pair in
+    KINDS order.
 
-    delta values are H_f / log X with H_omega = sum 1/n over thresholds
-    where running psi_omega(n) < 0, and H_Omega over psi_Omega(n) > 0.
-    These full-range estimates count n from 1.  The windowed density over
-    (x0, X] for a checkpoint x0 is (H_f(X) - H_f(x0)) / log(X / x0), with
-    H_f(x0) = delta(x0) * log x0 read from `trace`; see
+    H_omega = sum 1/n over the thresholds n <= X = x_max where the running
+    psi_omega(n) < 0, and H_Omega over psi_Omega(n) > 0; `delta` is H_f /
+    log X.  These full-range estimates count n from 1.  The windowed
+    density over (x0, X] for a checkpoint x0 is (H_f(X) - H_f(x0)) /
+    log(X / x0), with H_f(x0) = delta(x0) * log x0 read from `trace`; see
     `factorrace.density.windowed_density`.
     """
 
     q: int
     chi_index: int
     x_max: int
-    h_omega: float
-    h_big_omega: float
-    delta_omega: float
-    delta_big_omega: float
+    h: tuple[float, float]  # H_f at x_max
     trace: tuple[tuple[int, float, float], ...]  # (x, delta_omega, delta_Omega)
-    psi_omega_final: int
-    psi_big_omega_final: int
+    psi_final: tuple[int, int]  # psi_f(x_max)
+
+    @property
+    def delta(self) -> tuple[float, float]:
+        return tuple(_delta(h, self.x_max) for h in self.h)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -289,21 +291,19 @@ def _sparse_powers(word: np.ndarray, lo: int, t: _Tables) -> None:
     np.add.at(word, first[hit] - lo, t.power_words[short:][hit])
 
 
-def _split(word: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, Omega) from the final words: omega's byte, and it plus the
-    top byte; written into the two int8 rows of `out` when it is given."""
+def _split(word: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The int8 (omega, Omega) rows of the final words: omega's byte, and it
+    plus the top byte; written into `out` when it is given."""
     counts = word.view(np.int8)
-    omega, bomega = np.empty((2, len(word)), dtype=np.int8) if out is None else out
-    np.copyto(omega, counts[_OMEGA::4])
-    np.add(omega, counts[_EXCESS::4], out=bomega)
-    return omega, bomega
+    out = np.empty((len(KINDS), len(word)), dtype=np.int8) if out is None else out
+    np.copyto(out[0], counts[_OMEGA::4])
+    np.add(out[0], counts[_EXCESS::4], out=out[1])
+    return out
 
 
-def _sieve_segment(
-    lo: int, hi: int, t: _Tables, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, Omega) as int8 arrays for n in [lo, hi), the two rows of `out`
-    when it is given.
+def _sieve_segment(lo: int, hi: int, t: _Tables, out: np.ndarray | None = None) -> np.ndarray:
+    """(omega, Omega) as the two int8 rows of one array for n in [lo, hi),
+    written into `out` when it is given.
 
     The residual starts at LOG_SCALE * log n and loses LOG_SCALE * log p
     wherever p or a power p^k <= x_max divides n.  Then it is r = LOG_SCALE
@@ -334,7 +334,8 @@ def _sieve_segment(
 
 
 def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
-    """Per-class int64 sums of `piece`, whose first entry is n = u.
+    """Per-class int64 sums along the last axis of `piece`, whose first
+    column is n = u: shape (..., q), one row per leading index.
 
     The piece is folded as rows of a width that is a multiple of q near
     FOLD_WIDTH (a plain `reshape(-1, q)` is several times slower at small
@@ -344,12 +345,13 @@ def _fold_classes(piece: np.ndarray, u: int, q: int) -> np.ndarray:
     of a segment is at most SEGMENT = 2^20 long with width >= 2731, so
     nrows < 384 and every column stays below 2^14.
     """
-    width = q * max(1, round(FOLD_WIDTH / q))
-    nrows = len(piece) // width
-    acc = piece[: nrows * width].reshape(nrows, width).sum(axis=0, dtype=np.int32).astype(np.int64)
-    tail = piece[nrows * width :]
-    acc[: len(tail)] += tail
-    return np.roll(acc.reshape(-1, q).sum(axis=0), u % q)
+    lead, width = piece.shape[:-1], q * max(1, round(FOLD_WIDTH / q))
+    nrows = piece.shape[-1] // width
+    rows = piece[..., : nrows * width].reshape(*lead, nrows, width)
+    acc = rows.sum(axis=-2, dtype=np.int32).astype(np.int64)
+    tail = piece[..., nrows * width :]
+    acc[..., : tail.shape[-1]] += tail
+    return np.roll(acc.reshape(*lead, -1, q).sum(axis=-2), u % q, axis=-1)
 
 
 _ONES = np.ones(ROW, dtype=np.float32)
@@ -412,16 +414,16 @@ class _SignFold:
     block is first tried by `_row_bounds`: the spread of a ROW-wide row is
     its sum of |chi(n)| Omega(n), which bounds |SIGN[f] chi(n) f(n)| for
     both kinds, and the row sums of the steps (`_row_sums`, one exact
-    float32 matrix-vector product) give the exact run before each row.  Rows are tried only when the block is a whole number
-    of rows and the run before it already settles the first row (run >
-    that row's spread, or run <= -spread).  A block they leave open takes
-    the int32 prefix sum of its steps, never above 40 * BLOCK in size, and
-    its extremes.  A block whose bounds keep the run positive takes the
-    plain 1/n sum, one whose bounds keep it <= 0 adds 0.0, and only a
-    mixed block multiplies 1/n by its mask; every term is the one a whole-range
-    mask gives (x * 1.0 == x), so every sum has the same bits.
-    `row_blocks` and `exact_blocks` count per kind which way each block
-    went.
+    float32 matrix-vector product) give the exact run before each row.
+    Rows are tried only when the block is a whole number of rows and the
+    run before it already settles the first row (run > that row's spread,
+    or run <= -spread).  A block they leave open takes the int32 prefix
+    sum of its steps, never above 40 * BLOCK in size, and its extremes.  A
+    block whose bounds keep the run positive takes the plain 1/n sum, one
+    whose bounds keep it <= 0 adds 0.0, and only a mixed block multiplies
+    1/n by its mask; every term is the one a whole-range mask gives (x *
+    1.0 == x), so every sum has the same bits.  `row_blocks` and
+    `exact_blocks` count per kind which way each block went.
     """
 
     def __init__(self, cfg: SieveConfig, chi: DirichletCharacter):
@@ -449,11 +451,13 @@ class _SignFold:
         self.steps = np.empty(BLOCK, dtype=np.int8)
         self.prefix = np.empty(BLOCK, dtype=np.int32)
 
-    def add(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
-        """Fold the segment [lo, lo + len(omega)); lo is a multiple of BLOCK."""
+    def add(self, lo: int, counts: np.ndarray) -> None:
+        """Fold the (omega, Omega) rows `counts` of the segment [lo, lo +
+        counts.shape[1]); lo is a multiple of BLOCK."""
         q, periodic, reach = self.cfg.q, self.periodic, self.reach
-        for start in range(0, len(omega), BLOCK):
-            first, end = lo + start, min(start + BLOCK, len(omega))
+        bomega = counts[1]  # Omega(n), which bounds |f(n)| for both kinds
+        for start in range(0, counts.shape[1], BLOCK):
+            first, end = lo + start, min(start + BLOCK, counts.shape[1])
             block, prefix = self.steps[: end - start], self.prefix[: end - start]
             marks = self.marks[bisect_left(self.marks, first) : bisect_left(self.marks, lo + end)]
             off = first % q
@@ -462,7 +466,7 @@ class _SignFold:
                 head = int((reach[off : off + ROW] * bomega[start : start + ROW]).sum(dtype=np.int32))
             spread = None  # the same sum per row, formed once for both kinds
             inv = None  # 1/n over the block and its pairwise sum, formed once for both kinds
-            for f, values in enumerate((omega, bomega)):
+            for f, values in enumerate(counts):
                 run = self.run[f]  # SIGN[f] * psi_f(first - 1)
                 settles = head is not None and not -head < run <= head  # the first row is settled
                 if settles and spread is None:
@@ -499,31 +503,25 @@ class _SignFold:
                 self.run[f] = run + total
 
     def result(self) -> DensityTrace:
-        x_max, h = self.cfg.x_max, self.h
-        h_w, h_W = h[x_max]
-        psi_w, psi_W = (sign * run for sign, run in zip(SIGN.values(), self.run))
+        h = self.h
         return DensityTrace(
             q=self.cfg.q,
             chi_index=self.chi.index,
-            x_max=x_max,
-            h_omega=h_w,
-            h_big_omega=h_W,
-            delta_omega=_delta(h_w, x_max),
-            delta_big_omega=_delta(h_W, x_max),
-            trace=tuple((x, _delta(h[x][0], x), _delta(h[x][1], x)) for x in self.cfg.checkpoints),
-            psi_omega_final=psi_w,
-            psi_big_omega_final=psi_W,
+            x_max=self.cfg.x_max,
+            h=tuple(h[self.cfg.x_max]),
+            trace=tuple((x, *(_delta(v, x) for v in h[x])) for x in self.cfg.checkpoints),
+            psi_final=tuple(sign * run for sign, run in zip(SIGN.values(), self.run)),
         )
 
 
 def _sieve_pass(x_max: int, size: int, slots: np.ndarray):
-    """(lo, hi, omega, Omega) for consecutive segments [lo, hi) covering
-    [0, x_max], segment i written into the two rows of slots[i % 2].  The
+    """(lo, hi, counts) for consecutive segments [lo, hi) covering [0, x_max],
+    the (omega, Omega) rows of segment i written into slots[i % 2].  The
     helper of `_segments` runs it, or the caller where there is no fork."""
     tables = _tables(x_max)
     for i, lo in enumerate(range(0, x_max + 1, size)):
         hi = min(lo + size, x_max + 1)
-        yield lo, hi, *_sieve_segment(lo, hi, tables, slots[i % 2, :, : hi - lo])
+        yield lo, hi, _sieve_segment(lo, hi, tables, slots[i % 2, :, : hi - lo])
 
 
 def _helper(segments, count: int, ready: int, free: int) -> None:
@@ -542,9 +540,10 @@ def _helper(segments, count: int, ready: int, free: int) -> None:
 
 
 def _segments(x_max: int, size: int):
-    """(lo, hi, omega, Omega) for consecutive segments [lo, hi) covering
-    [0, x_max].  omega and Omega are int8 views that are valid only until
-    the next step of the generator.
+    """(lo, hi, counts) for consecutive segments [lo, hi) covering [0,
+    x_max].  counts holds the (omega, Omega) rows, an int8 view of shape
+    (len(KINDS), hi - lo) that is valid only until the next step of the
+    generator.
 
     The kernel runs ahead in one forked helper process per pass, which
     writes each segment into one of two slots of an anonymous shared
@@ -554,11 +553,11 @@ def _segments(x_max: int, size: int):
     generator's exit, normal or not, kills and reaps it.  Where os.fork
     does not exist, `_sieve_pass` runs in-process over private slots.
     """
-    width = min(size, x_max + 1)
+    shape = (2, len(KINDS), min(size, x_max + 1))  # two slots
     if not hasattr(os, "fork"):
-        yield from _sieve_pass(x_max, size, np.empty((2, 2, width), dtype=np.int8))
+        yield from _sieve_pass(x_max, size, np.empty(shape, dtype=np.int8))
         return
-    slots = np.frombuffer(mmap.mmap(-1, 4 * width), dtype=np.int8).reshape(2, 2, width)
+    slots = np.frombuffer(mmap.mmap(-1, math.prod(shape)), dtype=np.int8).reshape(shape)
     starts = range(0, x_max + 1, size)
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
@@ -582,7 +581,7 @@ def _segments(x_max: int, size: int):
                 detail = b"".join(iter(lambda: os.read(ready_r, 4096), b""))
                 reason = detail.decode(errors="replace") if status else "the helper exited"
                 raise RuntimeError(f"sieve helper failed at segment {i} [{lo}, {hi}): {reason}")
-            yield lo, hi, slots[i % 2, 0, : hi - lo], slots[i % 2, 1, : hi - lo]
+            yield lo, hi, slots[i % 2, :, : hi - lo]
             if i + 2 < len(starts):
                 try:
                     os.write(free_w, b"+")
@@ -604,40 +603,38 @@ def combined_run(
     fold = None if chi is None else _SignFold(cfg, chi)
     q = cfg.q
     cps = cfg.checkpoints
-    sums = np.zeros((2, len(cps), q), dtype=np.int64)  # omega, Omega at each checkpoint
-    running = np.zeros((2, q), dtype=np.int64)
+    sums = np.zeros((len(KINDS), len(cps), q), dtype=np.int64)
+    running = np.zeros((len(KINDS), q), dtype=np.int64)
     k = 0  # the next checkpoint
     with closing(_segments(cfg.x_max, SEGMENT)) as segments:
-        for lo, hi, omega, bomega in segments:
+        for lo, hi, counts in segments:
             u = lo
             while u < hi:  # class sums piece by piece, split after each checkpoint
                 at_cp = k < len(cps) and cps[k] < hi
                 v = cps[k] + 1 if at_cp else hi
-                running[0] += _fold_classes(omega[u - lo : v - lo], u, q)
-                running[1] += _fold_classes(bomega[u - lo : v - lo], u, q)
+                running += _fold_classes(counts[:, u - lo : v - lo], u, q)
                 if at_cp:
                     sums[:, k] = running
                     k += 1
                 u = v
             if fold is not None:
-                fold.add(lo, omega, bomega)
-    return ClassSums(q, cfg.x_max, cps, *sums), (None if fold is None else fold.result())
+                fold.add(lo, counts)
+    return ClassSums(q, cfg.x_max, cps, sums), (None if fold is None else fold.result())
 
 
-def factor_counts(x_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(omega(n), Omega(n)) as int8 arrays indexed by n for 0 <= n <= x_max.
+def factor_counts(x_max: int) -> np.ndarray:
+    """(omega(n), Omega(n)) as the two int8 rows of one array, indexed by n
+    for 0 <= n <= x_max: `w, W = factor_counts(x_max)`.
 
     Same segmented algorithm as the class-sum pass; n = 0 and n = 1 count 0.
     """
     if x_max < 0 or x_max > MAX_X:
         raise ValueError("x_max out of range")
-    omega = np.zeros(x_max + 1, dtype=np.int8)
-    bomega = np.zeros(x_max + 1, dtype=np.int8)
+    counts = np.zeros((len(KINDS), x_max + 1), dtype=np.int8)
     with closing(_segments(x_max, SEGMENT)) as segments:
-        for lo, hi, w, b in segments:
-            omega[lo:hi] = w
-            bomega[lo:hi] = b
-    return omega, bomega
+        for lo, hi, segment in segments:
+            counts[:, lo:hi] = segment
+    return counts
 
 
 # Views of `combined_run` under their own names, which benchmarks/tracer.py
@@ -710,7 +707,7 @@ def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, co
     one-character case of the batched routine behind `write_twists_csv`.
     """
     k = sums.row(x)
-    [(_, psi)] = _twist_block(np.stack([sums.omega[k], sums.big_omega[k]]), [chi])
+    [(_, psi)] = _twist_block(sums.counts[:, k], [chi])
     pw, pW = psi[:, 0].tolist()
     return pw, pW
 
@@ -718,7 +715,7 @@ def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, co
 def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None) -> None:
     rows = (
         f"{x},{a},{w},{b}"
-        for x, ws, bs in zip(sums.checkpoints, sums.omega, sums.big_omega)
+        for x, ws, bs in zip(sums.checkpoints, *sums.counts)
         for a, (w, b) in enumerate(zip(ws.tolist(), bs.tolist()))
     )
     write_csv(path, "x,a,S_omega,S_Omega", rows, comment)
@@ -745,7 +742,7 @@ def write_twists_csv(
         for lo in range(0, len(sums.checkpoints), step):
             xs = sums.checkpoints[lo : lo + step]
             n = len(xs)
-            both = np.concatenate([sums.omega[lo : lo + n], sums.big_omega[lo : lo + n]])
+            both = sums.counts[:, lo : lo + n].reshape(2 * n, sums.q)  # a view when n covers every checkpoint
             by_chi = [None] * len(chis)  # per character: its row at every checkpoint of the block
             for group, psi in _twist_block(both, chis):
                 for j, col in zip(group, psi.T):

@@ -10,6 +10,7 @@ bisection, and the Mertens-type constants from direct prime sums.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -80,9 +81,10 @@ def cofactor_sieve_segment(lo: int, hi: int, primes: list[int]) -> tuple[np.ndar
     return omega, bomega
 
 
-def sign_fold_reference(self, lo: int, omega: np.ndarray, bomega: np.ndarray) -> None:
+def sign_fold_reference(self, lo: int, counts: np.ndarray) -> None:
     """`factorrace.sieve._SignFold.add` as it was before its block-extreme
-    test: call it as `sign_fold_reference(fold, lo, omega, bomega)`.
+    test: call it as `sign_fold_reference(fold, lo, counts)`, counts the
+    (omega, Omega) rows of the segment.
 
     Per kind it forms the whole segment's int64 running SIGN[f] * psi_f,
     masks every 1/n with `run > 0` and pairwise-sums the masked terms per
@@ -92,7 +94,7 @@ def sign_fold_reference(self, lo: int, omega: np.ndarray, bomega: np.ndarray) ->
 
     from factorrace.sieve import BLOCK, _neumaier
 
-    n = len(omega)
+    n = counts.shape[1]
     marks = self.marks[bisect_left(self.marks, lo) : bisect_left(self.marks, lo + n)]
     inv = np.arange(lo, lo + n, dtype=np.float64)
     if lo == 0:
@@ -101,7 +103,7 @@ def sign_fold_reference(self, lo: int, omega: np.ndarray, bomega: np.ndarray) ->
     run = np.empty(n, dtype=np.int64)  # reused by both f: fewer fresh pages per segment
     terms = np.empty(n)
     nfull = n // BLOCK
-    for f, (signs, values) in enumerate(zip(self.signs, (omega, bomega))):
+    for f, (signs, values) in enumerate(zip(self.signs, counts)):
         sgn = np.tile(np.roll(signs, -lo), n // len(signs) + 1)[:n]
         np.multiply(sgn, values, out=run)
         np.cumsum(run, out=run)
@@ -187,6 +189,14 @@ def bisect_sign_change(f, lo: float, hi: float, step: float = 1e-4) -> float | N
     return None
 
 
+@cache
+def _unit_roots(d: int) -> tuple[complex, ...]:
+    """exp(2 pi i e / d) for e < d, each from the scalar `_root_of_unity`."""
+    from factorrace.characters import _root_of_unity
+
+    return tuple(_root_of_unity(e, d) for e in range(d))
+
+
 def twist_reference(sums, chi, x: int) -> tuple[complex, complex]:
     """psi_f(x, chi) for one checkpoint and one character, the unbatched way.
 
@@ -195,25 +205,18 @@ def twist_reference(sums, chi, x: int) -> tuple[complex, complex]:
     On an interpreter whose `sum` compensates complex additions this can
     differ from a plain left fold in the last bit.
     """
-    from factorrace.characters import _root_of_unity
-
     if chi.modulus != sums.q:
         raise ValueError(f"character modulus {chi.modulus} does not match sums q={sums.q}")
     k = sums.row(x)
     d = chi.order
     exps = chi.value_exponents
     units = exps >= 0
-    acc_w = np.zeros(d, dtype=np.int64)
-    acc_W = np.zeros(d, dtype=np.int64)
-    np.add.at(acc_w, exps[units], sums.omega[k][units])
-    np.add.at(acc_W, exps[units], sums.big_omega[k][units])
+    acc = np.zeros((len(sums.counts), d), dtype=np.int64)  # exponent counts per kind
+    np.add.at(acc, (slice(None), exps[units]), sums.counts[:, k, units])
     if chi.is_real:
-        pw = int(acc_w[0]) - (int(acc_w[1]) if d == 2 else 0)
-        pW = int(acc_W[0]) - (int(acc_W[1]) if d == 2 else 0)
-        return complex(pw, 0.0), complex(pW, 0.0)
-    psi_w = sum(int(acc_w[e]) * _root_of_unity(e, d) for e in range(d) if acc_w[e])
-    psi_W = sum(int(acc_W[e]) * _root_of_unity(e, d) for e in range(d) if acc_W[e])
-    return complex(psi_w), complex(psi_W)
+        return tuple(complex(int(a[0]) - (int(a[1]) if d == 2 else 0), 0.0) for a in acc)
+    roots = _unit_roots(d)
+    return tuple(complex(sum(int(a[e]) * roots[e] for e in range(d) if a[e])) for a in acc)
 
 
 def prime_harmonic_sums(limit: int) -> tuple[float, float]:

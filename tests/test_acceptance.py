@@ -69,8 +69,7 @@ def test_criterion_2_hardy_ramanujan_constants(big_run):
     assert abs(a_ref - 0.26150) < 5e-4
     assert abs(b_ref - 1.03465) < 5e-4
     k = sums.checkpoints.index(X_BIG)
-    drift_w = int(sums.omega[k].sum()) / X_BIG - math.log(math.log(X_BIG))
-    drift_b = int(sums.big_omega[k].sum()) / X_BIG - math.log(math.log(X_BIG))
+    drift_w, drift_b = (int(total) / X_BIG - math.log(math.log(X_BIG)) for total in sums.counts[:, k].sum(axis=1))
     ok = (
         abs(drift_w - 0.26150) < 0.05
         and abs(drift_b - 1.03465) < 0.05
@@ -220,7 +219,7 @@ def test_criterion_7_densities(chi4, big_run, cache200):
         "densities",
         ok,
         f"empirical delta(P_omega)={win_w:.4f} delta(P_Omega)={win_W:.4f} on [{x0}, 1e8] "
-        f"(>= 0.9: {emp_ok}; full range {dens.delta_omega:.4f}/{dens.delta_big_omega:.4f}); "
+        f"(>= 0.9: {emp_ok}; full range {dens.delta[0]:.4f}/{dens.delta[1]:.4f}); "
         f"MC P_hat(log 1e8)={pointwise['omega'][1]:.4f}/{pointwise['Omega'][1]:.4f} "
         f"(>= 0.99: {mc_ok}); MC mean over the same range="
         f"{grid_mean['omega']:.4f}/{grid_mean['Omega']:.4f}, agreement within 0.1: {agree_ok}",

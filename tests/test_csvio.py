@@ -50,8 +50,7 @@ def test_checkpoint_writer_holds_one_chunk(tmp_path):
         q=q,
         x_max=10**9,
         checkpoints=tuple(range(10**8, 10**8 + n)),
-        omega=rng.integers(0, 10**9, size=(n, q)),
-        big_omega=rng.integers(0, 10**9, size=(n, q)),
+        counts=rng.integers(0, 10**9, size=(2, n, q)),
     )
     path = tmp_path / "checkpoints.csv"
     tracemalloc.start()
@@ -63,7 +62,7 @@ def test_checkpoint_writer_holds_one_chunk(tmp_path):
     data = path.read_bytes()
     rows = (
         f"{x},{a},{w},{b}"
-        for x, ws, bs in zip(sums.checkpoints, sums.omega.tolist(), sums.big_omega.tolist())
+        for x, ws, bs in zip(sums.checkpoints, *sums.counts.tolist())
         for a, (w, b) in enumerate(zip(ws, bs))
     )
     assert data == _joined_bytes("x,a,S_omega,S_Omega", rows, "config=abc")

@@ -104,9 +104,9 @@ def test_mc_chi4_at_large_y(chi4, chi4_l_half, cache100):
 def test_disagrees_on_the_toy_trace(chi4):
     dens = density_scan(SieveConfig(x_max=10, q=4, checkpoints=(10,)), chi4)
     assert dens.x_max == 10
-    assert dens.delta_big_omega == pytest.approx((1 / 9 + 1 / 10) / math.log(10), rel=1e-12)
-    assert dens.delta_omega == pytest.approx((1 / 3 + 1 / 4 + 1 / 7 + 1 / 8) / math.log(10), rel=1e-12)
-    point = ((math.log(10), dens.delta_big_omega, 0.0),)
+    assert dens.delta[1] == pytest.approx((1 / 9 + 1 / 10) / math.log(10), rel=1e-12)
+    assert dens.delta[0] == pytest.approx((1 / 3 + 1 / 4 + 1 / 7 + 1 / 8) / math.log(10), rel=1e-12)
+    point = ((math.log(10), dens.delta[1], 0.0),)
     assert not disagrees(dens, MonteCarloEstimates("Omega", 1000, 1, point))
     # the same model read as the omega race meets delta_omega, 0.37 against 0.09
     assert disagrees(dens, MonteCarloEstimates("omega", 1000, 1, point))
@@ -116,7 +116,7 @@ def test_disagrees_flags_a_wrong_model(chi4):
     dens = density_scan(SieveConfig(x_max=10, q=4, checkpoints=(10,)), chi4)
     fake_high = MonteCarloEstimates("Omega", 1000, 1, ((math.log(10), 1.0, 0.0),))
     assert disagrees(dens, fake_high)  # 0.09 vs 1.0
-    close = MonteCarloEstimates("Omega", 1000, 1, ((math.log(10), dens.delta_big_omega + 0.05, 0.0),))
+    close = MonteCarloEstimates("Omega", 1000, 1, ((math.log(10), dens.delta[1] + 0.05, 0.0),))
     assert not disagrees(dens, close)
 
 
@@ -132,8 +132,8 @@ def test_disagrees_compares_over_the_same_window(chi4):
     def model(kind, p):
         return MonteCarloEstimates(kind, 1000, 1, tuple((y, p, 0.0) for y in grid))
 
-    assert abs(dens.delta_big_omega - 1.0) > 0.1 and abs(win_W - 1.0) <= 0.1
-    assert abs(dens.delta_omega - 1.0) > 0.1 and abs(win_w - 1.0) <= 0.1
+    assert abs(dens.delta[1] - 1.0) > 0.1 and abs(win_W - 1.0) <= 0.1
+    assert abs(dens.delta[0] - 1.0) > 0.1 and abs(win_w - 1.0) <= 0.1
     assert not disagrees(dens, model("omega", 1.0)) and not disagrees(dens, model("Omega", 1.0))
     assert disagrees(dens, model("omega", win_w - 0.15)) and disagrees(dens, model("Omega", win_W - 0.15))
 
