@@ -24,7 +24,12 @@ the L-evals and seconds of each, and L-evals per zero found.  "pipeline_ms" give
 of a pass per segment: the producer, which is the kernel with its split
 as the forked helper runs it (into a preallocated slot), and the
 consumer, which is the class fold plus the sign fold, and says which of
-the two bounds the pipelined pass.  Prints one JSON object with the
+the two bounds the pipelined pass.  "memory" gives the `tracemalloc`
+peaks, in bytes, of the stages after a pass: `li_monte_carlo` of a
+50-amplitude model at 10,000 and 100,000 trials, and `write_twists_csv`
+for every character mod 1000 at the 98 checkpoints of x_max = 1e7,
+ratio 1.1 (random class sums), so a stage whose memory grows with its
+trials or its rows shows.  Prints one JSON object with the
 median milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
 many of them the fold settled by its 64-wide row sums ("row") and how
@@ -41,17 +46,21 @@ import json
 import os
 import platform
 import statistics
+import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
 from factorrace.characters import character, enumerate_characters, real_sign_table
 from factorrace import lfunction, zeros
+from factorrace.density import LiModel, li_monte_carlo
 from factorrace.lfunction import _truncation, l_value
 from factorrace.sieve import (
     BLOCK,
     SEGMENT,
     SIGN,
+    ClassSums,
     SieveConfig,
     _add_strided,
     _dense_passes,
@@ -61,11 +70,14 @@ from factorrace.sieve import (
     _sparse_powers,
     _split,
     _tables,
+    default_checkpoints,
     sieve_run,
     twist,
+    write_twists_csv,
 )
 
 L_POINTS = {"q4_t200": (4, 1, 200.0), "q163_t30": (163, 81, 30.0), "q13_t100": (13, 1, 100.0)}  # name: (q, chi index, t)
+MC_TRIALS = (10_000, 100_000)  # trial counts of the memory entry's Monte Carlo
 
 
 def _median_ms(fn, repeat: int) -> float:
@@ -142,6 +154,36 @@ def _scan_layer(t_max: float) -> dict:
         "evals": evals,
         "evals_per_zero": sum(evals.values()) / found if found else 0.0,
         "seconds": {**seconds, "total": total_s},
+    }
+
+
+def _peak_bytes(fn) -> int:
+    """The tracemalloc peak of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_layer() -> dict:
+    """Traced peaks of `li_monte_carlo` at MC_TRIALS and of one `write_twists_csv`."""
+    rng = np.random.default_rng(50)
+    model = LiModel(tuple(rng.uniform(0.02, 0.6, size=50).tolist()), 0.04, 0.3, "omega", seed=1, t0=100.0)
+    ys = [0.25 * k for k in range(40)]
+    q, xs = 1000, default_checkpoints(10**7, 1.1)
+    omega = np.cumsum(rng.integers(0, 30_000, size=(len(xs), q)), axis=0)
+    sums = ClassSums(q, xs[-1], xs, np.stack([omega, 2 * omega]))
+    chis = enumerate_characters(q)
+    with tempfile.TemporaryDirectory() as tmp:
+        twists = _peak_bytes(lambda: write_twists_csv(sums, chis, os.path.join(tmp, "twists.csv")))
+    return {
+        "li_monte_carlo": {
+            "amplitudes": len(model.amplitudes),
+            "peak_bytes": {str(trials): _peak_bytes(lambda: li_monte_carlo(model, ys, trials)) for trials in MC_TRIALS},
+        },
+        "write_twists_csv": {"q": q, "checkpoints": len(xs), "characters": len(chis), "peak_bytes": twists},
     }
 
 
@@ -225,6 +267,7 @@ def main(argv: list[str] | None = None) -> dict:
         "head_length": head_length,
         "exps": exps,
         "scan": _scan_layer(args.scan_t),
+        "memory": _memory_layer(),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

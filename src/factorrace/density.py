@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 MIN_TRIALS = 1000
+MC_CHUNK = 1 << 10  # trials per draw of li_monte_carlo, a power of two
 DISAGREE_TOL = 0.1
 
 
@@ -127,24 +128,31 @@ def li_monte_carlo(model: LiModel, y_grid, trials: int) -> MonteCarloEstimates:
 
     One set of phase samples is drawn per call and reused across the y grid;
     each marginal estimate is unbiased and the whole result is reproducible
-    from the seed.
+    from the seed.  The phases are drawn from one `default_rng(seed)`
+    stream MC_CHUNK trials at a time and counted per y into integer
+    totals, so memory does not grow with `trials`.  Each trial gets the
+    bits of one `trials`-row draw: MC_CHUNK is a power of two, so every
+    chunk starts on a row block of the matrix-vector product.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if not model.amplitudes and model.drift_slope == 0 and model.drift_intercept == 0:
         raise ValueError("degenerate model: no oscillation amplitudes and zero drift")
-    if model.amplitudes:
-        amps = np.asarray(model.amplitudes)
-        phases = np.random.default_rng(model.seed).uniform(0.0, 2.0 * math.pi, size=(trials, len(amps)))
-        osc = np.cos(phases) @ amps
-    else:
-        osc = np.zeros(trials)
-    lean = SIGN[model.kind] * osc  # exact: a sign flip or a copy
+    ys = [float(y) for y in y_grid]
+    bars = np.array([-model.drift(y) for y in ys])
+    amps = np.asarray(model.amplitudes)
+    rng = np.random.default_rng(model.seed)
+    hits = np.zeros(len(ys), dtype=np.int64)
+    for lo in range(0, trials, MC_CHUNK):
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=(min(MC_CHUNK, trials - lo), amps.size))
+        osc = np.cos(phases, out=phases) @ amps  # zeros when there are no amplitudes
+        lean = SIGN[model.kind] * osc  # exact: a sign flip or a copy
+        hits += np.count_nonzero(lean[:, None] > bars, axis=0)
     points = []
-    for y in y_grid:
-        p = float(np.count_nonzero(lean > -model.drift(float(y)))) / trials
+    for y, hit in zip(ys, hits.tolist()):
+        p = float(hit) / trials
         se = math.sqrt(p * (1.0 - p) / trials)
-        points.append((float(y), p, se))
+        points.append((y, p, se))
     return MonteCarloEstimates(model.kind, trials, model.seed, tuple(points))
 
 

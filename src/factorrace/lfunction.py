@@ -42,26 +42,26 @@ as the product of two smaller entries, level by level -- a balanced split
 m = d * e takes ceil(log2 Omega(m)) levels.  So an evaluation at q = 163,
 t = 30 takes 461 exponentials where a head of exp(-s log(k + a/q)) took
 (N+1) phi(q) = 3,240.  The ladder is built with numpy, without a Python
-loop over m, at the first evaluation, and grown geometrically (to the
-larger of the size asked and twice its capacity), so a process holds one,
-at most twice the largest size it was asked for; an evaluation reads the
-prefix m <= (N+1) q of each level, so its work does not depend on the
-capacity.  The ladder keeps log m for every m and three int64 positions
-per composite, about 31 bytes per entry: 15.4 MiB at q = 1000, t = 1e3
-(the zero-scan ceiling, 515,000 entries) and 25.9 MiB at q = 163,
-t = 9999.3 (867,486), up to twice that after growth; its build holds
-32 bytes per entry more while it runs, and an evaluation allocates 32
-bytes per m for m^{-s} and log(m) m^{-s}.
+loop over m.  A zero scan builds it once, for the head at its height T
+(`_reserve_height`); an evaluation that needs more grows it to the
+larger of the size asked and twice its capacity.  An evaluation reads
+the prefix m <= (N+1) q of each level, so neither its work nor its bits
+depend on the capacity.  The ladder keeps log m for every m and three
+int64 positions per composite, about 31 bytes per entry: 15.4 MiB at
+q = 1000, t = 1e3 (the zero-scan ceiling, 515,000 entries) and 25.9 MiB
+at q = 163, t = 9999.3 (867,486), up to twice that after growth; its
+build holds 32 bytes per entry more while it runs, and an evaluation
+allocates 32 bytes per m for m^{-s} and log(m) m^{-s}.
 
 `l_value` lays these out as N + 1 rows of q, row k holding m = kq + a for
 a = 1..q: rows 0..N-1 are the head, row N the tail points Nq + a, and
 the weights chi(a) (0 off the units) are one row, so both sums are one
 matrix-vector product.  The tail coefficients depend on s alone and are
-formed once per call, and the real powers z^e = exp(e log z) meet them
-as one real product.  `hurwitz_zeta` takes a real shift a, so it keeps
-its own head of exp(-s log(k + a)) and shares the truncation and the
-tail.  The weights chi(a), and the root-number phase of the rotated
-function, are computed once per character (q, index) and cached.
+formed once per call; the real powers z^e = exp(e log z) depend on N
+and q alone (`_tail_powers`), and the two meet as one real product.
+`hurwitz_zeta` takes a real shift a, so it keeps its own head of
+exp(-s log(k + a)) and its own powers.  The weights chi(a), and the
+root-number phase of the rotated function, are computed once per character (q, index) and cached.
 
 `_loggamma` shifts z up to |z| >= 15 through one running product, sums
 Stirling's series with B_2..B_16 (first omitted term < 1e-20) by Horner's
@@ -92,6 +92,7 @@ __all__ = [
 MAX_IM = 1.0e4
 _BERNOULLI_ORDER = 20  # M
 _REMAINDER_TARGET = 1e-20  # bound on the Euler-Maclaurin remainder of zeta(s, a) and its derivative
+_TAIL_POWERS_KEPT = 2  # (N, q) kept by `_tail_powers`; a scan meets each N in one run
 
 
 def _bernoulli_even_floats(count: int) -> tuple[float, ...]:
@@ -181,14 +182,26 @@ def _truncation(s: complex) -> tuple[int, np.ndarray]:
     return _head_length(s, abs(p * f * (f + 1))), coef
 
 
-def _brackets(z: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tail brackets at each point z: tv with z^{-s} tv the tail of the
-    value, and td with z^{-s} (td - log(z) tv) the tail of the s-derivative.
+def _powers(z: np.ndarray) -> np.ndarray:
+    """The real powers z^e = exp(e log z), e in _TAIL_EXPONENTS, one row per point z."""
+    return np.exp(np.log(z)[:, None] * _TAIL_EXPONENTS)
 
-    The powers are real, z^e = exp(e log z), so they meet the complex
+
+@lru_cache(maxsize=_TAIL_POWERS_KEPT)
+def _tail_powers(n: int, q: int) -> np.ndarray:
+    """`_powers` at the tail points z = n + a/q, a = 1..q, of `l_value`,
+    kept for a few (N, q): a zero scan meets each N in one ascending run."""
+    powers = _powers(n + np.arange(1, q + 1) / q)
+    powers.setflags(write=False)
+    return powers
+
+
+def _brackets(powers: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail brackets at each point z, from its row of `_powers`: tv
+    with z^{-s} tv the tail of the value, and td with z^{-s} (td - log(z) tv)
+    the tail of the s-derivative.  The real powers meet the complex
     coefficients as one real product with their (re, im) pairs.
     """
-    powers = np.exp(np.log(z)[:, None] * _TAIL_EXPONENTS)
     return np.dot(powers, coef.view(np.float64)).view(np.complex128).T
 
 
@@ -201,7 +214,7 @@ def hurwitz_zeta(s: complex, a: float) -> tuple[complex, complex]:
     n, coef = _truncation(s)
     logk = np.log(float(a) + np.arange(n + 1.0))  # entry n is the Euler-Maclaurin point z
     terms = np.exp(-s * logk)
-    [tv], [td] = _brackets(np.array([float(a) + n]), coef)
+    [tv], [td] = _brackets(_powers(np.array([float(a) + n])), coef)
     value = terms[:n].sum() + terms[n] * tv
     derivative = terms[n] * (td - logk[n] * tv) - (logk[:n] * terms[:n]).sum()
     return complex(value), complex(derivative)
@@ -210,9 +223,11 @@ def hurwitz_zeta(s: complex, a: float) -> tuple[complex, complex]:
 class _FactorLadder:
     """m^{-s} for m = 1..size, with complex exponentials at the primes alone.
 
-    Built once for every m up to its capacity and grown geometrically
-    (to the larger of the size asked and twice the capacity), so a process
-    holds one ladder, at most twice the largest size it was asked for.
+    Built once for every m up to its capacity: the size reserved
+    (`reserve`, called by a zero scan for its largest head), or else
+    grown to the larger of the size asked and twice the capacity, so a
+    process holds one ladder, at most twice the largest size asked.  Each
+    entry's split depends on m alone, so no bit depends on the capacity.
     Level 0 is the primes; a composite m with Omega(m) prime factors sits
     on level ceil(log2 Omega(m)), as the product d * e of a divisor d with
     ceil(Omega/2) and e = m / d with floor(Omega/2) prime factors, both on
@@ -255,6 +270,11 @@ class _FactorLadder:
         self.capacity = capacity
         self._plans = {}
 
+    def reserve(self, size: int) -> None:
+        """Build for every m <= size now, unless the ladder holds them already."""
+        if size > self.capacity:
+            self._build(size)
+
     def _plan(self, size: int):
         """The primes and each level's prefix of m <= size, as views kept per
         size (about 1.3 kB each; a scan meets one size per head length)."""
@@ -289,17 +309,20 @@ class _FactorLadder:
 _LADDER = _FactorLadder()
 
 
+def _reserve_height(q: int, t_max: float) -> None:
+    """Build the ladder for every `l_value` at modulus q on the critical
+    line with |t| <= t_max, whose head length N is the largest there."""
+    _LADDER.reserve((_truncation(complex(0.5, t_max))[0] + 1) * q)
+
+
 @lru_cache(maxsize=None)
-def _shifts_and_weights(chi: DirichletCharacter) -> tuple[np.ndarray, np.ndarray]:
-    """Shifts a/q and weights chi(a) (0 off the units) for a = 1..q, cached per (q, index)."""
-    q = chi.modulus
-    shifts = np.arange(1, q + 1) / q
+def _weights(chi: DirichletCharacter) -> np.ndarray:
+    """The weights chi(a) (0 off the units) for a = 1..q, cached per (q, index)."""
     weights = np.array(
         [_root_of_unity(int(e), chi.order) if e >= 0 else 0j for e in np.roll(chi.value_exponents, -1)]
     )
-    shifts.setflags(write=False)
     weights.setflags(write=False)
-    return shifts, weights
+    return weights
 
 
 def l_value(chi: DirichletCharacter, s: complex) -> LValue:
@@ -315,17 +338,16 @@ def l_value(chi: DirichletCharacter, s: complex) -> LValue:
         raise ValueError("L(s, chi0) has a pole at s = 1")
     _check_domain(s)
     n, coef = _truncation(s)
-    shifts, weights = _shifts_and_weights(chi)
     q = chi.modulus
     size = (n + 1) * q
     table = np.empty((2, size), dtype=np.complex128)  # m^{-s} and log(m) m^{-s}
     _LADDER.fill(table[0], s)
     np.multiply(_LADDER.logs[:size], table[0], out=table[1])
     rows = table.reshape(2, n + 1, q)
-    tv, td = _brackets(n + shifts, coef)
+    tv, td = _brackets(_tail_powers(n, q), coef)
     rows[1, n] = rows[1, n] * tv - rows[0, n] * td
     rows[0, n] *= tv
-    value, derivative = (rows @ weights).sum(axis=1)
+    value, derivative = (rows @ _weights(chi)).sum(axis=1)
     return LValue(value=complex(value), derivative=-complex(derivative))
 
 

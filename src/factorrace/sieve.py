@@ -727,29 +727,32 @@ def write_twists_csv(
     """One row per (checkpoint, character), checkpoint-major.
 
     The checkpoints are twisted a block at a time, at most TWIST_ELEMENTS
-    class sums (omega and Omega rows times q) per block, and each block's
-    rows reach the file before the next block is twisted, so memory stays
-    bounded at any checkpoint count and q.  In a block, `_twist_block`
-    gives every psi one kernel group of characters at a time: one
-    `reduceat` of exact exponent counts per group and one fold step per
-    exponent for all its characters.  Each character's rows are formatted
-    from `.tolist()` with one %-template (`'%.17g' % v` is `fmt_float(v)`).
+    class sums (omega and Omega rows times q) per block.  In a block,
+    `_twist_block` gives every psi one kernel group of characters at a
+    time: one `reduceat` of exact exponent counts per group and one fold
+    step per exponent for all its characters.  The groups are gathered
+    into one (2n, len(chis)) complex array, whose rows are then formatted
+    one checkpoint at a time (every character in `chis` order, from
+    `.tolist()`, one %-template per character; `'%.17g' % v` is
+    `fmt_float(v)`) and passed on to the file, so memory stays bounded
+    by TWIST_ELEMENTS at any checkpoint count, q and character count.
     Every element is twisted alone, so no bit depends on the block.
     """
     step = max(1, TWIST_ELEMENTS // (2 * sums.q))
+    templates = [f"%d,{sums.q},{chi.index},%.17g,%.17g,%.17g,%.17g" for chi in chis]
 
     def rows():
         for lo in range(0, len(sums.checkpoints), step):
             xs = sums.checkpoints[lo : lo + step]
             n = len(xs)
             both = sums.counts[:, lo : lo + n].reshape(2 * n, sums.q)  # a view when n covers every checkpoint
-            by_chi = [None] * len(chis)  # per character: its row at every checkpoint of the block
-            for group, psi in _twist_block(both, chis):
-                for j, col in zip(group, psi.T):
-                    re, im = col.real.tolist(), col.imag.tolist()
-                    template = f"%d,{sums.q},{chis[j].index},%.17g,%.17g,%.17g,%.17g"
-                    by_chi[j] = [template % row for row in zip(xs, re[:n], im[:n], re[n:], im[n:])]
-            yield from (chi_rows[k] for k in range(n) for chi_rows in by_chi)
+            psi = np.empty((2 * n, len(chis)), dtype=np.complex128)  # omega rows, then Omega rows
+            for group, block in _twist_block(both, chis):
+                psi[:, group] = block
+            for k, x in enumerate(xs):
+                w, W = psi[k], psi[n + k]
+                parts = zip(templates, w.real.tolist(), w.imag.tolist(), W.real.tolist(), W.imag.tolist())
+                yield from (template % (x, a, b, c, d) for template, a, b, c, d in parts)
 
     header = "x,q,chi_index,re_psi_omega,im_psi_omega,re_psi_Omega,im_psi_Omega"
     write_csv(path, header, rows(), comment)

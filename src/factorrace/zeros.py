@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter, character
-from .lfunction import _rotation_phase, l_value
+from .lfunction import _reserve_height, _rotation_phase, l_value
 
 __all__ = [
     "FORMAT_VERSION",
@@ -304,6 +304,7 @@ def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
         raise ValueError(f"T must be in (0, {MAX_SCAN_HEIGHT}]")
 
     t_lo = 0.0 if chi.is_real else -t_max
+    _reserve_height(chi.modulus, t_max)
     cache = _cache(chi, t_max, _find_side_zeros(chi, t_lo, t_max))
     rep = count_check(cache)
     if not rep.passed:

@@ -1,10 +1,13 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from factorrace.characters import enumerate_characters
 from factorrace.density import (
+    MC_CHUNK,
+    MIN_TRIALS,
     LiModel,
     build_model,
     disagrees,
@@ -12,7 +15,7 @@ from factorrace.density import (
     windowed_density,
     MonteCarloEstimates,
 )
-from factorrace.sieve import SieveConfig, density_scan
+from factorrace.sieve import SIGN, SieveConfig, density_scan
 
 
 def test_build_model_amplitudes(chi4, chi4_l_half, cache100):
@@ -74,6 +77,49 @@ def test_variance_shrinks_with_trials():
     v_small = spread(1000)
     v_large = spread(16000)
     assert v_large < v_small / 3  # expected factor 16, generous slack
+
+
+def _unchunked_points(model, ys, trials):
+    """The estimates from one `trials`-row draw of the phases, the reference
+    for the chunked draw of li_monte_carlo."""
+    amps = np.asarray(model.amplitudes)
+    phases = np.random.default_rng(model.seed).uniform(0.0, 2.0 * math.pi, size=(trials, len(amps)))
+    lean = SIGN[model.kind] * (np.cos(phases) @ amps)
+    return [float(np.count_nonzero(lean > -model.drift(y))) / trials for y in ys]
+
+
+def _fifty_zero_model(kind, seed):
+    amps = tuple(np.random.default_rng(50).uniform(0.02, 0.6, size=50).tolist())
+    return LiModel(amps, 0.04, 0.3, kind, seed=seed, t0=100.0)
+
+
+@pytest.mark.parametrize("trials", [MIN_TRIALS, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 10_000, 25_001])
+def test_chunks_give_the_unchunked_estimates(trials):
+    """MC_CHUNK trials at a time from one stream: the same p, bit for bit,
+    as the one-draw formula, at chunk edges and with a short last chunk."""
+    ys = [0.25 * k for k in range(40)]
+    for kind, seed in (("omega", 7), ("Omega", 8)):
+        model = _fifty_zero_model(kind, seed)
+        got = [p for _, p, _ in li_monte_carlo(model, ys, trials).points]
+        assert got == _unchunked_points(model, ys, trials)
+
+
+def test_memory_does_not_grow_with_trials():
+    """The traced peak at 100,000 trials stays within 1.5 times the one at
+    10,000; one draw of the trials took ten times as much."""
+    import tracemalloc
+
+    model = _fifty_zero_model("omega", 9)
+    ys = [0.25 * k for k in range(40)]
+    peaks = []
+    for trials in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            li_monte_carlo(model, ys, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_monotone_in_y_with_positive_drift(chi4, chi4_l_half, cache100):

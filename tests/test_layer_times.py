@@ -47,6 +47,12 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     assert scan["zeros"] > 0 and scan["evals"]["grid"] > 0 and scan["evals"]["refine"] > 0
     assert scan["evals_per_zero"] == sum(scan["evals"].values()) / scan["zeros"]
     assert 0 < scan["seconds"]["grid"] + scan["seconds"]["rescan"] + scan["seconds"]["refine"] <= scan["seconds"]["total"]
+    memory = result["memory"]
+    mc, twists = memory["li_monte_carlo"], memory["write_twists_csv"]
+    assert mc["amplitudes"] == 50 and set(mc["peak_bytes"]) == {"10000", "100000"}
+    assert all(peak > 0 for peak in mc["peak_bytes"].values())
+    assert (twists["q"], twists["checkpoints"], twists["characters"]) == (1000, 98, 400)
+    assert twists["peak_bytes"] > 0
     assert '"sign_fold_ms"' in capsys.readouterr().out
 
 

@@ -496,6 +496,36 @@ def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
     assert (tmp_path / "small.csv").read_bytes() == path.read_bytes()
 
 
+def test_twist_rows_are_formatted_one_checkpoint_at_a_time(tmp_path):
+    """Every character mod 1000 at the 98 checkpoints of x_max = 1e7, ratio
+    1.1, in one block: the traced peak stays under the block's complex
+    array of twists, one copy of its class sums (the exponent-sorted gather
+    of `_twist_block`) and one checkpoint's rows.  Formatting every row of
+    the block before writing one took about five times the complex array."""
+    import sys
+    import tracemalloc
+
+    q = 1000
+    xs = default_checkpoints(10**7, 1.1)
+    n = len(xs)
+    assert n == 98 and sieve_module.TWIST_ELEMENTS // (2 * q) >= n  # one block
+    omega = np.cumsum(np.random.default_rng(98).integers(0, 30_000, size=(n, q)), axis=0)
+    sums = ClassSums(q, xs[-1], xs, np.stack([omega, 2 * omega]))
+    chis = enumerate_characters(q)
+    path = tmp_path / "twists.csv"
+    tracemalloc.start()
+    try:
+        write_twists_csv(sums, chis, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + n * len(chis)
+    one_checkpoint = sum(sys.getsizeof(line) for line in lines[-len(chis) :])
+    psi = 2 * n * len(chis) * np.dtype(np.complex128).itemsize
+    assert peak < psi + sums.counts.nbytes + one_checkpoint, (peak, psi, one_checkpoint)
+
+
 @pytest.mark.parametrize("q", [1, 4, 163, 1000])
 def test_class_sums_match_factor_counts(monkeypatch, q):
     x_max = 3 * BLOCK + 500

@@ -383,6 +383,23 @@ def test_scan_eval_budget(monkeypatch):
     assert len(calls) <= 260
 
 
+@pytest.mark.parametrize("q, index", [(163, 81), (5, 2)])
+def test_a_scan_builds_the_factor_ladder_once(monkeypatch, q, index):
+    """scan_zeros sizes the ladder for the head length at t_max before its
+    first evaluation: one build of (N + 1) q entries, where growing it on
+    demand built three (1,467, 2,934 and 5,868 entries) at q = 163, T = 30.
+    Chi 2 mod 5 is complex, so its scan runs from -T to T."""
+    from factorrace import lfunction
+
+    ladder = lfunction._FactorLadder()
+    monkeypatch.setattr(lfunction, "_LADDER", ladder)
+    builds = []
+    build = ladder._build
+    monkeypatch.setattr(ladder, "_build", lambda capacity: builds.append(capacity) or build(capacity))
+    scan_zeros(character(q, index), 30.0)
+    assert builds == [(lfunction._truncation(complex(0.5, 30.0))[0] + 1) * q]
+
+
 def test_count_check_short_window_decides_nothing(cache100):
     """Taking the zero pair near 40.32 out of cache100 leaves window 40 short
     of the smooth count; the verdict still follows the total alone."""
