@@ -29,7 +29,8 @@ peaks, in bytes, of the stages after a pass: `li_monte_carlo` of a
 50-amplitude model at 10,000 and 100,000 trials, and `write_twists_csv`
 for every character mod 1000 at the 98 checkpoints of x_max = 1e7,
 ratio 1.1 (random class sums), so a stage whose memory grows with its
-trials or its rows shows.  Prints one JSON object with the
+trials or its rows shows.  "writers_ms" times `write_checkpoints_csv`
+and `write_twists_csv` on that same fixture.  Prints one JSON object with the
 median milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
 many of them the fold settled by its 64-wide row sums ("row") and how
@@ -73,6 +74,7 @@ from factorrace.sieve import (
     default_checkpoints,
     sieve_run,
     twist,
+    write_checkpoints_csv,
     write_twists_csv,
 )
 
@@ -167,15 +169,20 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
+def _twists_fixture() -> tuple[ClassSums, list]:
+    """Random class sums at the 98 checkpoints of x_max = 1e7, ratio 1.1,
+    mod 1000, and every character mod 1000."""
+    q, xs = 1000, default_checkpoints(10**7, 1.1)
+    omega = np.cumsum(np.random.default_rng(98).integers(0, 30_000, size=(len(xs), q)), axis=0)
+    return ClassSums(q, xs[-1], xs, np.stack([omega, 2 * omega])), enumerate_characters(q)
+
+
 def _memory_layer() -> dict:
     """Traced peaks of `li_monte_carlo` at MC_TRIALS and of one `write_twists_csv`."""
     rng = np.random.default_rng(50)
     model = LiModel(tuple(rng.uniform(0.02, 0.6, size=50).tolist()), 0.04, 0.3, "omega", seed=1, t0=100.0)
     ys = [0.25 * k for k in range(40)]
-    q, xs = 1000, default_checkpoints(10**7, 1.1)
-    omega = np.cumsum(rng.integers(0, 30_000, size=(len(xs), q)), axis=0)
-    sums = ClassSums(q, xs[-1], xs, np.stack([omega, 2 * omega]))
-    chis = enumerate_characters(q)
+    sums, chis = _twists_fixture()
     with tempfile.TemporaryDirectory() as tmp:
         twists = _peak_bytes(lambda: write_twists_csv(sums, chis, os.path.join(tmp, "twists.csv")))
     return {
@@ -183,8 +190,24 @@ def _memory_layer() -> dict:
             "amplitudes": len(model.amplitudes),
             "peak_bytes": {str(trials): _peak_bytes(lambda: li_monte_carlo(model, ys, trials)) for trials in MC_TRIALS},
         },
-        "write_twists_csv": {"q": q, "checkpoints": len(xs), "characters": len(chis), "peak_bytes": twists},
+        "write_twists_csv": {
+            "q": sums.q,
+            "checkpoints": len(sums.checkpoints),
+            "characters": len(chis),
+            "peak_bytes": twists,
+        },
     }
+
+
+def _writers_layer(repeat: int) -> dict[str, float]:
+    """Median milliseconds of the two sieve writers on the memory entry's fixture."""
+    sums, chis = _twists_fixture()
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoints, twists = os.path.join(tmp, "checkpoints.csv"), os.path.join(tmp, "twists.csv")
+        return {
+            "write_checkpoints_csv": _median_ms(lambda: write_checkpoints_csv(sums, checkpoints), repeat),
+            "write_twists_csv": _median_ms(lambda: write_twists_csv(sums, chis, twists), repeat),
+        }
 
 
 def main(argv: list[str] | None = None) -> dict:
@@ -268,6 +291,7 @@ def main(argv: list[str] | None = None) -> dict:
         "exps": exps,
         "scan": _scan_layer(args.scan_t),
         "memory": _memory_layer(),
+        "writers_ms": _writers_layer(args.repeat),
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

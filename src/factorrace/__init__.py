@@ -31,7 +31,15 @@ from .characters import (
     gauss_sum,
     root_number,
 )
-from .density import LiModel, MonteCarloEstimates, build_model, disagrees, li_monte_carlo, windowed_density
+from .density import (
+    LiModel,
+    MonteCarloDraw,
+    MonteCarloEstimates,
+    build_model,
+    disagrees,
+    li_monte_carlo,
+    windowed_density,
+)
 from .lfunction import LValue, completed_lambda, hurwitz_zeta, l_value, rotated_z
 from .prediction import mean_square, predict, residual
 from .sieve import (
@@ -89,6 +97,7 @@ __all__ = [
     "residual",
     "mean_square",
     "LiModel",
+    "MonteCarloDraw",
     "MonteCarloEstimates",
     "build_model",
     "disagrees",

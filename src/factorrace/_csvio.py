@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import tempfile
 from collections.abc import Iterable
-from itertools import chain, islice
+from itertools import chain
 
 __all__ = ["fmt_float", "write_csv"]
 
@@ -23,12 +23,12 @@ def write_csv(path: str, header: str, rows: Iterable[str], comment: str | None =
     readers never see a partially written file and an interrupt leaves no
     torn output.
 
-    The lines are joined and written CHUNK_LINES at a time, so a writer
-    that passes a generator of rows never holds more than one chunk of
-    them.  The file gets the mode a plain `open` would give (0o666 less the
-    umask), not the 0o600 of `mkstemp`.  Reading the umask sets it for the
-    whole process for a moment, which is safe because the program has one
-    thread.
+    The lines are joined and written CHUNK_LINES at a time, and a row that
+    is a block of lines as it comes, so a writer that passes a generator of
+    rows never holds more than one chunk and one block.  The file gets the
+    mode a plain `open` would give (0o666 less the umask), not the 0o600 of
+    `mkstemp`.  Reading the umask sets it for the whole process for a
+    moment, which is safe because the program has one thread.
     """
     lines = chain([f"# {comment}"] if comment else [], [header], rows)
     directory = os.path.dirname(os.path.abspath(path))
@@ -36,7 +36,13 @@ def write_csv(path: str, header: str, rows: Iterable[str], comment: str | None =
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=".csv")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            while chunk := list(islice(lines, CHUNK_LINES)):
+            chunk = []
+            for line in lines:
+                chunk.append(line)
+                if len(chunk) == CHUNK_LINES or "\n" in line:
+                    fh.write("\n".join(chunk) + "\n")
+                    chunk.clear()
+            if chunk:
                 fh.write("\n".join(chunk) + "\n")
         umask = os.umask(0o022)
         os.umask(umask)

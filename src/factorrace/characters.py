@@ -33,6 +33,9 @@ __all__ = [
     "gauss_sum",
     "root_number",
     "conjugate_character",
+    "conjugate_index",
+    "unit_grid",
+    "exponent_sums",
     "real_sign_table",
 ]
 
@@ -265,14 +268,53 @@ def character(q: int, index: int) -> DirichletCharacter:
     return _build_character(q, tuple(reversed(t)), index, data)
 
 
+def conjugate_index(chi: DirichletCharacter) -> int:
+    """The conjugate character's index, without building it."""
+    index = 0
+    for s, ti in zip(_group_structure(chi.modulus).orders, chi.generator_exponents):
+        index = index * s + (s - ti) % s
+    return index
+
+
 def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The complex-conjugate character (same q, negated exponents)."""
     data = _group_structure(chi.modulus)
     t = tuple((s - ti) % s for s, ti in zip(data.orders, chi.generator_exponents))
-    index = 0
-    for ti, s in zip(t, data.orders):
-        index = index * s + ti
-    return _build_character(chi.modulus, t, index, data)
+    return _build_character(chi.modulus, t, conjugate_index(chi), data)
+
+
+@lru_cache(maxsize=8)
+def unit_grid(q: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(units, orders): units[np.ravel_multi_index(k, orders)] = prod g_i^k_i
+    over the generators, whose cyclic orders are `orders` ((1,) if none)."""
+    data = _group_structure(q)
+    units = np.flatnonzero(data.units)
+    if data.orders:
+        units[np.ravel_multi_index(tuple(data.dlog[units].T), data.orders)] = units.copy()
+    units.setflags(write=False)
+    return units, data.orders or (1,)
+
+
+def exponent_sums(grid: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
+    """acc[:, e]: the exact sum of the columns of `grid`, the unit columns
+    in `unit_grid` order, where chi takes exponent e.  Along grid axis i
+    chi's exponent repeats with period p_i = d / gcd(e(g_i), d), so each
+    axis is summed over whole periods first; every e then has prod p_i / d
+    of the cells left, added one layer at a time."""
+    units, orders = unit_grid(chi.modulus)
+    n, d = len(grid), chi.order
+    exps = chi.value_exponents[units].reshape(orders)
+    steps = exps[tuple((np.eye(len(orders), dtype=np.intp) % orders).T)]  # at each generator
+    periods = tuple(d // math.gcd(int(c), d) for c in steps)
+    cells = grid
+    if periods != orders:
+        shape = [n] + [size for s, p in zip(orders, periods) for size in (s // p, p)]
+        cells = grid.reshape(shape).sum(axis=tuple(range(1, 2 * len(orders), 2))).reshape(n, -1)
+    layers = np.argsort(exps[tuple(slice(p) for p in periods)].ravel(), kind="stable").reshape(d, -1)
+    acc = cells[:, layers[:, 0]]  # row e of layers: the cells of exponent e
+    for layer in layers.T[1:]:
+        acc += cells[:, layer]
+    return acc
 
 
 def evaluate(chi: DirichletCharacter, n: int) -> complex:

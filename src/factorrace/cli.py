@@ -380,10 +380,8 @@ def cmd_density(rc: RunConfig, first=None) -> None:
             l_half = l_value(chi, 0.5)
             t0 = max(rc.t0_list)
             y_grid = _mc_y_grid(cfg)
-            own = [
-                li_monte_carlo(build_model(chi, l_half, cache, t0, kind, rc.seed), y_grid, rc.trials)
-                for kind in rc.kinds
-            ]
+            model = build_model(chi, l_half, cache, t0, rc.kinds[0], rc.seed)
+            own = li_monte_carlo(model, y_grid, rc.trials, rc.kinds).estimates
             estimates.extend(own)
             flags = [m.kind for m in own if disagrees(dens, m)]
             if flags:

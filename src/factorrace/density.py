@@ -51,6 +51,7 @@ from .zeros import ZeroCache
 
 __all__ = [
     "LiModel",
+    "MonteCarloDraw",
     "MonteCarloEstimates",
     "build_model",
     "disagrees",
@@ -123,17 +124,29 @@ class MonteCarloEstimates:
     points: tuple[tuple[float, float, float], ...]  # (y, p_hat, std_error)
 
 
-def li_monte_carlo(model: LiModel, y_grid, trials: int) -> MonteCarloEstimates:
-    """Bias probability of the race at each y, under the random-phase model.
+@dataclass(frozen=True)
+class MonteCarloDraw:
+    """The estimates of one or more races from one draw of the phases."""
 
-    One set of phase samples is drawn per call and reused across the y grid;
-    each marginal estimate is unbiased and the whole result is reproducible
-    from the seed.  The phases are drawn from one `default_rng(seed)`
-    stream MC_CHUNK trials at a time and counted per y into integer
-    totals, so memory does not grow with `trials`.  Each trial gets the
-    bits of one `trials`-row draw: MC_CHUNK is a power of two, so every
+    trials: int
+    seed: int
+    estimates: tuple[MonteCarloEstimates, ...]  # one per kind asked for
+
+
+def li_monte_carlo(model: LiModel, y_grid, trials: int, kinds: tuple[str, ...] | None = None) -> MonteCarloDraw:
+    """Bias probability of each race of `kinds` (default: the model's) at
+    each y, under the random-phase model.
+
+    One set of phase samples is drawn per call and reused across the y grid
+    and the races, which differ only in the sign of the oscillation; each
+    marginal estimate is unbiased, and each race's is the one a call for it
+    alone gives, reproducible from the seed.  The phases are drawn from one
+    `default_rng(seed)` stream MC_CHUNK trials at a time and counted into
+    integer totals, so memory does not grow with `trials`.  Each trial gets
+    the bits of one `trials`-row draw: MC_CHUNK is a power of two, so every
     chunk starts on a row block of the matrix-vector product.
     """
+    kinds = (model.kind,) if kinds is None else kinds
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if not model.amplitudes and model.drift_slope == 0 and model.drift_intercept == 0:
@@ -142,18 +155,19 @@ def li_monte_carlo(model: LiModel, y_grid, trials: int) -> MonteCarloEstimates:
     bars = np.array([-model.drift(y) for y in ys])
     amps = np.asarray(model.amplitudes)
     rng = np.random.default_rng(model.seed)
-    hits = np.zeros(len(ys), dtype=np.int64)
+    hits = np.zeros((len(kinds), len(ys)), dtype=np.int64)
     for lo in range(0, trials, MC_CHUNK):
         phases = rng.uniform(0.0, 2.0 * math.pi, size=(min(MC_CHUNK, trials - lo), amps.size))
         osc = np.cos(phases, out=phases) @ amps  # zeros when there are no amplitudes
-        lean = SIGN[model.kind] * osc  # exact: a sign flip or a copy
-        hits += np.count_nonzero(lean[:, None] > bars, axis=0)
-    points = []
-    for y, hit in zip(ys, hits.tolist()):
-        p = float(hit) / trials
-        se = math.sqrt(p * (1.0 - p) / trials)
-        points.append((y, p, se))
-    return MonteCarloEstimates(model.kind, trials, model.seed, tuple(points))
+        for hit, kind in zip(hits, kinds):
+            lean = SIGN[kind] * osc  # exact: a sign flip or a copy
+            hit += np.count_nonzero(lean[:, None] > bars, axis=0)
+    estimates = []
+    for kind, counts in zip(kinds, hits.tolist()):
+        ps = [hit / trials for hit in counts]
+        points = tuple((y, p, math.sqrt(p * (1.0 - p) / trials)) for y, p in zip(ys, ps))
+        estimates.append(MonteCarloEstimates(kind, trials, model.seed, points))
+    return MonteCarloDraw(trials, model.seed, tuple(estimates))
 
 
 def disagrees(trace: DensityTrace, mc: MonteCarloEstimates) -> bool:

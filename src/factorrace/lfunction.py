@@ -73,7 +73,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -96,13 +95,20 @@ _TAIL_POWERS_KEPT = 2  # (N, q) kept by `_tail_powers`; a scan meets each N in o
 
 
 def _bernoulli_even_floats(count: int) -> tuple[float, ...]:
-    """B_2, B_4, ..., B_{2*count} computed exactly, then rounded once to float."""
+    """B_2, B_4, ..., B_{2*count} computed exactly, as reduced integer
+    fractions, then rounded once to float (int / int rounds correctly)."""
     n_max = 2 * count
-    b = [Fraction(0)] * (n_max + 1)  # B_m = 0 for odd m > 1
-    b[0], b[1] = Fraction(1), Fraction(-1, 2)
+    b = [(0, 1)] * (n_max + 1)  # (numerator, denominator); B_m = 0 for odd m > 1
+    b[0], b[1] = (1, 1), (-1, 2)
     for m in range(2, n_max + 1, 2):
-        b[m] = -sum(math.comb(m + 1, k) * b[k] for k in range(m) if b[k]) / (m + 1)
-    return tuple(float(b[2 * j]) for j in range(1, count + 1))
+        num, den = 0, 1
+        for k in range(m):
+            if b[k][0]:
+                num, den = num * b[k][1] + math.comb(m + 1, k) * b[k][0] * den, den * b[k][1]
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+        b[m] = (-num, den * (m + 1))
+    return tuple(num / den for num, den in b[2::2])
 
 
 _B_EVEN = _bernoulli_even_floats(_BERNOULLI_ORDER)

@@ -44,12 +44,20 @@ from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from ._csvio import write_csv
-from .characters import DirichletCharacter, _root_of_unity, real_sign_table
+from .characters import (
+    DirichletCharacter,
+    _root_of_unity,
+    conjugate_index,
+    exponent_sums,
+    real_sign_table,
+    unit_grid,
+)
 
 __all__ = [
     "KINDS",
@@ -665,37 +673,39 @@ def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
     so k = e_chi(g) at any unit g with e_chi0(g) = 1.  The exact exponent
     counts of chi, acc[:, e] (the sum over units a with e_chi(a) = e), are
     therefore chi0's counts at e * k^-1 mod d, and chi0's come from one
-    `reduceat` over the unit columns sorted by exponent; chi0 maps the
-    units onto all d-th roots of unity, so every exponent below d starts a
-    run.  Real characters stay exact integers; otherwise psi is the
-    e-ascending left fold of acc[:, e] * exp(2 pi i e / d), one step per
-    exponent for the whole group, and every element takes the operations
-    of its own counts, so no bit depends on the grouping.  The roots come
-    from the scalar `_root_of_unity` (`np.cos` may differ in the last bit),
-    built once per order d for the life of the process (`_roots`).
+    copy of the unit columns (`exponent_sums`).  Real characters stay
+    exact integers; otherwise psi is the e-ascending left fold of acc[:, e]
+    * exp(2 pi i e / d), one step per exponent for the whole group, and
+    every element takes the operations of its own counts, so no bit
+    depends on the grouping.  A mirrored character (complex, its conjugate
+    of lower index) gets the exact conjugate of its conjugate's fold.  The
+    roots come from the scalar `_root_of_unity` (`np.cos` may differ in
+    the last bit), built once per order d for the life of the process.
     """
+    n, q = rows.shape
     groups: dict[bytes, list[int]] = {}  # positions in `chis` by kernel {a : chi(a) = 1}
     for j, chi in enumerate(chis):
-        if chi.modulus != rows.shape[1]:
-            raise ValueError(f"character modulus {chi.modulus} does not match sums q={rows.shape[1]}")
+        if chi.modulus != q:
+            raise ValueError(f"character modulus {chi.modulus} does not match sums q={q}")
         groups.setdefault((chi.value_exponents == 0).tobytes(), []).append(j)
+    grid = rows[:, unit_grid(q)[0]]  # the one copy of the unit columns
     for group in groups.values():
         first = chis[group[0]]
         d = first.order
-        exps = first.value_exponents
-        units = np.flatnonzero(exps >= 0)
-        by_exp = units[np.argsort(exps[units])]
-        starts = np.flatnonzero(np.diff(exps[by_exp], prepend=-1))
-        acc = np.add.reduceat(rows[:, by_exp], starts, axis=1)  # column e: exponent e of chi0
+        acc = exponent_sums(grid, first)  # column e: exponent e of chi0
         if first.is_real:  # alone in its group, as k = 1 is the only unit mod d <= 2
             psi = acc[:, 0] - acc[:, 1] if d == 2 else acc[:, 0]
             yield group, psi.astype(np.complex128)[:, None]
             continue
-        g = by_exp[starts[1]]  # a unit with e_chi0(g) = 1
-        inv = np.array([pow(int(chis[j].value_exponents[g]), -1, d) for j in group])
-        psi = np.zeros((len(rows), len(group)), dtype=np.complex128)
-        for e, root in enumerate(_roots(d)):
-            psi += acc[:, e * inv % d] * root
+        g = int(np.argmax(first.value_exponents == 1))  # a unit with e_chi0(g) = 1
+        ks = [int(chis[j].value_exponents[g]) for j in group]
+        mirrored = np.array([conjugate_index(chis[j]) < chis[j].index for j in group])
+        inv = np.array([pow(-k if m else k, -1, d) for k, m in zip(ks, mirrored)])
+        columns = np.arange(d)[:, None] * inv % d  # row e: acc's column for exponent e of each character
+        psi = np.zeros((n, len(group)), dtype=np.complex128)
+        for cols, root in zip(columns, _roots(d)):
+            psi += acc[:, cols] * root
+        psi[:, mirrored] = psi[:, mirrored].conj()
         yield group, psi
 
 
@@ -703,7 +713,9 @@ def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, co
     """psi_f(x, chi) = sum_a chi(a) S_f(x; a) for f = omega and Omega.
 
     Integer arithmetic up to the final root-of-unity combination; for real
-    characters the results are exact integers.  The one-checkpoint,
+    characters the results are exact integers.  A mirrored character (its
+    conjugate of lower index) gets the conjugate's psi with each imaginary
+    part's sign flipped, as in `twists.csv`.  The one-checkpoint,
     one-character case of the batched routine behind `write_twists_csv`.
     """
     k = sums.row(x)
@@ -713,12 +725,16 @@ def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, co
 
 
 def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None) -> None:
-    rows = (
-        f"{x},{a},{w},{b}"
-        for x, ws, bs in zip(sums.checkpoints, *sums.counts)
-        for a, (w, b) in enumerate(zip(ws.tolist(), bs.tolist()))
-    )
-    write_csv(path, "x,a,S_omega,S_Omega", rows, comment)
+    template = "\n".join(f"%d,{a},%d,%d" for a in range(sums.q))
+    args = np.empty((sums.q, 3), dtype=np.int64)  # (x, S_omega, S_Omega) per residue
+
+    def rows():
+        for x, counts in zip(sums.checkpoints, sums.counts.transpose(1, 2, 0)):
+            args[:, 0] = x
+            args[:, 1:] = counts
+            yield template % tuple(args.ravel().tolist())
+
+    write_csv(path, "x,a,S_omega,S_Omega", rows(), comment)
 
 
 def write_twists_csv(
@@ -726,33 +742,53 @@ def write_twists_csv(
 ) -> None:
     """One row per (checkpoint, character), checkpoint-major.
 
-    The checkpoints are twisted a block at a time, at most TWIST_ELEMENTS
-    class sums (omega and Omega rows times q) per block.  In a block,
-    `_twist_block` gives every psi one kernel group of characters at a
-    time: one `reduceat` of exact exponent counts per group and one fold
-    step per exponent for all its characters.  The groups are gathered
-    into one (2n, len(chis)) complex array, whose rows are then formatted
-    one checkpoint at a time (every character in `chis` order, from
-    `.tolist()`, one %-template per character; `'%.17g' % v` is
-    `fmt_float(v)`) and passed on to the file, so memory stays bounded
-    by TWIST_ELEMENTS at any checkpoint count, q and character count.
-    Every element is twisted alone, so no bit depends on the block.
+    A mirrored character whose conjugate is in `chis` too is not twisted:
+    its row is the conjugate's with each imaginary part's sign flipped,
+    `twist`'s value, as `'%.17g' % -v` flips the sign of `'%.17g' % v` for
+    every finite v, +-0 included.  The checkpoints are twisted a block at
+    a time, at most TWIST_ELEMENTS class sums (omega and Omega rows times
+    q) per block, into one (2n, twisted characters) complex array.  A
+    checkpoint's rows are two `%` calls: one formats its values with
+    `'%.17g'` (`fmt_float`), one places them, and the sign-flipped
+    imaginary parts, into a template of len(chis) lines.  They go to the
+    file one checkpoint at a time, so memory stays bounded at any
+    checkpoint count, q and character count.  Every element is twisted
+    alone, so no bit depends on the block.
     """
-    step = max(1, TWIST_ELEMENTS // (2 * sums.q))
-    templates = [f"%d,{sums.q},{chi.index},%.17g,%.17g,%.17g,%.17g" for chi in chis]
+    q = sums.q
+    present = {chi.index for chi in chis}
+    mates = [conjugate_index(chi) for chi in chis]
+    mirror = [mate < chi.index and mate in present for chi, mate in zip(chis, mates)]
+    twisted = [chi for chi, m in zip(chis, mirror) if not m]
+    column = {chi.index: c for c, chi in enumerate(twisted)}
+    # values: x, (re, im) of each twisted psi_omega, then psi_Omega, then -im
+    width = 1 + 4 * len(twisted)
+    picks = []
+    for chi, mate, m in zip(chis, mates, mirror):
+        w = 1 + 2 * column[mate if m else chi.index]  # re psi_omega
+        W = w + 2 * len(twisted)  # re psi_Omega
+        im = (width + w // 2, width + W // 2) if m else (w + 1, W + 1)
+        picks += [0, w, im[0], W, im[1]]
+    template = "\n".join(f"%s,{q},{chi.index},%s,%s,%s,%s" for chi in chis)
+    values = "%d" + ",%.17g" * (width - 1)
+    step = max(1, TWIST_ELEMENTS // (2 * q))
 
     def rows():
+        if not chis:
+            return
+        pick = itemgetter(*picks)
         for lo in range(0, len(sums.checkpoints), step):
             xs = sums.checkpoints[lo : lo + step]
             n = len(xs)
-            both = sums.counts[:, lo : lo + n].reshape(2 * n, sums.q)  # a view when n covers every checkpoint
-            psi = np.empty((2 * n, len(chis)), dtype=np.complex128)  # omega rows, then Omega rows
-            for group, block in _twist_block(both, chis):
+            both = sums.counts[:, lo : lo + n].reshape(2 * n, q)  # a view when n covers every checkpoint
+            psi = np.empty((2 * n, len(twisted)), dtype=np.complex128)  # omega rows, then Omega rows
+            for group, block in _twist_block(both, twisted):
                 psi[:, group] = block
             for k, x in enumerate(xs):
-                w, W = psi[k], psi[n + k]
-                parts = zip(templates, w.real.tolist(), w.imag.tolist(), W.real.tolist(), W.imag.tolist())
-                yield from (template % (x, a, b, c, d) for template, a, b, c, d in parts)
+                w, W = psi[k].view(np.float64).tolist(), psi[n + k].view(np.float64).tolist()
+                strings = (values % (x, *w, *W)).split(",")
+                strings += ("-" + ",-".join(strings[2::2])).replace("--", "").split(",")  # "--": no sign
+                yield template % pick(strings)
 
     header = "x,q,chi_index,re_psi_omega,im_psi_omega,re_psi_Omega,im_psi_Omega"
     write_csv(path, header, rows(), comment)

@@ -7,11 +7,14 @@ from factorrace.characters import (
     MAX_MODULUS,
     character,
     conjugate_character,
+    conjugate_index,
     enumerate_characters,
     evaluate,
+    exponent_sums,
     gauss_sum,
     real_sign_table,
     root_number,
+    unit_grid,
 )
 
 
@@ -211,6 +214,21 @@ def test_conjugate_character():
         assert evaluate(conj, a) == evaluate(chars[1], a).conjugate()
     quad = enumerate_characters(7)[3]
     assert conjugate_character(quad) == quad
+
+
+@pytest.mark.parametrize("q", [1, 2, 8, 24, 63, 840, 1000])
+def test_exponent_sums_match_a_scatter_add(q):
+    """On the unit grid, every character's per-exponent column sums are the
+    ones an unbatched np.add.at gives, and its conjugate's index is the one
+    conjugate_character builds."""
+    units, _ = unit_grid(q)
+    assert sorted(units.tolist()) == [a for a in range(q) if math.gcd(a, q) == 1]
+    rows = np.random.default_rng(q).integers(0, 10**9, size=(3, q))
+    for chi in enumerate_characters(q):
+        expected = np.zeros((3, chi.order), dtype=np.int64)
+        np.add.at(expected, (slice(None), chi.value_exponents[units]), rows[:, units])
+        assert np.array_equal(exponent_sums(rows[:, units], chi), expected), (q, chi.index)
+        assert conjugate_index(chi) == conjugate_character(chi).index
 
 
 def test_phi_count_matches():

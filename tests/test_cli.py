@@ -271,9 +271,9 @@ def test_density_reports_each_character_against_its_own_model(tmp_path, monkeypa
         return density.build_model(chi, *args)
 
     def li_monte_carlo(*args):
-        est = density.li_monte_carlo(*args)
-        built.append((current["chi"], est))
-        return est
+        draw = density.li_monte_carlo(*args)
+        built.extend((current["chi"], est) for est in draw.estimates)
+        return draw
 
     def disagrees(dens, mc):
         judged.append((current["chi"], dens.chi_index, mc))
@@ -331,13 +331,16 @@ def test_golden_bytes(tmp_path):
 
 
 # sha256 of twists.csv for every character mod 1000, complex ones included
-# (the q=24 characters of GOLDEN_RUN are all real)
-GOLDEN_TWISTS_Q1000 = "84d44530c35dfe25c5a41fa9ece4200f898e343feb3bba017740d2798edab983"
+# (the q=24 characters of GOLDEN_RUN are all real), and of the class sums
+# of the same run
+GOLDEN_TWISTS_Q1000 = "c70dd2f5e9b074fd2852e71ed5010513d23de5e4923f8395bbf4aa4a1c96a9c0"
+GOLDEN_CHECKPOINTS_Q1000 = "b6d38dee4ac63121b0fd53fd33eb806f06278fb1c2941bbbce1fccacb228b7f7"
 
 
 def test_golden_complex_twists(tmp_path):
     argv = ["sieve", "--q", "1000", "--chi", "all", "--xmax", "30000", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
+    assert hashlib.sha256((tmp_path / "checkpoints.csv").read_bytes()).hexdigest() == GOLDEN_CHECKPOINTS_Q1000
     assert hashlib.sha256((tmp_path / "twists.csv").read_bytes()).hexdigest() == GOLDEN_TWISTS_Q1000
 
 

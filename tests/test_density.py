@@ -13,9 +13,16 @@ from factorrace.density import (
     disagrees,
     li_monte_carlo,
     windowed_density,
+    MonteCarloDraw,
     MonteCarloEstimates,
 )
-from factorrace.sieve import SIGN, SieveConfig, density_scan
+from factorrace.sieve import KINDS, SIGN, SieveConfig, density_scan
+
+
+def _race(model, y_grid, trials):
+    """The estimates of the model's own race."""
+    [mc] = li_monte_carlo(model, y_grid, trials).estimates
+    return mc
 
 
 def test_build_model_amplitudes(chi4, chi4_l_half, cache100):
@@ -31,16 +38,16 @@ def test_build_model_amplitudes(chi4, chi4_l_half, cache100):
 def test_drift_only_model_is_certain(chi4, chi4_l_half, cache100):
     model = build_model(chi4, chi4_l_half, cache100, 5.0, "omega", seed=3)
     assert model.amplitudes == ()
-    mc = li_monte_carlo(model, [0.5, 5.0, 20.0], 2000)
+    mc = _race(model, [0.5, 5.0, 20.0], 2000)
     assert all(p == 1.0 for _, p, _ in mc.points)
     mirrored = build_model(chi4, chi4_l_half, cache100, 5.0, "Omega", seed=3)
-    mcO = li_monte_carlo(mirrored, [0.5, 5.0, 20.0], 2000)
+    mcO = _race(mirrored, [0.5, 5.0, 20.0], 2000)
     assert all(p == 1.0 for _, p, _ in mcO.points)
 
 
 def test_zero_drift_single_amplitude_symmetric():
     model = LiModel((1.0,), 0.0, 0.0, "omega", seed=11, t0=10.0)
-    mc = li_monte_carlo(model, [1.0], 20000)
+    mc = _race(model, [1.0], 20000)
     _, p, se = mc.points[0]
     assert abs(p - 0.5) <= 4 * se
     assert se <= 0.5 / math.sqrt(20000)
@@ -50,19 +57,33 @@ def test_the_two_races_split_one_sample():
     """At zero drift the omega race counts the samples with X < 0 and the
     Omega race those with X > 0, so the two estimates add up to 1."""
     kw = dict(amplitudes=(1.0, 0.6), drift_slope=0.0, drift_intercept=0.0, seed=11, t0=10.0)
-    p_w = li_monte_carlo(LiModel(kind="omega", **kw), [1.0], 20001).points[0][1]
-    p_W = li_monte_carlo(LiModel(kind="Omega", **kw), [1.0], 20001).points[0][1]
+    p_w = _race(LiModel(kind="omega", **kw), [1.0], 20001).points[0][1]
+    p_W = _race(LiModel(kind="Omega", **kw), [1.0], 20001).points[0][1]
     assert p_w != p_W  # an odd trial count cannot split evenly
     assert p_w + p_W == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("trials", [MIN_TRIALS, MC_CHUNK + 1, 10_000])
+def test_one_draw_serves_both_races(trials):
+    """Both races from one draw of the phases: each the same, bit for bit,
+    as a call for that race alone."""
+    ys = [0.25 * k for k in range(40)]
+    model = _fifty_zero_model("omega", 12)
+    both = li_monte_carlo(model, ys, trials, KINDS)
+    assert isinstance(both, MonteCarloDraw) and (both.trials, both.seed) == (trials, 12)
+    assert [mc.kind for mc in both.estimates] == list(KINDS)
+    for mc in both.estimates:
+        assert mc == _race(_fifty_zero_model(mc.kind, 12), ys, trials)
+    assert li_monte_carlo(model, ys, trials, KINDS[::-1]).estimates == both.estimates[::-1]
+
+
 def test_seed_determinism():
     model = LiModel((0.5, 0.8), 0.1, 0.0, "omega", seed=99, t0=10.0)
-    a = li_monte_carlo(model, [1.0, 2.0], 5000)
-    b = li_monte_carlo(model, [1.0, 2.0], 5000)
+    a = _race(model, [1.0, 2.0], 5000)
+    b = _race(model, [1.0, 2.0], 5000)
     assert a == b
     other = LiModel((0.5, 0.8), 0.1, 0.0, "omega", seed=100, t0=10.0)
-    c = li_monte_carlo(other, [1.0, 2.0], 5000)
+    c = _race(other, [1.0, 2.0], 5000)
     assert c != a
 
 
@@ -71,7 +92,7 @@ def test_variance_shrinks_with_trials():
         ps = []
         for seed in range(10):
             model = LiModel((1.0,), 0.0, 0.0, "omega", seed=seed, t0=10.0)
-            ps.append(li_monte_carlo(model, [1.0], trials).points[0][1])
+            ps.append(_race(model, [1.0], trials).points[0][1])
         return statistics.pvariance(ps)
 
     v_small = spread(1000)
@@ -100,7 +121,7 @@ def test_chunks_give_the_unchunked_estimates(trials):
     ys = [0.25 * k for k in range(40)]
     for kind, seed in (("omega", 7), ("Omega", 8)):
         model = _fifty_zero_model(kind, seed)
-        got = [p for _, p, _ in li_monte_carlo(model, ys, trials).points]
+        got = [p for _, p, _ in _race(model, ys, trials).points]
         assert got == _unchunked_points(model, ys, trials)
 
 
@@ -125,7 +146,7 @@ def test_memory_does_not_grow_with_trials():
 def test_monotone_in_y_with_positive_drift(chi4, chi4_l_half, cache100):
     model = build_model(chi4, chi4_l_half, cache100, 30.0, "omega", seed=5)
     ys = [0.0, 2.0, 5.0, 9.0, 14.0, 18.4]
-    mc = li_monte_carlo(model, ys, 4000)
+    mc = _race(model, ys, 4000)
     ps = [p for _, p, _ in mc.points]
     assert all(b >= a for a, b in zip(ps, ps[1:]))
 
@@ -141,7 +162,7 @@ def test_degenerate_model_errors():
 
 def test_mc_chi4_at_large_y(chi4, chi4_l_half, cache100):
     model = build_model(chi4, chi4_l_half, cache100, 100.0, "omega", seed=42)
-    mc = li_monte_carlo(model, [math.log(1e8)], 10_000)
+    mc = _race(model, [math.log(1e8)], 10_000)
     _, p, se = mc.points[0]
     assert p >= 0.99
     assert se <= 0.005

@@ -30,6 +30,19 @@ L_CHI4_HALF = 0.6676914571896092
 CATALAN = 0.9159655941772190
 
 
+def test_bernoulli_numbers_are_the_exact_ones_rounded():
+    """The Euler-Maclaurin coefficients use B_2..B_40 as the exact rationals
+    (here from `fractions`, which the package does not import) rounded once."""
+    from fractions import Fraction
+
+    b = [Fraction(0)] * 41
+    b[0], b[1] = Fraction(1), Fraction(-1, 2)
+    for m in range(2, 41, 2):
+        b[m] = -sum(math.comb(m + 1, k) * b[k] for k in range(m) if b[k]) / (m + 1)
+    assert lfunction._B_EVEN == tuple(float(b[2 * j]) for j in range(1, 21))
+    assert lfunction._B_EVEN[:3] == (1 / 6, -1 / 30, 1 / 42)
+
+
 def test_hurwitz_reduces_to_zeta2():
     z, _ = hurwitz_zeta(2.0, 1.0)
     assert abs(z - math.pi**2 / 6) < 1e-12

@@ -10,7 +10,13 @@ import pytest
 
 from factorrace import sieve as sieve_module
 from factorrace._csvio import fmt_float
-from factorrace.characters import _root_of_unity, character, enumerate_characters, real_sign_table
+from factorrace.characters import (
+    _root_of_unity,
+    character,
+    conjugate_character,
+    enumerate_characters,
+    real_sign_table,
+)
 from factorrace.density import windowed_density
 from factorrace.sieve import (
     BLOCK,
@@ -409,24 +415,39 @@ def test_twist_complex_character_brute_force():
 TWIST_CHECKPOINTS = (1, 2, 10, 100, 999, 5000, 30_000)
 
 
+def _expected_twist(sums, chi, mate, x):
+    """twist_reference, but for a mirrored character (a complex one whose
+    conjugate `mate` has the lower index) the exact conjugate of its mate's."""
+    if mate.index < chi.index:
+        return tuple(p.conjugate() for p in twist_reference(sums, mate, x))
+    return twist_reference(sums, chi, x)
+
+
 def _assert_twists_match_reference(tmp_path, chis):
+    """Every row exactly as formatted from `_expected_twist`, and every
+    mirrored row within the twist tolerance 1e-13 * sum|S_f| + 1e-12 of
+    the character's own twist_reference."""
     # checkpoints below q leave classes empty, so zero exponent counts occur
     q = chis[0].modulus
     sums = sieve_run(SieveConfig(x_max=30_000, q=q, checkpoints=TWIST_CHECKPOINTS))
     path = tmp_path / "twists.csv"
     write_twists_csv(sums, chis, str(path))
+    mates = {chi.index: conjugate_character(chi) for chi in chis}
     expected = []
-    for x in TWIST_CHECKPOINTS:
+    for k, x in enumerate(TWIST_CHECKPOINTS):
         for chi in chis:
-            pw, pW = twist_reference(sums, chi, x)
+            pw, pW = _expected_twist(sums, chi, mates[chi.index], x)
             expected.append(
                 f"{x},{q},{chi.index},{fmt_float(pw.real)},{fmt_float(pw.imag)},"
                 f"{fmt_float(pW.real)},{fmt_float(pW.imag)}"
             )
+            if mates[chi.index].index < chi.index:
+                for got, own, counts in zip((pw, pW), twist_reference(sums, chi, x), sums.counts[:, k]):
+                    assert abs(got - own) <= 1e-13 * float(np.abs(counts).sum()) + 1e-12
     assert path.read_text().splitlines()[1:] == expected
     for x in (1, 999, 30_000):
         for chi in chis[:: max(1, len(chis) // 7)]:
-            assert twist(sums, chi, x) == twist_reference(sums, chi, x)
+            assert twist(sums, chi, x) == _expected_twist(sums, chi, mates[chi.index], x)
 
 
 # 840: 96 kernels, many of one order; 997: 996 characters in 12 kernels
@@ -446,6 +467,37 @@ def test_twists_csv_any_character_order(tmp_path):
         seen.add(kernel)
     assert len(seen) == 36
     _assert_twists_match_reference(tmp_path, rest[::-1])
+
+
+@pytest.mark.parametrize("q", [5, 13, 840, 1000])
+def test_mirrored_rows_are_exact_conjugates(tmp_path, q):
+    """Every conjugate pair: the row of the member with the higher index is
+    its mate's row with the sign of each imaginary part flipped, the +0 of
+    an empty checkpoint's twist (x = 1) written as -0."""
+    sums = sieve_run(SieveConfig(x_max=30_000, q=q, checkpoints=TWIST_CHECKPOINTS))
+    chis = enumerate_characters(q)
+    path = tmp_path / "twists.csv"
+    write_twists_csv(sums, chis, str(path))
+    rows = {}
+    for line in path.read_text().splitlines()[1:]:
+        x, _, index, *values = line.split(",")
+        rows[int(x), int(index)] = values
+
+    def flip(s):
+        return s[1:] if s.startswith("-") else "-" + s
+
+    pairs = 0
+    for chi in chis:
+        mate = conjugate_character(chi)
+        if mate.index >= chi.index:
+            continue
+        pairs += 1
+        for x in TWIST_CHECKPOINTS:
+            re_w, im_w, re_W, im_W = rows[x, mate.index]
+            assert rows[x, chi.index] == [re_w, flip(im_w), re_W, flip(im_W)]
+        assert rows[1, mate.index] == ["0", "0", "0", "0"]
+        assert rows[1, chi.index] == ["0", "-0", "0", "-0"]
+    assert 2 * pairs == sum(not chi.is_real for chi in chis) > 0
 
 
 def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
