@@ -26,10 +26,10 @@ as the forked helper runs it (into a preallocated slot), and the
 consumer, which is the class fold plus the sign fold, and says which of
 the two bounds the pipelined pass.  "memory" gives the `tracemalloc`
 peaks, in bytes, of the stages after a pass: `li_monte_carlo` of a
-50-amplitude model at 10,000 and 100,000 trials, and `write_twists_csv`
-for every character mod 1000 at the 98 checkpoints of x_max = 1e7,
-ratio 1.1 (random class sums), so a stage whose memory grows with its
-trials or its rows shows.  "writers_ms" times `write_checkpoints_csv`
+50-amplitude model (both races, as `density` runs it) at 10,000 and
+100,000 trials, and `write_twists_csv` for every character mod 1000 at
+the 98 checkpoints of x_max = 1e7, ratio 1.1 (random class sums), so a
+stage whose memory grows with its trials or its rows shows.  "writers_ms" times `write_checkpoints_csv`
 and `write_twists_csv` on that same fixture.  Prints one JSON object with the
 median milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
@@ -180,7 +180,7 @@ def _twists_fixture() -> tuple[ClassSums, list]:
 def _memory_layer() -> dict:
     """Traced peaks of `li_monte_carlo` at MC_TRIALS and of one `write_twists_csv`."""
     rng = np.random.default_rng(50)
-    model = LiModel(tuple(rng.uniform(0.02, 0.6, size=50).tolist()), 0.04, 0.3, "omega", seed=1, t0=100.0)
+    model = LiModel(tuple(rng.uniform(0.02, 0.6, size=50).tolist()), 0.04, 0.3, seed=1)
     ys = [0.25 * k for k in range(40)]
     sums, chis = _twists_fixture()
     with tempfile.TemporaryDirectory() as tmp:

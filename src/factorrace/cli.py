@@ -78,7 +78,6 @@ class RunConfig:
     x_max: int = 10**6
     q: int = 4
     chi: str = "all"  # "all" or an index
-    kinds: tuple[str, ...] = KINDS
     t_scan: float = 50.0
     t0_list: tuple[float, ...] = (50.0,)
     ratio: float = 1.02
@@ -94,7 +93,7 @@ class RunConfig:
                 f"xmax={self.x_max}",
                 f"q={self.q}",
                 f"chi={self.chi}",
-                f"kinds={','.join(self.kinds)}",
+                "kinds=omega,Omega",  # both races always run; the token keeps existing config ids
                 f"T={self.t_scan!r}",
                 f"T0={','.join(repr(t) for t in self.t0_list)}",
                 f"ratio={self.ratio!r}",
@@ -127,7 +126,6 @@ _OPTIONS = {
     "xmax": ("x_max", int, dict(help="sieve ceiling x_max")),
     "q": ("q", int, dict(help="modulus")),
     "chi": ("chi", _chi, dict(help="character index or 'all'")),
-    "kind": ("kinds", _tuple_of(str), dict(action="append", choices=KINDS, help="race kind (repeatable)")),
     "T": ("t_scan", float, dict(help="zero-scan height")),
     "T0": ("t0_list", _tuple_of(float), dict(action="append", help="zero-sum truncation (repeatable)")),
     "ratio": ("ratio", float, dict(help="checkpoint grid ratio")),
@@ -189,11 +187,6 @@ def _validate(rc: RunConfig) -> None:
         raise ConfigError("threads must be >= 1")
     if rc.trials < MIN_TRIALS:
         raise ConfigError(f"trials must be >= {MIN_TRIALS}")
-    for kind in rc.kinds:
-        if kind not in KINDS:
-            raise ConfigError(f"kind must be in {KINDS}, got {kind!r}")
-    if len(set(rc.kinds)) < len(rc.kinds):
-        raise ConfigError(f"each kind may be given once, got {','.join(rc.kinds)}")
     if rc.seed < 0:
         raise ConfigError("seed must be >= 0")
     if not 0 < rc.t_scan <= MAX_SCAN_HEIGHT:
@@ -332,10 +325,10 @@ def cmd_compare(rc: RunConfig) -> None:
         rows = [row for row in twists.get(chi.index, []) if row[0] >= 2]
         xs = [x for x, _, _ in rows]
         psi = {kind: [row[1 + k] for row in rows] for k, kind in enumerate(KINDS)}
-        entries = {kind: [] for kind in rc.kinds}
+        entries = {kind: [] for kind in KINDS}
         for t0 in rc.t0_list:
             secular, zero_sum = predict(xs, chi, l_half, cache, t0)
-            for kind in rc.kinds:
+            for kind in KINDS:
                 main = SIGN[kind] * secular
                 full = main + zero_sum
                 sigma = residual(xs, psi[kind], full)
@@ -345,7 +338,7 @@ def cmd_compare(rc: RunConfig) -> None:
                 if ms is not None:
                     entries[kind].append((t0, *ms))
         meansq_groups += [(f"kind={kind} q={rc.q} chi={chi.index}", e) for kind, e in entries.items() if e]
-        print(f"compare: q={rc.q} chi={chi.index} kinds={','.join(rc.kinds)} T0s={rc.t0_list}")
+        print(f"compare: q={rc.q} chi={chi.index} kinds={','.join(KINDS)} T0s={rc.t0_list}")
     write_meansq_csv(meansq_groups, _path(rc, "meansq.csv"), rc.comment())
 
 
@@ -380,8 +373,8 @@ def cmd_density(rc: RunConfig, first=None) -> None:
             l_half = l_value(chi, 0.5)
             t0 = max(rc.t0_list)
             y_grid = _mc_y_grid(cfg)
-            model = build_model(chi, l_half, cache, t0, rc.kinds[0], rc.seed)
-            own = li_monte_carlo(model, y_grid, rc.trials, rc.kinds).estimates
+            model = build_model(chi, l_half, cache, t0, rc.seed)
+            own = li_monte_carlo(model, y_grid, rc.trials).estimates
             estimates.extend(own)
             flags = [m.kind for m in own if disagrees(dens, m)]
             if flags:

@@ -29,7 +29,8 @@ normalization their secular part grows linearly in y = log x,
 while the oscillation stays bounded, which is what drives the densities
 toward 1.  The Monte Carlo estimates P[-drift(y) + X < 0] for the omega
 race and the mirrored P[drift(y) + X > 0] for the Omega race, both as
-P[SIGN * X > -drift(y)] with SIGN the race's side from `sieve.SIGN`.
+P[SIGN * X > -drift(y)] with SIGN the race's side from `sieve.SIGN`, and
+both from one draw of the phases.
 
 `disagrees` compares like with like: the mean of the model's P(y) over its
 y grid against the windowed empirical density of the same race over the
@@ -90,9 +91,7 @@ class LiModel:
     amplitudes: tuple[float, ...]
     drift_slope: float
     drift_intercept: float
-    kind: str
     seed: int
-    t0: float
 
     def drift(self, y: float) -> float:
         return self.drift_slope * y + self.drift_intercept
@@ -103,17 +102,14 @@ def build_model(
     l_half: LValue,
     cache: ZeroCache,
     t0: float,
-    kind: str,
     seed: int,
 ) -> LiModel:
-    if kind not in KINDS:
-        raise ValueError(f"kind must be in {KINDS}, got {kind!r}")
     if not chi.is_real:
         raise ValueError("the random-phase model requires a real character")
     amps = tuple(2.0 * abs(c) for _, c in cache.terms(chi, t0))
     slope = l_half.value.real
     intercept = (2 * l_half.value - l_half.derivative).real
-    return LiModel(amps, slope, intercept, kind, seed, float(t0))
+    return LiModel(amps, slope, intercept, seed)
 
 
 @dataclass(frozen=True)
@@ -126,27 +122,26 @@ class MonteCarloEstimates:
 
 @dataclass(frozen=True)
 class MonteCarloDraw:
-    """The estimates of one or more races from one draw of the phases."""
+    """The estimates of both races, in `KINDS` order, from one draw of the phases."""
 
     trials: int
     seed: int
-    estimates: tuple[MonteCarloEstimates, ...]  # one per kind asked for
+    estimates: tuple[MonteCarloEstimates, ...]
 
 
-def li_monte_carlo(model: LiModel, y_grid, trials: int, kinds: tuple[str, ...] | None = None) -> MonteCarloDraw:
-    """Bias probability of each race of `kinds` (default: the model's) at
-    each y, under the random-phase model.
+def li_monte_carlo(model: LiModel, y_grid, trials: int) -> MonteCarloDraw:
+    """Bias probability of both races, in `KINDS` order, at each y, under
+    the random-phase model.
 
     One set of phase samples is drawn per call and reused across the y grid
-    and the races, which differ only in the sign of the oscillation; each
-    marginal estimate is unbiased, and each race's is the one a call for it
-    alone gives, reproducible from the seed.  The phases are drawn from one
-    `default_rng(seed)` stream MC_CHUNK trials at a time and counted into
-    integer totals, so memory does not grow with `trials`.  Each trial gets
-    the bits of one `trials`-row draw: MC_CHUNK is a power of two, so every
-    chunk starts on a row block of the matrix-vector product.
+    and the two races, which differ only in the sign of the oscillation;
+    each marginal estimate is unbiased and reproducible from the seed.  The
+    phases are drawn from one `default_rng(seed)` stream MC_CHUNK trials at
+    a time and counted into integer totals, so memory does not grow with
+    `trials`.  Each trial gets the bits of one `trials`-row draw: MC_CHUNK
+    is a power of two, so every chunk starts on a row block of the
+    matrix-vector product.
     """
-    kinds = (model.kind,) if kinds is None else kinds
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}")
     if not model.amplitudes and model.drift_slope == 0 and model.drift_intercept == 0:
@@ -155,15 +150,15 @@ def li_monte_carlo(model: LiModel, y_grid, trials: int, kinds: tuple[str, ...] |
     bars = np.array([-model.drift(y) for y in ys])
     amps = np.asarray(model.amplitudes)
     rng = np.random.default_rng(model.seed)
-    hits = np.zeros((len(kinds), len(ys)), dtype=np.int64)
+    hits = np.zeros((len(KINDS), len(ys)), dtype=np.int64)
     for lo in range(0, trials, MC_CHUNK):
         phases = rng.uniform(0.0, 2.0 * math.pi, size=(min(MC_CHUNK, trials - lo), amps.size))
         osc = np.cos(phases, out=phases) @ amps  # zeros when there are no amplitudes
-        for hit, kind in zip(hits, kinds):
+        for hit, kind in zip(hits, KINDS):
             lean = SIGN[kind] * osc  # exact: a sign flip or a copy
             hit += np.count_nonzero(lean[:, None] > bars, axis=0)
     estimates = []
-    for kind, counts in zip(kinds, hits.tolist()):
+    for kind, counts in zip(KINDS, hits.tolist()):
         ps = [hit / trials for hit in counts]
         points = tuple((y, p, math.sqrt(p * (1.0 - p) / trials)) for y, p in zip(ys, ps))
         estimates.append(MonteCarloEstimates(kind, trials, model.seed, points))

@@ -113,7 +113,6 @@ class ZeroCache:
     q: int
     chi_index: int
     t_scanned: float
-    version: str
     records: tuple[ZeroRecord, ...]
 
     @property
@@ -291,7 +290,7 @@ def _cache(chi: DirichletCharacter, t_max: float, found) -> ZeroCache:
     records = [ZeroRecord(g, lv.derivative, abs(lv.value)) for g, lv in sorted(found, key=lambda p: p[0])]
     if chi.is_real:
         records = [ZeroRecord(-r.gamma, r.l_prime.conjugate(), r.residual) for r in reversed(records)] + records
-    return ZeroCache(chi.modulus, chi.index, float(t_max), FORMAT_VERSION, tuple(records))
+    return ZeroCache(chi.modulus, chi.index, float(t_max), tuple(records))
 
 
 def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
@@ -360,7 +359,7 @@ def store_cache(cache: ZeroCache, path: str) -> None:
     )
     comment = (
         f"q={cache.q} chi={cache.chi_index} T={fmt_float(cache.t_scanned)} "
-        f"count={cache.count} version={cache.version}"
+        f"count={cache.count} version={FORMAT_VERSION}"
     )
     write_csv(path, "gamma,re_lprime,im_lprime,residual", rows, comment)
 
@@ -401,4 +400,4 @@ def load_cache(path: str) -> ZeroCache:
     for r0, r1 in zip(records, records[1:]):
         if not r1.gamma > r0.gamma:
             raise CacheFormatError(f"{path}: gamma values not strictly increasing")
-    return ZeroCache(q, chi_index, t_scanned, version, tuple(records))
+    return ZeroCache(q, chi_index, t_scanned, tuple(records))

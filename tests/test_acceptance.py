@@ -202,8 +202,8 @@ def test_criterion_7_densities(chi4, big_run, cache200):
     assert y_grid[-1] == math.log(X_BIG)
     pointwise = {}
     grid_mean = {}
-    model = build_model(chi4, l_half, cache200, 100.0, "omega", seed=42)
-    for mc in li_monte_carlo(model, y_grid, 10_000, ("omega", "Omega")).estimates:
+    model = build_model(chi4, l_half, cache200, 100.0, seed=42)
+    for mc in li_monte_carlo(model, y_grid, 10_000).estimates:
         pointwise[mc.kind] = mc.points[-1]
         grid_mean[mc.kind] = sum(p for _, p, _ in mc.points) / len(mc.points)
     mc_ok = all(p >= 0.99 and se <= 0.005 for _, p, se in pointwise.values())

@@ -392,7 +392,6 @@ def test_cli_run_loads_no_scipy(tmp_path):
         ["zeros", "--q", "4", "--T0", "nan"],
         ["zeros", "--q", "4", "--T0", "-5"],
         ["all", "--q", "4", "--xmax", "1000", "--seed", "-1"],
-        ["compare", "--q", "4", "--kind", "omega", "--kind", "omega"],
     ],
 )
 def test_config_errors_exit_2(tmp_path, argv):
@@ -404,6 +403,18 @@ def test_segment_size_flag_is_retired(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sieve", "--segment-size", "65536", "--out", str(tmp_path / "o")])
     assert exc.value.code == cli.EXIT_CONFIG
+
+
+def test_kind_flag_is_retired(tmp_path, capsys):
+    """Both races always run: argparse refuses the old flag, and a config
+    file refuses the old key."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--kind", "omega", "--out", str(tmp_path / "o")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind = omega\n")
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "run.cfg:1: unknown key 'kind'" in capsys.readouterr().err
 
 
 def test_config_file_and_override(tmp_path):

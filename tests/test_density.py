@@ -19,14 +19,13 @@ from factorrace.density import (
 from factorrace.sieve import KINDS, SIGN, SieveConfig, density_scan
 
 
-def _race(model, y_grid, trials):
-    """The estimates of the model's own race."""
-    [mc] = li_monte_carlo(model, y_grid, trials).estimates
-    return mc
+def _race(model, y_grid, trials, kind):
+    """The estimates of the race `kind` from the draw of both."""
+    return {mc.kind: mc for mc in li_monte_carlo(model, y_grid, trials).estimates}[kind]
 
 
 def test_build_model_amplitudes(chi4, chi4_l_half, cache100):
-    model = build_model(chi4, chi4_l_half, cache100, 100.0, "omega", seed=1)
+    model = build_model(chi4, chi4_l_half, cache100, 100.0, seed=1)
     pos = [r for r in cache100.records if 0 < r.gamma <= 100.0]
     assert len(model.amplitudes) == len(pos)
     assert all(a > 0 for a in model.amplitudes)
@@ -36,18 +35,15 @@ def test_build_model_amplitudes(chi4, chi4_l_half, cache100):
 
 
 def test_drift_only_model_is_certain(chi4, chi4_l_half, cache100):
-    model = build_model(chi4, chi4_l_half, cache100, 5.0, "omega", seed=3)
+    model = build_model(chi4, chi4_l_half, cache100, 5.0, seed=3)
     assert model.amplitudes == ()
-    mc = _race(model, [0.5, 5.0, 20.0], 2000)
-    assert all(p == 1.0 for _, p, _ in mc.points)
-    mirrored = build_model(chi4, chi4_l_half, cache100, 5.0, "Omega", seed=3)
-    mcO = _race(mirrored, [0.5, 5.0, 20.0], 2000)
-    assert all(p == 1.0 for _, p, _ in mcO.points)
+    for mc in li_monte_carlo(model, [0.5, 5.0, 20.0], 2000).estimates:
+        assert all(p == 1.0 for _, p, _ in mc.points)
 
 
 def test_zero_drift_single_amplitude_symmetric():
-    model = LiModel((1.0,), 0.0, 0.0, "omega", seed=11, t0=10.0)
-    mc = _race(model, [1.0], 20000)
+    model = LiModel((1.0,), 0.0, 0.0, seed=11)
+    mc = _race(model, [1.0], 20000, "omega")
     _, p, se = mc.points[0]
     assert abs(p - 0.5) <= 4 * se
     assert se <= 0.5 / math.sqrt(20000)
@@ -56,34 +52,30 @@ def test_zero_drift_single_amplitude_symmetric():
 def test_the_two_races_split_one_sample():
     """At zero drift the omega race counts the samples with X < 0 and the
     Omega race those with X > 0, so the two estimates add up to 1."""
-    kw = dict(amplitudes=(1.0, 0.6), drift_slope=0.0, drift_intercept=0.0, seed=11, t0=10.0)
-    p_w = _race(LiModel(kind="omega", **kw), [1.0], 20001).points[0][1]
-    p_W = _race(LiModel(kind="Omega", **kw), [1.0], 20001).points[0][1]
+    omega, Omega = li_monte_carlo(LiModel((1.0, 0.6), 0.0, 0.0, seed=11), [1.0], 20001).estimates
+    p_w, p_W = omega.points[0][1], Omega.points[0][1]
     assert p_w != p_W  # an odd trial count cannot split evenly
     assert p_w + p_W == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("trials", [MIN_TRIALS, MC_CHUNK + 1, 10_000])
 def test_one_draw_serves_both_races(trials):
-    """Both races from one draw of the phases: each the same, bit for bit,
-    as a call for that race alone."""
+    """Both races, in KINDS order, from one draw of the phases; the bits of
+    each are checked in test_chunks_give_the_unchunked_estimates."""
     ys = [0.25 * k for k in range(40)]
-    model = _fifty_zero_model("omega", 12)
-    both = li_monte_carlo(model, ys, trials, KINDS)
+    both = li_monte_carlo(_fifty_zero_model(12), ys, trials)
     assert isinstance(both, MonteCarloDraw) and (both.trials, both.seed) == (trials, 12)
     assert [mc.kind for mc in both.estimates] == list(KINDS)
-    for mc in both.estimates:
-        assert mc == _race(_fifty_zero_model(mc.kind, 12), ys, trials)
-    assert li_monte_carlo(model, ys, trials, KINDS[::-1]).estimates == both.estimates[::-1]
+    assert all((mc.trials, mc.seed, len(mc.points)) == (trials, 12, len(ys)) for mc in both.estimates)
 
 
 def test_seed_determinism():
-    model = LiModel((0.5, 0.8), 0.1, 0.0, "omega", seed=99, t0=10.0)
-    a = _race(model, [1.0, 2.0], 5000)
-    b = _race(model, [1.0, 2.0], 5000)
+    model = LiModel((0.5, 0.8), 0.1, 0.0, seed=99)
+    a = _race(model, [1.0, 2.0], 5000, "omega")
+    b = _race(model, [1.0, 2.0], 5000, "omega")
     assert a == b
-    other = LiModel((0.5, 0.8), 0.1, 0.0, "omega", seed=100, t0=10.0)
-    c = _race(other, [1.0, 2.0], 5000)
+    other = LiModel((0.5, 0.8), 0.1, 0.0, seed=100)
+    c = _race(other, [1.0, 2.0], 5000, "omega")
     assert c != a
 
 
@@ -91,8 +83,8 @@ def test_variance_shrinks_with_trials():
     def spread(trials):
         ps = []
         for seed in range(10):
-            model = LiModel((1.0,), 0.0, 0.0, "omega", seed=seed, t0=10.0)
-            ps.append(_race(model, [1.0], trials).points[0][1])
+            model = LiModel((1.0,), 0.0, 0.0, seed=seed)
+            ps.append(_race(model, [1.0], trials, "omega").points[0][1])
         return statistics.pvariance(ps)
 
     v_small = spread(1000)
@@ -100,29 +92,29 @@ def test_variance_shrinks_with_trials():
     assert v_large < v_small / 3  # expected factor 16, generous slack
 
 
-def _unchunked_points(model, ys, trials):
-    """The estimates from one `trials`-row draw of the phases, the reference
-    for the chunked draw of li_monte_carlo."""
+def _unchunked_points(model, ys, trials, kind):
+    """The estimates of the race `kind` from one `trials`-row draw of the
+    phases, the reference for the chunked draw of li_monte_carlo."""
     amps = np.asarray(model.amplitudes)
     phases = np.random.default_rng(model.seed).uniform(0.0, 2.0 * math.pi, size=(trials, len(amps)))
-    lean = SIGN[model.kind] * (np.cos(phases) @ amps)
+    lean = SIGN[kind] * (np.cos(phases) @ amps)
     return [float(np.count_nonzero(lean > -model.drift(y))) / trials for y in ys]
 
 
-def _fifty_zero_model(kind, seed):
+def _fifty_zero_model(seed):
     amps = tuple(np.random.default_rng(50).uniform(0.02, 0.6, size=50).tolist())
-    return LiModel(amps, 0.04, 0.3, kind, seed=seed, t0=100.0)
+    return LiModel(amps, 0.04, 0.3, seed=seed)
 
 
 @pytest.mark.parametrize("trials", [MIN_TRIALS, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 10_000, 25_001])
 def test_chunks_give_the_unchunked_estimates(trials):
-    """MC_CHUNK trials at a time from one stream: the same p, bit for bit,
-    as the one-draw formula, at chunk edges and with a short last chunk."""
+    """MC_CHUNK trials at a time from one stream: the same p for both races,
+    bit for bit, as the one-draw formula, at chunk edges and with a short
+    last chunk."""
     ys = [0.25 * k for k in range(40)]
-    for kind, seed in (("omega", 7), ("Omega", 8)):
-        model = _fifty_zero_model(kind, seed)
-        got = [p for _, p, _ in _race(model, ys, trials).points]
-        assert got == _unchunked_points(model, ys, trials)
+    model = _fifty_zero_model(7)
+    for kind, mc in zip(KINDS, li_monte_carlo(model, ys, trials).estimates):
+        assert [p for _, p, _ in mc.points] == _unchunked_points(model, ys, trials, kind)
 
 
 def test_memory_does_not_grow_with_trials():
@@ -130,7 +122,7 @@ def test_memory_does_not_grow_with_trials():
     10,000; one draw of the trials took ten times as much."""
     import tracemalloc
 
-    model = _fifty_zero_model("omega", 9)
+    model = _fifty_zero_model(9)
     ys = [0.25 * k for k in range(40)]
     peaks = []
     for trials in (10_000, 100_000):
@@ -144,25 +136,25 @@ def test_memory_does_not_grow_with_trials():
 
 
 def test_monotone_in_y_with_positive_drift(chi4, chi4_l_half, cache100):
-    model = build_model(chi4, chi4_l_half, cache100, 30.0, "omega", seed=5)
+    model = build_model(chi4, chi4_l_half, cache100, 30.0, seed=5)
     ys = [0.0, 2.0, 5.0, 9.0, 14.0, 18.4]
-    mc = _race(model, ys, 4000)
+    mc = _race(model, ys, 4000, "omega")
     ps = [p for _, p, _ in mc.points]
     assert all(b >= a for a, b in zip(ps, ps[1:]))
 
 
 def test_degenerate_model_errors():
-    empty = LiModel((), 0.0, 0.0, "omega", seed=1, t0=1.0)
+    empty = LiModel((), 0.0, 0.0, seed=1)
     with pytest.raises(ValueError):
         li_monte_carlo(empty, [1.0], 2000)
-    ok = LiModel((1.0,), 0.0, 0.0, "omega", seed=1, t0=1.0)
+    ok = LiModel((1.0,), 0.0, 0.0, seed=1)
     with pytest.raises(ValueError):
         li_monte_carlo(ok, [1.0], 999)  # below the minimum trial count
 
 
 def test_mc_chi4_at_large_y(chi4, chi4_l_half, cache100):
-    model = build_model(chi4, chi4_l_half, cache100, 100.0, "omega", seed=42)
-    mc = _race(model, [math.log(1e8)], 10_000)
+    model = build_model(chi4, chi4_l_half, cache100, 100.0, seed=42)
+    mc = _race(model, [math.log(1e8)], 10_000, "omega")
     _, p, se = mc.points[0]
     assert p >= 0.99
     assert se <= 0.005
@@ -213,4 +205,4 @@ def test_build_model_refuses_a_complex_character():
 
     chi = character(5, 1)
     with pytest.raises(ValueError, match="real character"):
-        build_model(chi, l_value(chi, 0.5), scan_zeros(chi, 15.0), 10.0, "omega", seed=1)
+        build_model(chi, l_value(chi, 0.5), scan_zeros(chi, 15.0), 10.0, seed=1)

@@ -23,7 +23,7 @@ def cache5(chi5):
 
 
 def test_trivial_prediction_complex_below_first_zero(chi5):
-    empty = ZeroCache(5, 1, 1.0, "1", ())
+    empty = ZeroCache(5, 1, 1.0, ())
     l_half = l_value(chi5, 0.5)
     secular, zero_sum = predict([10**4, 10**5], chi5, l_half, empty, 1.0)
     assert np.all(secular == 0)
@@ -73,7 +73,7 @@ def test_predict_domain_errors(chi4, chi4_l_half, cache100, chi5, cache5):
         predict([1, 10**4], chi4, chi4_l_half, cache100, 10.0)
     principal = enumerate_characters(4)[0]
     with pytest.raises(ValueError):
-        predict([10**4], principal, chi4_l_half, ZeroCache(4, 0, 10.0, "1", ()), 10.0)
+        predict([10**4], principal, chi4_l_half, ZeroCache(4, 0, 10.0, ()), 10.0)
     with pytest.raises(ValueError, match="does not belong"):
         predict([10**4], chi4, chi4_l_half, cache5, 10.0)
 
@@ -118,7 +118,7 @@ def test_conjugation_symmetry_complex_pair(chi5, cache5):
 
 
 def test_residual_series_t0_zero_complex(chi5):
-    empty = ZeroCache(5, 1, 1.0, "1", ())
+    empty = ZeroCache(5, 1, 1.0, ())
     l_half = l_value(chi5, 0.5)
     cfg = SieveConfig(x_max=5000, q=5, checkpoints=(1000, 2000, 5000))
     sums = sieve_run(cfg)

@@ -76,7 +76,7 @@ def test_count_check_passes(cache15):
 
 
 def test_count_check_empty_cache_t1(chi4):
-    empty = ZeroCache(4, 1, 1.0, "1", ())
+    empty = ZeroCache(4, 1, 1.0, ())
     rep = count_check(empty)
     assert rep.passed
     assert rep.expected < 1
@@ -87,7 +87,7 @@ def test_count_check_rejects_crowded_window(chi4):
     fake = tuple(
         ZeroRecord(7.0 + 0.01 * k, complex(1.0, 0.0), 1e-12) for k in range(30)
     )
-    rep = count_check(ZeroCache(4, 1, 15.0, "1", fake))
+    rep = count_check(ZeroCache(4, 1, 15.0, fake))
     assert not rep.passed
     assert 7 in rep.bad_windows
 
@@ -106,7 +106,7 @@ def test_count_check_windows_of_a_complex_character_are_per_side():
         gammas = [-(7.005 + 0.01 * j) for j in range(minus)] + [7.005 + 0.01 * j for j in range(plus)]
         gammas += [20.5 + j for j in range(11)]
         records = tuple(ZeroRecord(g, complex(1.0, 0.0), 1e-12) for g in sorted(gammas))
-        return count_check(ZeroCache(5, 1, 40.0, FORMAT_VERSION, records))
+        return count_check(ZeroCache(5, 1, 40.0, records))
 
     assert rep(k, k).passed
     more = rep(k + 1, k)
@@ -119,7 +119,7 @@ def test_count_check_fails_when_record_deleted(chi4):
     cache = scan_zeros(chi4, 50.0)
     # removing an interior pair must push the deviation past the allowance
     reduced = [r for r in cache.records if abs(abs(r.gamma) - cache.records[-1].gamma) > 1e-9]
-    pruned = ZeroCache(cache.q, cache.chi_index, cache.t_scanned, cache.version, tuple(reduced))
+    pruned = ZeroCache(cache.q, cache.chi_index, cache.t_scanned, tuple(reduced))
     base = count_check(cache)
     assert base.passed
     worse = count_check(pruned)
@@ -128,7 +128,7 @@ def test_count_check_fails_when_record_deleted(chi4):
     records = list(cache.records)
     while records:
         records.pop()
-        rep = count_check(ZeroCache(cache.q, cache.chi_index, cache.t_scanned, cache.version, tuple(records)))
+        rep = count_check(ZeroCache(cache.q, cache.chi_index, cache.t_scanned, tuple(records)))
         if not rep.passed:
             break
     else:
@@ -403,13 +403,13 @@ def test_a_scan_builds_the_factor_ladder_once(monkeypatch, q, index):
 def test_count_check_short_window_decides_nothing(cache100):
     """Taking the zero pair near 40.32 out of cache100 leaves window 40 short
     of the smooth count; the verdict still follows the total alone."""
-    pruned = ZeroCache(4, 1, 100.0, "1", tuple(r for r in cache100.records if int(abs(r.gamma)) != 40))
+    pruned = ZeroCache(4, 1, 100.0, tuple(r for r in cache100.records if int(abs(r.gamma)) != 40))
     assert len(pruned.records) == len(cache100.records) - 2
     rep = count_check(pruned)
     assert rep.bad_windows == ()
     assert rep.passed and rep.deviation <= rep.allowed
     # no window is crowded, so a total off by more than the allowance alone fails
-    low = ZeroCache(4, 1, 100.0, "1", tuple(r for r in cache100.records if abs(r.gamma) <= 80.0))
+    low = ZeroCache(4, 1, 100.0, tuple(r for r in cache100.records if abs(r.gamma) <= 80.0))
     rep = count_check(low)
     assert rep.bad_windows == ()
     assert rep.deviation > rep.allowed and not rep.passed
