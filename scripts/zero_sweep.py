@@ -1,0 +1,147 @@
+"""Completeness sweep of the zero scan against a grid sixteen times finer.
+
+For every character of a set, runs `scan_zeros(chi, T)` and checks each
+sign change of `rotated_z` on a reference grid whose step is 1/16 of the
+scan's grid step, pi / (16 log(q (|t| + 10) / (2 pi) + e)): a reference
+step [a, b] with a sign change (or a grid point where Z vanishes) must hold
+a scanned zero, or it counts as missed.  Real characters are compared on
+[0, T] (the gamma >= 0 half of their mirrored caches), complex ones on
+[-T, T].  The reference grid is the cost of the sweep, about sixteen
+times the scan's own grid.
+
+The sets, at T = 60:
+  small: every primitive non-principal character with q <= 30 (167);
+  large: 4 evenly spread primitive non-principal characters for each q
+         in LARGE_MODULI (36).
+
+Prints one JSON object with, per set, the characters, the zeros found,
+the reference sign changes, the missed ones (with their brackets), the
+L-evals of the scans (counted at `zeros.l_value`), the largest number of
+L-evals one refinement took (against `zeros.MAX_REFINE_STEPS`), and the
+scans that warned or raised.  It is offline; `tests/test_zero_sweep.py`
+runs `sweep` once at a tiny size.
+
+    PYTHONPATH=src python scripts/zero_sweep.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import time
+import warnings
+
+from factorrace import zeros
+from factorrace.characters import enumerate_characters
+from factorrace.lfunction import rotated_z
+
+T = 60.0
+QMAX = 30  # largest modulus of the small set
+LARGE_MODULI = (64, 81, 97, 101, 125, 163, 199, 300, 401)
+PER_Q = 4  # characters per modulus of the large set
+REFERENCE_FINENESS = 16  # reference steps per scan grid step
+
+
+def _primitive(q: int) -> list:
+    return [c for c in enumerate_characters(q) if c.is_primitive and not c.is_principal]
+
+
+def small_set(q_max: int) -> list:
+    return [c for q in range(3, q_max + 1) for c in _primitive(q)]
+
+
+def large_set() -> list:
+    chosen = []
+    for q in LARGE_MODULI:
+        prims = _primitive(q)
+        chosen += [prims[k * len(prims) // PER_Q] for k in range(min(PER_Q, len(prims)))]
+    return chosen
+
+
+def _reference_brackets(chi, t_lo: float, t_hi: float) -> list[tuple[float, float]]:
+    """[a, b] of each sign change of rotated_z on the reference grid, and
+    [t, t] of each grid point where it vanishes."""
+    q = chi.modulus
+    t, z = t_lo, rotated_z(chi, t_lo)
+    brackets = []
+    while t < t_hi:
+        step = math.pi / (REFERENCE_FINENESS * math.log(q * (abs(t) + 10) / (2 * math.pi) + math.e))
+        t_next = min(t_hi, t + step)
+        z_next = rotated_z(chi, t_next)
+        if z == 0.0:
+            brackets.append((t, t))
+        elif z_next != 0.0 and (z < 0) != (z_next < 0):
+            brackets.append((t, t_next))
+        t, z = t_next, z_next
+    if z == 0.0:
+        brackets.append((t, t))
+    return brackets
+
+
+def _scan_counted(chi, t_max: float) -> dict:
+    """scan_zeros(chi, t_max) with its L-evals, the largest refinement's
+    L-evals, its warnings and its error, if any."""
+    evals, refines = [0], []
+    l_value, refine = zeros.l_value, zeros._refine
+
+    def counted_l_value(*args):
+        evals[0] += 1
+        if refines:
+            refines[-1] += 1
+        return l_value(*args)
+
+    def counted_refine(*args):
+        refines.append(0)
+        return refine(*args)
+
+    zeros.l_value, zeros._refine = counted_l_value, counted_refine
+    gammas, error = [], None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                gammas = zeros.scan_zeros(chi, t_max).gammas()
+            except zeros.MissedZeroError as exc:
+                error = str(exc)
+    finally:
+        zeros.l_value, zeros._refine = l_value, refine
+    return {
+        "gammas": [g for g in gammas if g >= 0 or not chi.is_real],
+        "evals": evals[0],
+        "max_refine": max(refines, default=0),
+        "warnings": [str(w.message) for w in caught],
+        "error": error,
+    }
+
+
+def sweep(chars: list, t_max: float) -> dict:
+    """The totals of the set `chars` at height t_max."""
+    totals = {"characters": len(chars), "found": 0, "reference": 0, "missed": [], "l_evals": 0,
+              "max_refine_evals": 0, "warned": [], "raised": []}
+    t0 = time.perf_counter()
+    for chi in chars:
+        scan = _scan_counted(chi, t_max)
+        gammas = scan["gammas"]
+        brackets = _reference_brackets(chi, 0.0 if chi.is_real else -t_max, t_max)
+        name = f"{chi.modulus}:{chi.index}"
+        totals["found"] += len(gammas)
+        totals["reference"] += len(brackets)
+        totals["missed"] += [[name, a, b] for a, b in brackets if not any(a <= g <= b for g in gammas)]
+        totals["l_evals"] += scan["evals"]
+        totals["max_refine_evals"] = max(totals["max_refine_evals"], scan["max_refine"])
+        if scan["warnings"]:
+            totals["warned"].append([name, *scan["warnings"]])
+        if scan["error"]:
+            totals["raised"].append([name, scan["error"]])
+    totals["seconds"] = time.perf_counter() - t0
+    return totals
+
+
+def main() -> None:
+    result = {"t_max": T, "reference_fineness": REFERENCE_FINENESS,
+              "small": sweep(small_set(QMAX), T), "large": sweep(large_set(), T)}
+    print(json.dumps(result, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -361,7 +361,7 @@ def cmd_density(rc: RunConfig, first=None) -> None:
     if not targets:
         raise ConfigError(f"no real non-principal character selected for q={rc.q} chi={rc.chi}")
     traces = []
-    estimates = []
+    draws = []
     for chi in targets:
         if first is not None and first.chi_index == chi.index:
             dens = first
@@ -374,15 +374,14 @@ def cmd_density(rc: RunConfig, first=None) -> None:
             t0 = max(rc.t0_list)
             y_grid = _mc_y_grid(cfg)
             model = build_model(chi, l_half, cache, t0, rc.seed)
-            own = li_monte_carlo(model, y_grid, rc.trials).estimates
-            estimates.extend(own)
-            flags = [m.kind for m in own if disagrees(dens, m)]
+            draws.append(li_monte_carlo(model, y_grid, rc.trials))
+            flags = [m.kind for m in draws[-1].estimates if disagrees(dens, m)]
             if flags:
                 print(f"density: WARNING empirical vs Monte Carlo disagree (> {DISAGREE_TOL}) for {flags}")
         deltas = " ".join(f"delta_{kind}={delta:.4f}" for kind, delta in zip(KINDS, dens.delta))
         print(f"density: q={rc.q} chi={chi.index} X={rc.x_max} {deltas}")
     write_density_csv(traces[0], _path(rc, "density.csv"), rc.comment())
-    write_mc_csv(estimates, _path(rc, "mc.csv"), rc.comment())
+    write_mc_csv(draws, _path(rc, "mc.csv"), rc.comment())
 
 
 def cmd_all(rc: RunConfig) -> None:

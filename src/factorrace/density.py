@@ -115,8 +115,6 @@ def build_model(
 @dataclass(frozen=True)
 class MonteCarloEstimates:
     kind: str
-    trials: int
-    seed: int
     points: tuple[tuple[float, float, float], ...]  # (y, p_hat, std_error)
 
 
@@ -161,7 +159,7 @@ def li_monte_carlo(model: LiModel, y_grid, trials: int) -> MonteCarloDraw:
     for kind, counts in zip(KINDS, hits.tolist()):
         ps = [hit / trials for hit in counts]
         points = tuple((y, p, math.sqrt(p * (1.0 - p) / trials)) for y, p in zip(ys, ps))
-        estimates.append(MonteCarloEstimates(kind, trials, model.seed, points))
+        estimates.append(MonteCarloEstimates(kind, points))
     return MonteCarloDraw(trials, model.seed, tuple(estimates))
 
 
@@ -197,10 +195,11 @@ def write_density_csv(trace: DensityTrace, path: str, comment: str | None = None
     write_csv(path, "X,delta_omega,delta_Omega", rows, comment)
 
 
-def write_mc_csv(estimates: list[MonteCarloEstimates], path: str, comment: str | None = None) -> None:
+def write_mc_csv(draws: list[MonteCarloDraw], path: str, comment: str | None = None) -> None:
     rows = (
-        f"{fmt_float(y)},{fmt_float(p)},{mc.trials},{mc.seed},{mc.kind}"
-        for mc in estimates
+        f"{fmt_float(y)},{fmt_float(p)},{draw.trials},{draw.seed},{mc.kind}"
+        for draw in draws
+        for mc in draw.estimates
         for y, p, _ in mc.points
     )
     write_csv(path, "y,p_neg,trials,seed,kind", rows, comment)

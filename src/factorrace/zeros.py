@@ -1,9 +1,9 @@
 """Locate critical-line zeros of primitive Dirichlet L-functions.
 
 Zeros rho = 1/2 + i*gamma are detected as sign changes of the rotated
-real-valued function Z_chi(t) on a grid whose step tracks the local mean
-zero gap, h(t) = 0.25 * 2*pi / log(q*(|t|+10)/(2*pi) + e), then refined by
-safeguarded Newton steps on Z.
+real-valued function Z_chi(t) on a grid whose step is half the local mean
+zero gap, h(t) = 0.5 * 2*pi / log(q*(|t|+10)/(2*pi) + e), then refined by
+safeguarded Hermite-cubic steps on Z.
 
 The slope costs no further evaluation.  Every L-evaluation returns
 L'(1/2 + it) with the value, and as phase(t) * L(1/2 + it) is real on the
@@ -12,30 +12,34 @@ i theta'(t) Z(t), an imaginary term, so
 
     Z'(t) = -Im(phase(t) * L'(1/2 + it))
 
-for real and complex primitive characters alike.  The grid already has Z
-and Z' at both ends of a sign change, so the first point refinement
-evaluates is the root of the cubic that matches both, taken by two Newton
-steps on that cubic from the end with the smaller |Z| (the first of them
-is the Newton step on Z itself); each later point is the Newton step from
-the point evaluated last.  A point outside the open sign-change bracket
-is replaced by the Illinois regula falsi point, so the bracket shrinks at
-every step and convergence never rests on the slope.  Refinement stops
-once the Newton correction |Z/Z'| at the evaluated point is below
-epsilon * max(1, |t|) (epsilon = 2^-52, under two ulps of t: a further
-step could move t by rounding only), the bracket is narrower than
-1e-14 * max(1, |t|), or Z vanishes; the point evaluated last is the
-zero, and its L-evaluation gives both the stored residual |L(rho)| and
-L'(rho, chi).  About three L-evals per zero go to refinement (90 for the
-28 zeros above 0 at q=163, T=30, where Illinois regula falsi took 202).
+for real and complex primitive characters alike.  So both ends of a
+sign-change bracket carry Z and Z' (grid points at first, evaluated
+points after), and every point refinement evaluates is the root of the
+cubic that matches both, taken by two Newton steps on that cubic from the
+end with the smaller |Z| (the first of them is the Newton step on Z
+itself).  A point outside the open bracket is replaced by the Illinois
+regula falsi point, so the bracket shrinks at every step and convergence
+never rests on the slope.  Refinement stops once the Newton correction
+|Z/Z'| at the evaluated point is below epsilon * max(1, |t|)
+(epsilon = 2^-52, under two ulps of t: a further step could move t by
+rounding only), the bracket is narrower than 1e-14 * max(1, |t|), or Z
+vanishes; the point evaluated last is the zero, and its L-evaluation
+gives both the stored residual |L(rho)| and L'(rho, chi).  At q=163,
+T=30 the scan takes 153 L-evals for its 56 zeros: 63 on the grid and 90
+in refinement for the 28 above 0 (at half this step, with Newton steps
+after the first cubic point, it took 214: 124 and 90).
 
 A pair of zeros inside one grid step leaves Z one sign at both ends of
 the step while |Z| dips toward 0 and turns back.  So each dip of the grid,
-a point where Z keeps its sign and |Z| is below its neighbours (an end
-point has one), is rescanned at a quarter step over the steps beside it;
-a rescan that finds no sign change rescans its own dips once more, at a
-quarter of its step.  A dip where neither finds one, with |Z| below 1e-6
-of the grid's median, would be a zero of even order: it is reported as a
-warning, never absorbed (simple zeros are the working assumption).
+a step where Z keeps its sign while sign(Z) Z' < 0 at its left end and
+> 0 at its right (|Z| falls into the step and rises out of it, so it has
+a minimum inside), is rescanned alone at a quarter step, and each dip of
+that rescan at a sixteenth.  A zero slope at a step's left end counts
+as falling there: a real character's scan starts at t = 0, where its Z
+is even and Z'(0) = 0.  A dip where neither finds a sign change,
+with |Z| below 1e-6 of the grid's median at a point of its quarter-step
+rescan, would be a zero of even order: it is reported as a warning, never
+absorbed (simple zeros are the working assumption).
 
 `count_check` then decides once, against the smooth counting function
 
@@ -81,12 +85,13 @@ __all__ = [
     "cache_filename",
 ]
 
-FORMAT_VERSION = "4"  # "1": the fixed-rule Euler-Maclaurin kernel; "2": the Hurwitz block kernel;
-# "3": the Dirichlet series kernel with Illinois regula falsi refinement
+FORMAT_VERSION = "5"  # "1": the fixed-rule Euler-Maclaurin kernel; "2": the Hurwitz block kernel;
+# "3": the Dirichlet series kernel with Illinois regula falsi refinement; "4": Newton steps on Z after
+# one Hermite-cubic point, at a quarter of the mean zero gap; "5": Hermite-cubic points at every step,
+# at half the gap
 MAX_SCAN_HEIGHT = 1.0e3
 MAX_REFINE_STEPS = 64
 NEWTON_STOP = sys.float_info.epsilon  # refinement stops at |Z/Z'| < NEWTON_STOP * max(1, |t|)
-MIN_ZERO_GAP = 1e-6
 
 
 class MissedZeroError(RuntimeError):
@@ -147,7 +152,7 @@ def smooth_zero_count(t: float, q: int) -> float:
 
 
 def _grid_step(t: float, q: int) -> float:
-    return 0.5 * math.pi / math.log(q * (abs(t) + 10) / (2 * math.pi) + math.e)
+    return math.pi / math.log(q * (abs(t) + 10) / (2 * math.pi) + math.e)
 
 
 def _slope(phase, lv):
@@ -157,10 +162,12 @@ def _slope(phase, lv):
 
 
 def _z_and_l(chi, t):
-    """Z(t), Z'(t) and the LValue at 1/2 + it."""
+    """Z(t), Z'(t) and the LValue at 1/2 + it.  A real character's Z is
+    even, so its Z'(0) is 0, not the rounding noise the formula leaves."""
     lv = l_value(chi, complex(0.5, t))
     phase = _rotation_phase(chi, t)
-    return (phase * lv.value).real, _slope(phase, lv), lv
+    dz = 0.0 if chi.is_real and t == 0.0 else _slope(phase, lv)
+    return (phase * lv.value).real, dz, lv
 
 
 def _scan_grid(chi, t_lo, t_hi, step_scale=1.0):
@@ -174,13 +181,12 @@ def _scan_grid(chi, t_lo, t_hi, step_scale=1.0):
     return ts, zs, dzs, lvs
 
 
-def _first_point(lo, hi):
-    """Where refinement evaluates Z first: two Newton steps, from the end
+def _cubic_point(lo, hi):
+    """Where refinement evaluates Z next: two Newton steps, from the end
     with the smaller |Z|, on the cubic Hermite interpolant of Z through the
-    bracket ends (t, Z, Z', LValue), whose Z and Z' the grid already has.
-    The first of the two is the Newton step on Z itself; the second, on
-    the cubic, saves about one L-eval per zero.  NaN where the cubic is
-    flat."""
+    bracket ends (t, Z, Z', LValue).  The first of the two is the Newton
+    step on Z itself; the second, on the cubic, saves about one L-eval per
+    zero.  NaN where the cubic is flat."""
     (a, za, dza, _), (b, zb, dzb, _) = lo, hi
     h = b - a
     c1, c2, c3 = h * dza, 3 * (zb - za) - h * (2 * dza + dzb), 2 * (za - zb) + h * (dza + dzb)
@@ -194,48 +200,48 @@ def _first_point(lo, hi):
 
 
 def _refine(chi, lo, hi):
-    """Safeguarded Newton on Z over a sign-change bracket; returns (gamma, LValue).
+    """Safeguarded Hermite-cubic steps on Z over a sign-change bracket;
+    returns (gamma, LValue).
 
-    `lo` and `hi` are the bracket's grid ends as (t, Z, Z', LValue).  The
-    first point is `_first_point`'s, each later one the Newton step from
-    the point evaluated last.  A point outside the open bracket (a Newton
-    step from a zero slope included) is replaced by the Illinois
+    `lo` and `hi` are the bracket's ends as (t, Z, Z', LValue): grid points
+    at first, and each evaluated point replaces the end whose Z has its
+    sign, so every point is `_cubic_point`'s on the current bracket.  A
+    point outside the open bracket is replaced by the Illinois
     false-position point, kept at least half the bracket stop width inside
-    (when the same end survives twice in a row, its Z value is halved), and
-    every step keeps the sub-bracket with the sign change.  Stops once the
-    Newton correction |Z/Z'| at the evaluated point is below
+    (when the same end survives twice in a row, its Z value in the
+    false-position rule is halved), or failing that the midpoint.  Stops
+    once the Newton correction |Z/Z'| at the evaluated point is below
     NEWTON_STOP * max(1, |t|), the bracket is narrower than
     1e-14 * max(1, |t|), or Z vanishes exactly, and returns the point
     evaluated last together with its LValue.
     """
-    (a, za, _, _), (b, zb, _, _) = lo, hi
-    m = _first_point(lo, hi)
+    fa, fb = lo[1], hi[1]  # the Illinois-scaled Z values of the ends
     side = 0  # which end the last step replaced: -1 for b, 1 for a
     for _ in range(MAX_REFINE_STEPS):
+        a, b = lo[0], hi[0]
         tol = 1e-14 * max(1.0, abs(0.5 * (a + b)))
-        if not a < m < b:
-            m = b - zb * (b - a) / (zb - za)
+        t = _cubic_point(lo, hi)
+        if not a < t < b:
+            t = b - fb * (b - a) / (fb - fa)
             # at least tol/2 inside, so a root next to an end closes the bracket
-            m = min(max(m, a + 0.5 * tol), b - 0.5 * tol)
-            if not a < m < b:
-                m = 0.5 * (a + b)
-        t = m
+            t = min(max(t, a + 0.5 * tol), b - 0.5 * tol)
+            if not a < t < b:
+                t = 0.5 * (a + b)
         z, dz, lv = _z_and_l(chi, t)
         if z == 0.0:
             break
-        if (z < 0) == (zb < 0):
-            b, zb = t, z
+        if (z < 0) == (fb < 0):
+            hi, fb = (t, z, dz, lv), z
             if side == -1:
-                za *= 0.5
+                fa *= 0.5
             side = -1
         else:
-            a, za = t, z
+            lo, fa = (t, z, dz, lv), z
             if side == 1:
-                zb *= 0.5
+                fb *= 0.5
             side = 1
-        if abs(z) < NEWTON_STOP * max(1.0, abs(t)) * abs(dz) or b - a < tol:
+        if abs(z) < NEWTON_STOP * max(1.0, abs(t)) * abs(dz) or hi[0] - lo[0] < tol:
             break
-        m = t - z / dz if dz else math.nan
     return t, lv
 
 
@@ -252,14 +258,15 @@ def _sign_changes(chi, ts, zs, dzs, lvs):
     return found
 
 
-def _dips(ts, zs):
-    """(lo, hi, t, z) for each grid point (t, z) where Z keeps its sign and |Z|
-    is below its neighbours; [lo, hi] spans the steps beside it."""
-    last = len(zs) - 1
-    for i, z in enumerate(zs):
-        lo, hi = max(i - 1, 0), min(i + 1, last)
-        if all((zs[j] < 0) == (z < 0) and abs(zs[j]) > abs(z) for j in {lo, hi} - {i}):
-            yield ts[lo], ts[hi], ts[i], z
+def _dips(ts, zs, dzs):
+    """(lo, hi) for each grid step where Z keeps its sign while |Z| falls at
+    the left end and rises at the right, sign(Z) Z' < 0 at lo and > 0 at
+    hi, so |Z| has a minimum inside.  A zero slope at the left end counts
+    as falling: a real character's scan starts at t = 0, where Z' = 0."""
+    for i in range(len(ts) - 1):
+        falls = zs[i] * dzs[i] < 0 or dzs[i] == 0.0
+        if (zs[i] < 0) == (zs[i + 1] < 0) and falls and zs[i + 1] * dzs[i + 1] > 0:
+            yield ts[i], ts[i + 1]
 
 
 def _find_side_zeros(chi, t_lo, t_hi, step_scale=1.0):
@@ -268,19 +275,21 @@ def _find_side_zeros(chi, t_lo, t_hi, step_scale=1.0):
     found = _sign_changes(chi, ts, zs, dzs, lvs)
     mags = sorted(abs(z) for z in zs)
     tol = 1e-6 * max(1.0, mags[len(mags) // 2])
-    for lo, hi, t, z in _dips(ts, zs):
-        sub_ts, sub_zs, sub_dzs, sub_lvs = _scan_grid(chi, lo, hi, step_scale / 4)
-        more = _sign_changes(chi, sub_ts, sub_zs, sub_dzs, sub_lvs)
-        for sub_lo, sub_hi, _, _ in [] if more else _dips(sub_ts, sub_zs):
+    for lo, hi in _dips(ts, zs, dzs):
+        sub = _scan_grid(chi, lo, hi, step_scale / 4)
+        more = _sign_changes(chi, *sub)
+        for sub_lo, sub_hi in _dips(*sub[:3]):
             more += _sign_changes(chi, *_scan_grid(chi, sub_lo, sub_hi, step_scale / 16))
-        found += [(g, lv) for g, lv in more if all(abs(g - g0) > MIN_ZERO_GAP for g0, _ in found)]
-        if not more and abs(z) < tol:
-            warnings.warn(
-                f"possible multiple/even-order zero near t={t:.6f}: |Z| dips to "
-                f"{abs(z):.3g} without a sign change",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        found += more
+        if not more:
+            t, z = min(zip(sub[0], sub[1]), key=lambda p: abs(p[1]))
+            if abs(z) < tol:
+                warnings.warn(
+                    f"possible multiple/even-order zero near t={t:.6f}: |Z| dips to "
+                    f"{abs(z):.3g} without a sign change",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
     return found
 
 

@@ -189,8 +189,15 @@ def test_a_cache_of_the_hurwitz_block_kernel_is_rescanned_or_refused(tmp_path, c
 def test_a_cache_of_the_illinois_refinement_is_rescanned_or_refused(tmp_path, capsys):
     """Version 3, the caches whose gammas came from Illinois regula falsi
     before the Newton refinement moved them, is refused and rescanned alike."""
-    assert FORMAT_VERSION == "4"
     _check_stale_version(tmp_path, capsys, "3")
+
+
+def test_a_cache_of_the_newton_refinement_is_rescanned_or_refused(tmp_path, capsys):
+    """Version 4, the caches whose gammas came from Newton steps on the
+    quarter-gap grid before the half-gap grid and its cubic steps moved
+    them, is refused and rescanned alike."""
+    assert FORMAT_VERSION == "5"
+    _check_stale_version(tmp_path, capsys, "4")
 
 
 def test_compare_refuses_a_truncated_twists_row(tmp_path, capsys):
@@ -311,16 +318,16 @@ def test_run_below_x_2_compares_nothing(tmp_path, cmd, xmax):
 GOLDEN_RUN = ["all", "--q", "24", "--chi", "all", "--xmax", "20000", "--T", "15", "--T0", "15", "--trials", "1000"]
 GOLDEN_SHA256 = {
     "checkpoints.csv": "424b1faaae06d27437161f15d4c4457210f395a5600d4f2d28904645a2dc7003",
-    "compare_Omega_q24_chi3_T15.csv": "9d1b524d405998f3f3f856a18dd3233e1ac438d8010c8ed52e6d15c809641dbe",
-    "compare_Omega_q24_chi7_T15.csv": "719a09d5ad6d01acbbfa18b86f10f6026fa5515d9ce147e3294849f7463d5bc9",
-    "compare_omega_q24_chi3_T15.csv": "9b1580d77be8c21cce1d5b64a5776751ffc62cff5447035e6d642ac06abf6df4",
-    "compare_omega_q24_chi7_T15.csv": "ce64b8e7a3f835b4a175eb66ed5197c43ff9c827c4379d1c6406fccff32ba1b2",
+    "compare_Omega_q24_chi3_T15.csv": "906bc628f30cdd5a2cf94058a1281bb29a7dfecb4aeb5d8fa378397318351959",
+    "compare_Omega_q24_chi7_T15.csv": "c257194f2baa588637712da1e44cca7ed43315d9f7a159a50451c1c233c5d2d1",
+    "compare_omega_q24_chi3_T15.csv": "65c2db7041cf2a0aed3c368f4b774e9c73860e4ce9bc9fe3997ea8f32f1a046b",
+    "compare_omega_q24_chi7_T15.csv": "e361f6aff6cccbde81ae5e4c6262cb911c52a031c528ed00cac393289c5e2699",
     "density.csv": "8c8b1a70e70d9da1aaf11494138b5f623feb1d72e07cd7d9591473aa26dd0e03",
     "mc.csv": "c0574e2c1fc66d2725dab9c952f3cdf5bb1ddebfc64098d21f94bdcd861236c7",
-    "meansq.csv": "4e9a98380377f2126aa32e05e70a8c7fc003494953aa63864d5a3a6f11a4f3d9",
+    "meansq.csv": "05bc922cc1afd9e92c97d703971fc233a00068d02d3a0ef0e1a2e90a70efdfaf",
     "twists.csv": "d7d526360b316ea3e8737251b80732306dd36185c61c8a23dea1b76a2091ab65",
-    "zeros_q24_chi3.csv": "ab18f00d75e596179468f72f58190c84e9d81abd05f6179de792804bb523fceb",
-    "zeros_q24_chi7.csv": "f5ac597953315c98509081c167f9e59ede39930230c49cd8572d6fc6197f8ee3",
+    "zeros_q24_chi3.csv": "b98d5745a12fdca08a10bdb02eba75244a9cdfbaf2569ead5ca770922937ef54",
+    "zeros_q24_chi7.csv": "07abb6ee0c6f9faeda1688643a480ce0dea2a14fdda9b39596d36e00c7ae5862",
 }
 
 

@@ -220,12 +220,13 @@ def test_scan_domain_errors(chi4):
 
 
 def test_window_refinement_recovers_coarse_grid(chi4, monkeypatch):
-    """A 4x-coarse first pass drops sign changes (42 of the 50 pairs at
-    T=100); the quarter-step rescans of its dips must recover them."""
+    """A 2x-coarse first pass (one mean zero gap per step) drops sign
+    changes (42 of the 50 pairs at T=100); the rescans of its dips must
+    recover them."""
     import factorrace.zeros as zmod
 
     orig = zmod._grid_step
-    monkeypatch.setattr(zmod, "_grid_step", lambda t, q: 4.0 * orig(t, q))
+    monkeypatch.setattr(zmod, "_grid_step", lambda t, q: 2.0 * orig(t, q))
     assert len(zmod._sign_changes(chi4, *zmod._scan_grid(chi4, 0.0, 100.0))) == 42
     coarse = scan_zeros(chi4, 100.0)
     monkeypatch.undo()
@@ -323,7 +324,7 @@ def test_slope_is_minus_im_phase_times_l_prime(q, index):
 
 
 def test_a_wrong_sign_slope_falls_back_to_false_position(monkeypatch):
-    """With Z' of the wrong sign every Newton point leaves its bracket, so
+    """With Z' of the wrong sign every Hermite-cubic point leaves its bracket, so
     each step is the Illinois false-position fallback: the scan finds the
     same zeros at the same gammas, and no refinement runs out of steps."""
     import factorrace.zeros as zmod
@@ -370,17 +371,33 @@ def test_refined_zeros_against_mpmath():
             assert abs(value) < 5e-13, (chi.modulus, g)
 
 
-def test_scan_eval_budget(monkeypatch):
-    """q=163 chi 81 T=30 takes at most 260 L-evals, counted at
-    `zeros.l_value`: 124 on the grid and 90 in Newton refinement, against
-    202 in refinement by Illinois regula falsi."""
+def _counted_scan(monkeypatch, chi, t_max):
+    """scan_zeros(chi, t_max) and its L-evals, counted at `zeros.l_value`."""
     import factorrace.zeros as zmod
 
     calls = []
     evaluate = zmod.l_value
     monkeypatch.setattr(zmod, "l_value", lambda *args: calls.append(args) or evaluate(*args))
-    assert scan_zeros(character(163, 81), 30.0).count == 56
-    assert len(calls) <= 260
+    return scan_zeros(chi, t_max), len(calls)
+
+
+def test_scan_eval_budget(monkeypatch):
+    """q=163 chi 81 T=30 takes at most 160 L-evals: 63 on the grid, none in
+    rescans and 90 in Hermite-cubic refinement.  At half the step, with
+    Newton steps after the first cubic point, it took 214 (124 on the
+    grid), and 202 in refinement alone by Illinois regula falsi."""
+    cache, evals = _counted_scan(monkeypatch, character(163, 81), 30.0)
+    assert cache.count == 56
+    assert evals <= 160
+
+
+def test_mod4_scan_eval_budget(monkeypatch):
+    """q=4 T=200, the scan of the mod-4 race, takes at most 660 L-evals:
+    263 on the grid, 18 in rescans (12 of them the dip at t = 0) and 375
+    in refinement (921 at half the step)."""
+    cache, evals = _counted_scan(monkeypatch, character(4, 1), 200.0)
+    assert cache.count == 244
+    assert evals <= 660
 
 
 @pytest.mark.parametrize("q, index", [(163, 81), (5, 2)])
@@ -416,13 +433,14 @@ def test_count_check_short_window_decides_nothing(cache100):
 
 
 def test_rescans_recover_zeros_the_total_misses():
-    """At q=163, T=60 the sign changes of the grid alone give 118 zeros and
-    the total passes on them; only the rescans of the dips add the other four."""
+    """At q=163, chi 53, T=60 the sign changes of the grid alone give 114
+    zeros and the total passes on them; only the rescans of the dips add
+    the other eight."""
     import factorrace.zeros as zmod
 
-    chi = character(163, 81)
-    first = zmod._cache(chi, 60.0, zmod._sign_changes(chi, *zmod._scan_grid(chi, 0.0, 60.0)))
-    assert first.count == 118
+    chi = character(163, 53)
+    first = zmod._cache(chi, 60.0, zmod._sign_changes(chi, *zmod._scan_grid(chi, -60.0, 60.0)))
+    assert first.count == 114
     assert count_check(first).passed
     assert scan_zeros(chi, 60.0).count == 122
 
@@ -430,9 +448,10 @@ def test_rescans_recover_zeros_the_total_misses():
 @pytest.mark.parametrize(
     "q, index, t_max, count, recovered",
     [
-        (163, 102, 70.0, 145, (-69.9911, -69.9146, 62.7134, 62.8881)),  # the first two in the end step
+        # the first two in the end step: only the sixteenth-step rescan finds them
+        (163, 102, 70.0, 145, (-69.9911, -69.9146, 62.7134, 62.8881)),
         (163, 102, 71.0, 147, (62.7134, 62.8881)),
-        (125, 1, 60.0, 117, (-44.0302, -44.0025)),  # 0.028 apart: only the second rescan finds them
+        (125, 1, 60.0, 117, (-44.0302, -44.0025)),  # 0.028 apart
     ],
 )
 def test_dip_rescans_recover_close_pairs(q, index, t_max, count, recovered):
@@ -445,6 +464,42 @@ def test_dip_rescans_recover_close_pairs(q, index, t_max, count, recovered):
         oracle = bisect_sign_change(lambda t: rotated_z(chi, t), g - 0.01, g + 0.01)
         assert oracle is not None
         assert min(abs(r.gamma - oracle) for r in cache.records) < 1e-11 * abs(oracle), g
+
+
+def test_a_dip_is_a_step_where_abs_z_turns_back():
+    """Z = (t - 1.3)(t - 1.6) keeps its sign at the grid points 1 and 2
+    while sign(Z) Z' falls below 0 at 1 and rises above it at 2: the step
+    [1, 2] holds a minimum of |Z| (here the pair of zeros) and is yielded,
+    for -Z as well.  On [0, 1] and [2, 3] |Z| is monotone, so they are not."""
+    import factorrace.zeros as zmod
+
+    ts = [0.0, 1.0, 2.0, 3.0]
+    zs = [(t - 1.3) * (t - 1.6) for t in ts]
+    dzs = [2 * t - 2.9 for t in ts]
+    assert list(zmod._dips(ts, zs, dzs)) == [(1.0, 2.0)]
+    assert list(zmod._dips(ts, [-z for z in zs], [-dz for dz in dzs])) == [(1.0, 2.0)]
+
+
+def test_a_monotone_or_sign_changing_step_is_no_dip():
+    """|Z| falling at both ends, rising at both ends, or a sign change
+    whose slopes fit a dip: none of these steps is yielded."""
+    import factorrace.zeros as zmod
+
+    assert list(zmod._dips([0.0, 1.0], [1.0, 0.2], [-1.0, -0.5])) == []
+    assert list(zmod._dips([0.0, 1.0], [-0.2, -1.0], [-0.5, -1.0])) == []
+    assert list(zmod._dips([0.0, 1.0], [0.5, -0.5], [-1.0, -1.0])) == []
+
+
+def test_a_zero_slope_at_the_left_end_counts_as_falling():
+    """A real character's Z is even, so its scan starts at t = 0 with Z' = 0
+    exactly: [0, 1] is a dip when |Z| rises at 1, and not when it falls there."""
+    import factorrace.zeros as zmod
+
+    assert zmod._z_and_l(character(4, 1), 0.0)[1] == 0.0
+    assert zmod._z_and_l(character(163, 81), 0.0)[1] == 0.0
+    assert list(zmod._dips([0.0, 1.0], [1.0, 0.5], [0.0, 1.0])) == [(0.0, 1.0)]
+    assert list(zmod._dips([0.0, 1.0], [-1.0, -0.5], [0.0, -1.0])) == [(0.0, 1.0)]
+    assert list(zmod._dips([0.0, 1.0], [1.0, 0.5], [0.0, -1.0])) == []
 
 
 def test_even_order_dip_warns_and_adds_nothing(chi4, monkeypatch):
