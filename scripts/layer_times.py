@@ -120,7 +120,7 @@ def _scan_layer(t_max: float) -> dict:
     evals = dict.fromkeys(("grid", "rescan", "refine"), 0)
     seconds = dict.fromkeys(evals, 0.0)
     phase = []  # the layer running now: a grid at step scale 1, a finer one, or _refine
-    originals = {name: getattr(zeros, name) for name in ("l_value", "_scan_grid", "_refine")}
+    originals = {name: getattr(zeros, name) for name in ("l_value", "_point", "_scan_grid", "_refine")}
 
     def timed(layer, fn, *args):
         phase.append(layer)
@@ -135,10 +135,14 @@ def _scan_layer(t_max: float) -> dict:
         evals[phase[-1]] += 1
         return originals["l_value"](*args)
 
-    def scan_grid(chi, t_lo, t_hi, step_scale=1.0):
-        return timed("grid" if step_scale == 1.0 else "rescan", originals["_scan_grid"], chi, t_lo, t_hi, step_scale)
+    def point(chi, t):  # outside every layer: an end of the grid, evaluated before _scan_grid
+        return originals["_point"](chi, t) if phase else timed("grid", originals["_point"], chi, t)
+
+    def scan_grid(chi, lo, hi, step_scale=1.0):
+        return timed("grid" if step_scale == 1.0 else "rescan", originals["_scan_grid"], chi, lo, hi, step_scale)
 
     zeros.l_value = counted_l_value
+    zeros._point = point
     zeros._scan_grid = scan_grid
     zeros._refine = lambda *args: timed("refine", originals["_refine"], *args)
     try:

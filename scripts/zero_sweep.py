@@ -86,13 +86,14 @@ def _scan_counted(chi, t_max: float) -> dict:
 
     def counted_l_value(*args):
         evals[0] += 1
-        if refines:
-            refines[-1] += 1
         return l_value(*args)
 
-    def counted_refine(*args):
-        refines.append(0)
-        return refine(*args)
+    def counted_refine(*args):  # the L-evals of this refinement alone, not of the rescans after it
+        before = evals[0]
+        try:
+            return refine(*args)
+        finally:
+            refines.append(evals[0] - before)
 
     zeros.l_value, zeros._refine = counted_l_value, counted_refine
     gammas, error = [], None

@@ -7,7 +7,9 @@ multiplicative order of chi; residues not coprime to q carry the sentinel
 the smallest primitive root for each odd prime-power factor, and the pair
 {-1, 5} for 2^k with k >= 3.  All arithmetic on exponents is integer
 arithmetic; complex values appear only at evaluation boundaries, exactly
-for the quadrant roots 1, i, -1, -i.
+for the quadrant roots 1, i, -1, -i.  This module alone turns exponents
+into values: `roots_of_unity(d)`, one table per order, and `values(chi)`,
+one cached row chi(a) per character, which every other layer reads.
 
 Characters are addressed as (q, index) where index is the position in the
 canonical enumeration: lexicographic over the exponent vectors with respect
@@ -18,7 +20,7 @@ This labelling is deliberately not Conrey's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -29,6 +31,8 @@ __all__ = [
     "DirichletCharacter",
     "enumerate_characters",
     "character",
+    "roots_of_unity",
+    "values",
     "evaluate",
     "gauss_sum",
     "root_number",
@@ -86,6 +90,7 @@ class _GroupData:
     exponent: int  # lcm of the cyclic orders
     dlog: np.ndarray  # (q, r) int64, row a = discrete logs of a; junk off units
     units: np.ndarray  # (q,) bool
+    grid: np.ndarray  # the units in enumeration order: grid[ravel_multi_index(k, orders)] = prod g_i^k_i
     # conductor slots: ("odd", p, pos) | ("four", pos) | ("two_high", pos_neg, pos_five)
     slots: tuple[tuple, ...]
 
@@ -121,6 +126,7 @@ def _group_structure(q: int) -> _GroupData:
     exponent = math.lcm(*orders) if orders else 1
     dlog = np.zeros((q, r), dtype=np.int64)
     units = np.zeros(q, dtype=bool)
+    grid = []
     pow_tables = [[pow(g, k, q) for k in range(s)] for g, s in zip(generators, orders)]
     for tup in product(*(range(s) for s in orders)):
         a = 1 % q
@@ -128,7 +134,10 @@ def _group_structure(q: int) -> _GroupData:
             a = a * tab[k] % q
         dlog[a] = tup
         units[a] = True
-    return _GroupData(q, tuple(generators), tuple(orders), exponent, dlog, units, tuple(slots))
+        grid.append(a)
+    grid = np.array(grid, dtype=np.intp)
+    grid.setflags(write=False)
+    return _GroupData(q, tuple(generators), tuple(orders), exponent, dlog, units, grid, tuple(slots))
 
 
 def _local_conductor(slot: tuple, orders: tuple[int, ...], t: tuple[int, ...]) -> int:
@@ -154,39 +163,25 @@ def _local_conductor(slot: tuple, orders: tuple[int, ...], t: tuple[int, ...]) -
     return 4 if t[pos_neg] else 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DirichletCharacter:
-    """A Dirichlet character mod q, stored as exact exponents of a d-th root of unity."""
+    """A Dirichlet character mod q, stored as exact exponents of a d-th root
+    of unity.  (modulus, index) is its identity: equality and hash read only
+    these two, as they determine every other field."""
 
     modulus: int
     index: int
-    order: int
-    value_exponents: np.ndarray  # int32, length q; -1 where gcd(a, q) > 1
-    generator_exponents: tuple[int, ...]
-    parity: int  # 0 if chi(-1) = 1, else 1
-    conductor: int
-    is_principal: bool
-    is_real: bool
-    is_primitive: bool
+    order: int = field(compare=False)
+    value_exponents: np.ndarray = field(compare=False, repr=False)  # int32, length q; -1 where gcd(a, q) > 1
+    generator_exponents: tuple[int, ...] = field(compare=False, repr=False)
+    parity: int = field(compare=False, repr=False)  # 0 if chi(-1) = 1, else 1
+    conductor: int = field(compare=False, repr=False)
+    is_principal: bool = field(compare=False, repr=False)
+    is_real: bool = field(compare=False, repr=False)
+    is_primitive: bool = field(compare=False, repr=False)
 
     def __post_init__(self):
         self.value_exponents.setflags(write=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.index == other.index
-            and self.order == other.order
-            and np.array_equal(self.value_exponents, other.value_exponents)
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.index))
-
-    def __repr__(self):
-        return f"DirichletCharacter(q={self.modulus}, index={self.index}, order={self.order})"
 
     def __call__(self, n: int) -> complex:
         return evaluate(self, n)
@@ -199,6 +194,20 @@ def _root_of_unity(e: int, d: int) -> complex:
         return ((1 + 0j), 1j, (-1 + 0j), -1j)[num // d]
     ang = 2.0 * math.pi * e / d
     return complex(math.cos(ang), math.sin(ang))
+
+
+@lru_cache(maxsize=None)
+def roots_of_unity(d: int) -> tuple[complex, ...]:
+    """exp(2 pi i e / d) for e < d, each from `_root_of_unity`, built once per order d."""
+    return tuple(_root_of_unity(e, d) for e in range(d))
+
+
+@lru_cache(maxsize=None)
+def values(chi: DirichletCharacter) -> np.ndarray:
+    """chi(a) for a = 0..q-1 (0 off the units), read-only and cached per (q, index)."""
+    table = np.array((*roots_of_unity(chi.order), 0j))[chi.value_exponents]  # exponent -1 reads the 0
+    table.setflags(write=False)
+    return table
 
 
 def _build_character(q: int, t: tuple[int, ...], index: int, data: _GroupData) -> DirichletCharacter:
@@ -278,21 +287,14 @@ def conjugate_index(chi: DirichletCharacter) -> int:
 
 def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The complex-conjugate character (same q, negated exponents)."""
-    data = _group_structure(chi.modulus)
-    t = tuple((s - ti) % s for s, ti in zip(data.orders, chi.generator_exponents))
-    return _build_character(chi.modulus, t, conjugate_index(chi), data)
+    return character(chi.modulus, conjugate_index(chi))
 
 
-@lru_cache(maxsize=8)
 def unit_grid(q: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """(units, orders): units[np.ravel_multi_index(k, orders)] = prod g_i^k_i
     over the generators, whose cyclic orders are `orders` ((1,) if none)."""
     data = _group_structure(q)
-    units = np.flatnonzero(data.units)
-    if data.orders:
-        units[np.ravel_multi_index(tuple(data.dlog[units].T), data.orders)] = units.copy()
-    units.setflags(write=False)
-    return units, data.orders or (1,)
+    return data.grid, data.orders or (1,)
 
 
 def exponent_sums(grid: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
@@ -319,10 +321,7 @@ def exponent_sums(grid: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
 
 def evaluate(chi: DirichletCharacter, n: int) -> complex:
     """chi(n) as a complex number; exactly in {-1, 0, 1} for real characters."""
-    e = int(chi.value_exponents[n % chi.modulus])
-    if e < 0:
-        return 0j
-    return _root_of_unity(e, chi.order)
+    return complex(values(chi)[n % chi.modulus])
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
@@ -334,11 +333,11 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     q = chi.modulus
     if q == 1:
         return 1 + 0j  # single term chi(1) * e^{2 pi i}
+    vals, roots = values(chi).tolist(), roots_of_unity(q)
     total = 0j
     for a in range(1, q + 1):
-        e = int(chi.value_exponents[a % q])
-        if e >= 0:
-            total += _root_of_unity(e, chi.order) * _root_of_unity(a, q)
+        if vals[a % q]:  # a unit
+            total += vals[a % q] * roots[a % q]
     return total
 
 
@@ -354,9 +353,4 @@ def real_sign_table(chi: DirichletCharacter) -> np.ndarray:
     """Values of a real character as an int8 array over residues (entries -1, 0, 1)."""
     if not chi.is_real:
         raise ValueError("sign table is only defined for real characters")
-    table = np.zeros(chi.modulus, dtype=np.int8)
-    exps = chi.value_exponents
-    table[exps == 0] = 1
-    if chi.order == 2:
-        table[exps == 1] = -1
-    return table
+    return values(chi).real.astype(np.int8)

@@ -40,6 +40,7 @@ from .lfunction import l_value
 from .prediction import mean_square, predict, residual, write_compare_csv, write_meansq_csv
 from .sieve import (
     KINDS,
+    RATIO,
     SIGN,
     SieveConfig,
     combined_run,
@@ -80,7 +81,7 @@ class RunConfig:
     chi: str = "all"  # "all" or an index
     t_scan: float = 50.0
     t0_list: tuple[float, ...] = (50.0,)
-    ratio: float = 1.02
+    ratio: float = RATIO
     out: str = "out"
     seed: int = 42
     threads: int = 1
@@ -355,24 +356,20 @@ def _mc_y_grid(cfg: SieveConfig) -> list[float]:
 
 
 def cmd_density(rc: RunConfig, first=None) -> None:
-    """`first`, if given, is the DensityTrace of one target from `cmd_all`'s sieve pass."""
+    """`first`, if given, is the first target's DensityTrace from `cmd_all`'s sieve pass."""
     cfg = _sieve_config(rc)
     targets = _density_targets(rc)
     if not targets:
         raise ConfigError(f"no real non-principal character selected for q={rc.q} chi={rc.chi}")
-    traces = []
+    if first is None:
+        first = density_scan(cfg, targets[0])
+    t0, y_grid = max(rc.t0_list), _mc_y_grid(cfg)
     draws = []
     for chi in targets:
-        if first is not None and first.chi_index == chi.index:
-            dens = first
-        else:
-            dens = density_scan(cfg, chi)
-        traces.append(dens)
+        dens = first if chi == targets[0] else density_scan(cfg, chi)
         if chi.is_primitive:
-            cache = _load_zero_cache(rc, chi, max(rc.t0_list))
+            cache = _load_zero_cache(rc, chi, t0)
             l_half = l_value(chi, 0.5)
-            t0 = max(rc.t0_list)
-            y_grid = _mc_y_grid(cfg)
             model = build_model(chi, l_half, cache, t0, rc.seed)
             draws.append(li_monte_carlo(model, y_grid, rc.trials))
             flags = [m.kind for m in draws[-1].estimates if disagrees(dens, m)]
@@ -380,7 +377,7 @@ def cmd_density(rc: RunConfig, first=None) -> None:
                 print(f"density: WARNING empirical vs Monte Carlo disagree (> {DISAGREE_TOL}) for {flags}")
         deltas = " ".join(f"delta_{kind}={delta:.4f}" for kind, delta in zip(KINDS, dens.delta))
         print(f"density: q={rc.q} chi={chi.index} X={rc.x_max} {deltas}")
-    write_density_csv(traces[0], _path(rc, "density.csv"), rc.comment())
+    write_density_csv(first, _path(rc, "density.csv"), rc.comment())
     write_mc_csv(draws, _path(rc, "mc.csv"), rc.comment())
 
 

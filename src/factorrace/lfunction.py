@@ -77,7 +77,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, _root_of_unity, root_number
+from .characters import DirichletCharacter, root_number, values
 
 __all__ = [
     "LValue",
@@ -324,9 +324,7 @@ def _reserve_height(q: int, t_max: float) -> None:
 @lru_cache(maxsize=None)
 def _weights(chi: DirichletCharacter) -> np.ndarray:
     """The weights chi(a) (0 off the units) for a = 1..q, cached per (q, index)."""
-    weights = np.array(
-        [_root_of_unity(int(e), chi.order) if e >= 0 else 0j for e in np.roll(chi.value_exponents, -1)]
-    )
+    weights = np.roll(values(chi), -1)
     weights.setflags(write=False)
     return weights
 

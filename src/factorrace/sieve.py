@@ -43,7 +43,6 @@ import sys
 from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass
-from functools import cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -52,10 +51,10 @@ import numpy as np
 from ._csvio import write_csv
 from .characters import (
     DirichletCharacter,
-    _root_of_unity,
     conjugate_index,
     exponent_sums,
     real_sign_table,
+    roots_of_unity,
     unit_grid,
 )
 
@@ -65,6 +64,7 @@ __all__ = [
     "BLOCK",
     "SEGMENT",
     "MAX_X",
+    "RATIO",
     "SieveConfig",
     "ClassSums",
     "DensityTrace",
@@ -83,6 +83,7 @@ BLOCK = 1 << 16  # harmonic-accumulation granularity, aligned to absolute n
 SEGMENT = 1 << 20  # the width of every segment of a pass, a multiple of BLOCK
 ROW = 64  # row width of the sign fold's row test
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
+RATIO = 1.02  # the default ratio of the geometric checkpoint grid
 TWIST_ELEMENTS = 1 << 18  # class sums per block of write_twists_csv: 2 MB per int64 copy
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
@@ -96,7 +97,7 @@ POWER_WORD = 1 << 24  # one more Omega - omega, before the log
 _OMEGA, _EXCESS = (2, 3) if sys.byteorder == "little" else (1, 0)
 
 
-def default_checkpoints(x_max: int, ratio: float = 1.02) -> tuple[int, ...]:
+def default_checkpoints(x_max: int, ratio: float = RATIO) -> tuple[int, ...]:
     """Geometric grid round(1000 * ratio^k) within [1000, x_max], plus x_max."""
     if x_max < 1:
         return ()
@@ -116,7 +117,7 @@ class SieveConfig:
     x_max: int
     q: int
     checkpoints: tuple[int, ...] | None = None  # None: default geometric grid
-    ratio: float = 1.02
+    ratio: float = RATIO
 
     def __post_init__(self):
         if not isinstance(self.x_max, int) or self.x_max < 0:
@@ -657,12 +658,6 @@ def density_scan(cfg: SieveConfig, chi: DirichletCharacter) -> DensityTrace:
     return combined_run(cfg, chi)[1]
 
 
-@cache
-def _roots(d: int) -> tuple[complex, ...]:
-    """exp(2 pi i e / d) for e < d, from the scalar `_root_of_unity`."""
-    return tuple(_root_of_unity(e, d) for e in range(d))
-
-
 def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
     """psi(chi) = sum_a chi(a) rows[:, a] for every row of int64 class sums
     and every character of `chis`, yielded one kernel group at a time as
@@ -679,8 +674,8 @@ def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
     every element takes the operations of its own counts, so no bit
     depends on the grouping.  A mirrored character (complex, its conjugate
     of lower index) gets the exact conjugate of its conjugate's fold.  The
-    roots come from the scalar `_root_of_unity` (`np.cos` may differ in
-    the last bit), built once per order d for the life of the process.
+    roots are `characters.roots_of_unity(d)`, the character values' own
+    table (`np.cos` may differ in the last bit).
     """
     n, q = rows.shape
     groups: dict[bytes, list[int]] = {}  # positions in `chis` by kernel {a : chi(a) = 1}
@@ -703,7 +698,7 @@ def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
         inv = np.array([pow(-k if m else k, -1, d) for k, m in zip(ks, mirrored)])
         columns = np.arange(d)[:, None] * inv % d  # row e: acc's column for exponent e of each character
         psi = np.zeros((n, len(group)), dtype=np.complex128)
-        for cols, root in zip(columns, _roots(d)):
+        for cols, root in zip(columns, roots_of_unity(d)):
             psi += acc[:, cols] * root
         psi[:, mirrored] = psi[:, mirrored].conj()
         yield group, psi

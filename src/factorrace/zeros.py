@@ -34,7 +34,8 @@ the step while |Z| dips toward 0 and turns back.  So each dip of the grid,
 a step where Z keeps its sign while sign(Z) Z' < 0 at its left end and
 > 0 at its right (|Z| falls into the step and rises out of it, so it has
 a minimum inside), is rescanned alone at a quarter step, and each dip of
-that rescan at a sixteenth.  A zero slope at a step's left end counts
+that rescan at a sixteenth; a rescan takes its two ends, already
+evaluated, from the level above.  A zero slope at a step's left end counts
 as falling there: a real character's scan starts at t = 0, where its Z
 is even and Z'(0) = 0.  A dip where neither finds a sign change,
 with |Z| below 1e-6 of the grid's median at a point of its quarter-step
@@ -170,15 +171,21 @@ def _z_and_l(chi, t):
     return (phase * lv.value).real, dz, lv
 
 
-def _scan_grid(chi, t_lo, t_hi, step_scale=1.0):
-    """The grid points of [t_lo, t_hi] and their Z values, slopes and LValues."""
-    ts = [t_lo]
-    t = t_lo
-    while t < t_hi:
-        t = min(t_hi, t + step_scale * _grid_step(t, chi.modulus))
-        ts.append(t)
-    zs, dzs, lvs = zip(*(_z_and_l(chi, t) for t in ts))
-    return ts, zs, dzs, lvs
+def _point(chi, t):
+    """The record (t, Z(t), Z'(t), LValue) of one evaluated point."""
+    return (t, *_z_and_l(chi, t))
+
+
+def _scan_grid(chi, lo, hi, step_scale=1.0):
+    """The points of the grid from point `lo` to point `hi`, ends included:
+    the two ends are already evaluated, so only the points between are."""
+    points = [lo]
+    t = lo[0] + step_scale * _grid_step(lo[0], chi.modulus)
+    while t < hi[0]:
+        points.append(_point(chi, t))
+        t += step_scale * _grid_step(t, chi.modulus)
+    points.append(hi)
+    return points
 
 
 def _cubic_point(lo, hi):
@@ -245,11 +252,10 @@ def _refine(chi, lo, hi):
     return t, lv
 
 
-def _sign_changes(chi, ts, zs, dzs, lvs):
+def _sign_changes(chi, points):
     """(gamma, LValue) of each grid point where Z vanishes and each refined sign change."""
-    ends = list(zip(ts, zs, dzs, lvs))
     found = []
-    for lo, hi in zip(ends, ends[1:]):
+    for lo, hi in zip(points, points[1:]):
         t, z, _, lv = lo
         if z == 0.0:
             found.append((t, lv))
@@ -258,31 +264,33 @@ def _sign_changes(chi, ts, zs, dzs, lvs):
     return found
 
 
-def _dips(ts, zs, dzs):
-    """(lo, hi) for each grid step where Z keeps its sign while |Z| falls at
-    the left end and rises at the right, sign(Z) Z' < 0 at lo and > 0 at
-    hi, so |Z| has a minimum inside.  A zero slope at the left end counts
-    as falling: a real character's scan starts at t = 0, where Z' = 0."""
-    for i in range(len(ts) - 1):
-        falls = zs[i] * dzs[i] < 0 or dzs[i] == 0.0
-        if (zs[i] < 0) == (zs[i + 1] < 0) and falls and zs[i + 1] * dzs[i + 1] > 0:
-            yield ts[i], ts[i + 1]
+def _dips(points):
+    """(lo, hi) for each pair of neighbouring points where Z keeps its sign
+    while |Z| falls at the left end and rises at the right, sign(Z) Z' < 0
+    at lo and > 0 at hi, so |Z| has a minimum between them.  A zero slope
+    at the left end counts as falling: a real character's scan starts at
+    t = 0, where Z' = 0."""
+    for lo, hi in zip(points, points[1:]):
+        falls = lo[1] * lo[2] < 0 or lo[2] == 0.0
+        if (lo[1] < 0) == (hi[1] < 0) and falls and hi[1] * hi[2] > 0:
+            yield lo, hi
 
 
-def _find_side_zeros(chi, t_lo, t_hi, step_scale=1.0):
-    """Every sign change of Z on [t_lo, t_hi], its dips rescanned as above."""
-    ts, zs, dzs, lvs = _scan_grid(chi, t_lo, t_hi, step_scale)
-    found = _sign_changes(chi, ts, zs, dzs, lvs)
-    mags = sorted(abs(z) for z in zs)
+def _find_side_zeros(chi, t_lo, t_hi):
+    """Every sign change of Z on [t_lo, t_hi], its dips rescanned as above
+    between their known ends."""
+    points = _scan_grid(chi, _point(chi, t_lo), _point(chi, t_hi))
+    found = _sign_changes(chi, points)
+    mags = sorted(abs(p[1]) for p in points)
     tol = 1e-6 * max(1.0, mags[len(mags) // 2])
-    for lo, hi in _dips(ts, zs, dzs):
-        sub = _scan_grid(chi, lo, hi, step_scale / 4)
-        more = _sign_changes(chi, *sub)
-        for sub_lo, sub_hi in _dips(*sub[:3]):
-            more += _sign_changes(chi, *_scan_grid(chi, sub_lo, sub_hi, step_scale / 16))
+    for lo, hi in _dips(points):
+        sub = _scan_grid(chi, lo, hi, 1 / 4)
+        more = _sign_changes(chi, sub)
+        for sub_lo, sub_hi in _dips(sub):
+            more += _sign_changes(chi, _scan_grid(chi, sub_lo, sub_hi, 1 / 16))
         found += more
         if not more:
-            t, z = min(zip(sub[0], sub[1]), key=lambda p: abs(p[1]))
+            t, z = min((p[:2] for p in sub), key=lambda p: abs(p[1]))
             if abs(z) < tol:
                 warnings.warn(
                     f"possible multiple/even-order zero near t={t:.6f}: |Z| dips to "

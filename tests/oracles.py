@@ -190,7 +190,7 @@ def bisect_sign_change(f, lo: float, hi: float, step: float = 1e-4) -> float | N
 
 
 @cache
-def _unit_roots(d: int) -> tuple[complex, ...]:
+def unit_roots(d: int) -> tuple[complex, ...]:
     """exp(2 pi i e / d) for e < d, each from the scalar `_root_of_unity`."""
     from factorrace.characters import _root_of_unity
 
@@ -215,7 +215,7 @@ def twist_reference(sums, chi, x: int) -> tuple[complex, complex]:
     np.add.at(acc, (slice(None), exps[units]), sums.counts[:, k, units])
     if chi.is_real:
         return tuple(complex(int(a[0]) - (int(a[1]) if d == 2 else 0), 0.0) for a in acc)
-    roots = _unit_roots(d)
+    roots = unit_roots(d)
     return tuple(complex(sum(int(a[e]) * roots[e] for e in range(d) if a[e])) for a in acc)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from factorrace.characters import (
     MAX_MODULUS,
+    _group_structure,
     character,
     conjugate_character,
     conjugate_index,
@@ -15,7 +16,10 @@ from factorrace.characters import (
     real_sign_table,
     root_number,
     unit_grid,
+    values,
 )
+from factorrace.lfunction import _weights
+from oracles import unit_roots
 
 
 def phi(q):
@@ -234,3 +238,39 @@ def test_exponent_sums_match_a_scatter_add(q):
 def test_phi_count_matches():
     for q in range(1, 80):
         assert len(enumerate_characters(q)) == phi(q)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 7, 8, 12, 15, 16, 24, 60, 63, 100, 163])
+def test_values_are_the_root_table_read_by_every_layer(q):
+    """values(chi) is chi(a) from the oracle's root table at every residue,
+    bit for bit, complex characters included; evaluate, real_sign_table and
+    the L-kernel's weights (a = 1..q) read the same bits; the table is
+    read-only.  unit_grid lists the units in the grid order it documents."""
+    for chi in enumerate_characters(q):
+        table = values(chi)
+        roots = unit_roots(chi.order)
+        expected = np.array([roots[e] if e >= 0 else 0j for e in chi.value_exponents.tolist()])
+        assert table.dtype == np.complex128 and table.tobytes() == expected.tobytes(), (q, chi.index)
+        assert np.array([evaluate(chi, a) for a in range(q)]).tobytes() == table.tobytes()
+        assert _weights(chi).tobytes() == np.roll(table, -1).tobytes()
+        if chi.is_real:
+            assert real_sign_table(chi).astype(np.complex128).tobytes() == table.tobytes()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    units, orders = unit_grid(q)
+    generators = _group_structure(q).generators
+    for k in np.ndindex(orders):
+        assert units[np.ravel_multi_index(k, orders)] == math.prod(pow(g, e, q) for g, e in zip(generators, k)) % q
+
+
+@pytest.mark.parametrize("q", [1, 4, 15, 24, 100])
+def test_a_character_is_its_modulus_and_index(q):
+    chars = enumerate_characters(q)
+    for i, chi in enumerate(chars):
+        again = character(q, i)
+        assert again == chi and hash(again) == hash(chi) and again is not chi
+    assert len(set(chars)) == len(chars)
+    assert chars[0] != character(q + 1, 0)
+    if len(chars) > 1:
+        assert chars[0] != chars[1]

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from factorrace import characters as characters_module
 from factorrace import sieve as sieve_module
 from factorrace._csvio import fmt_float
 from factorrace.characters import (
@@ -502,7 +503,8 @@ def test_mirrored_rows_are_exact_conjugates(tmp_path, q):
 
 def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
     """A write of three blocks, one checkpoint each, calls `_root_of_unity`
-    exactly d times per complex order d: the tables outlive the blocks."""
+    exactly d times per complex order d: the root tables of
+    `characters.roots_of_unity` outlive the blocks."""
     q = 1000
     sums = sieve_run(SieveConfig(x_max=20_000, q=q, checkpoints=(5000, 10_000, 20_000)))
     chis = enumerate_characters(q)
@@ -512,9 +514,9 @@ def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
         calls.append(d)
         return _root_of_unity(e, d)
 
-    monkeypatch.setattr(sieve_module, "_root_of_unity", counted)
+    monkeypatch.setattr(characters_module, "_root_of_unity", counted)
     monkeypatch.setattr(sieve_module, "TWIST_ELEMENTS", 2 * q)
-    sieve_module._roots.cache_clear()
+    characters_module.roots_of_unity.cache_clear()
     write_twists_csv(sums, chis, str(tmp_path / "twists.csv"))
     assert Counter(calls) == {d: d for d in {chi.order for chi in chis if not chi.is_real}}
 

@@ -227,7 +227,8 @@ def test_window_refinement_recovers_coarse_grid(chi4, monkeypatch):
 
     orig = zmod._grid_step
     monkeypatch.setattr(zmod, "_grid_step", lambda t, q: 2.0 * orig(t, q))
-    assert len(zmod._sign_changes(chi4, *zmod._scan_grid(chi4, 0.0, 100.0))) == 42
+    grid = zmod._scan_grid(chi4, zmod._point(chi4, 0.0), zmod._point(chi4, 100.0))
+    assert len(zmod._sign_changes(chi4, grid)) == 42
     coarse = scan_zeros(chi4, 100.0)
     monkeypatch.undo()
     fine = scan_zeros(chi4, 100.0)
@@ -253,7 +254,7 @@ def test_scan_refuses_a_crowded_window(monkeypatch):
     from factorrace.zeros import MissedZeroError
 
     crowd = [(7.0 + 0.01 * k, LValue(1e-13, complex(1.0, 0.0))) for k in range(30)]
-    monkeypatch.setattr(zmod, "_find_side_zeros", lambda chi, lo, hi, step_scale=1.0: list(crowd))
+    monkeypatch.setattr(zmod, "_find_side_zeros", lambda chi, lo, hi: list(crowd))
     with pytest.raises(MissedZeroError) as info:
         scan_zeros(character(5, 1), 40.0)
     assert 7 in info.value.windows
@@ -393,11 +394,24 @@ def test_scan_eval_budget(monkeypatch):
 
 def test_mod4_scan_eval_budget(monkeypatch):
     """q=4 T=200, the scan of the mod-4 race, takes at most 660 L-evals:
-    263 on the grid, 18 in rescans (12 of them the dip at t = 0) and 375
+    263 on the grid, 12 in rescans (8 of them the dip at t = 0) and 375
     in refinement (921 at half the step)."""
     cache, evals = _counted_scan(monkeypatch, character(4, 1), 200.0)
     assert cache.count == 244
     assert evals <= 660
+
+
+def test_a_scan_evaluates_no_height_twice(monkeypatch):
+    """The rescans take their two ends from the level above: over the q=4,
+    T=200 scan, whose dips at t = 0 and near 138.4 are rescanned at a
+    quarter and a sixteenth step, every L-eval is at a height of its own."""
+    import factorrace.zeros as zmod
+
+    heights = []
+    evaluate = zmod.l_value
+    monkeypatch.setattr(zmod, "l_value", lambda chi, s: heights.append(s) or evaluate(chi, s))
+    scan_zeros(character(4, 1), 200.0)
+    assert len(heights) == len(set(heights)) == 650
 
 
 @pytest.mark.parametrize("q, index", [(163, 81), (5, 2)])
@@ -439,7 +453,8 @@ def test_rescans_recover_zeros_the_total_misses():
     import factorrace.zeros as zmod
 
     chi = character(163, 53)
-    first = zmod._cache(chi, 60.0, zmod._sign_changes(chi, *zmod._scan_grid(chi, -60.0, 60.0)))
+    grid = zmod._scan_grid(chi, zmod._point(chi, -60.0), zmod._point(chi, 60.0))
+    first = zmod._cache(chi, 60.0, zmod._sign_changes(chi, grid))
     assert first.count == 114
     assert count_check(first).passed
     assert scan_zeros(chi, 60.0).count == 122
@@ -466,28 +481,39 @@ def test_dip_rescans_recover_close_pairs(q, index, t_max, count, recovered):
         assert min(abs(r.gamma - oracle) for r in cache.records) < 1e-11 * abs(oracle), g
 
 
+def _points(ts, zs, dzs):
+    """Point records (t, Z, Z', LValue) without LValues, which `_dips` does not read."""
+    return [(t, z, dz, None) for t, z, dz in zip(ts, zs, dzs)]
+
+
+def _dip_ends(points):
+    import factorrace.zeros as zmod
+
+    return [(lo[0], hi[0]) for lo, hi in zmod._dips(points)]
+
+
 def test_a_dip_is_a_step_where_abs_z_turns_back():
     """Z = (t - 1.3)(t - 1.6) keeps its sign at the grid points 1 and 2
     while sign(Z) Z' falls below 0 at 1 and rises above it at 2: the step
     [1, 2] holds a minimum of |Z| (here the pair of zeros) and is yielded,
-    for -Z as well.  On [0, 1] and [2, 3] |Z| is monotone, so they are not."""
+    as its two point records, for -Z as well.  On [0, 1] and [2, 3] |Z| is
+    monotone, so they are not."""
     import factorrace.zeros as zmod
 
     ts = [0.0, 1.0, 2.0, 3.0]
     zs = [(t - 1.3) * (t - 1.6) for t in ts]
     dzs = [2 * t - 2.9 for t in ts]
-    assert list(zmod._dips(ts, zs, dzs)) == [(1.0, 2.0)]
-    assert list(zmod._dips(ts, [-z for z in zs], [-dz for dz in dzs])) == [(1.0, 2.0)]
+    points = _points(ts, zs, dzs)
+    assert list(zmod._dips(points)) == [(points[1], points[2])]
+    assert _dip_ends(_points(ts, [-z for z in zs], [-dz for dz in dzs])) == [(1.0, 2.0)]
 
 
 def test_a_monotone_or_sign_changing_step_is_no_dip():
     """|Z| falling at both ends, rising at both ends, or a sign change
     whose slopes fit a dip: none of these steps is yielded."""
-    import factorrace.zeros as zmod
-
-    assert list(zmod._dips([0.0, 1.0], [1.0, 0.2], [-1.0, -0.5])) == []
-    assert list(zmod._dips([0.0, 1.0], [-0.2, -1.0], [-0.5, -1.0])) == []
-    assert list(zmod._dips([0.0, 1.0], [0.5, -0.5], [-1.0, -1.0])) == []
+    assert _dip_ends(_points([0.0, 1.0], [1.0, 0.2], [-1.0, -0.5])) == []
+    assert _dip_ends(_points([0.0, 1.0], [-0.2, -1.0], [-0.5, -1.0])) == []
+    assert _dip_ends(_points([0.0, 1.0], [0.5, -0.5], [-1.0, -1.0])) == []
 
 
 def test_a_zero_slope_at_the_left_end_counts_as_falling():
@@ -497,9 +523,9 @@ def test_a_zero_slope_at_the_left_end_counts_as_falling():
 
     assert zmod._z_and_l(character(4, 1), 0.0)[1] == 0.0
     assert zmod._z_and_l(character(163, 81), 0.0)[1] == 0.0
-    assert list(zmod._dips([0.0, 1.0], [1.0, 0.5], [0.0, 1.0])) == [(0.0, 1.0)]
-    assert list(zmod._dips([0.0, 1.0], [-1.0, -0.5], [0.0, -1.0])) == [(0.0, 1.0)]
-    assert list(zmod._dips([0.0, 1.0], [1.0, 0.5], [0.0, -1.0])) == []
+    assert _dip_ends(_points([0.0, 1.0], [1.0, 0.5], [0.0, 1.0])) == [(0.0, 1.0)]
+    assert _dip_ends(_points([0.0, 1.0], [-1.0, -0.5], [0.0, -1.0])) == [(0.0, 1.0)]
+    assert _dip_ends(_points([0.0, 1.0], [1.0, 0.5], [0.0, -1.0])) == []
 
 
 def test_even_order_dip_warns_and_adds_nothing(chi4, monkeypatch):
