@@ -1,13 +1,15 @@
 """Completeness sweep of the zero scan against a grid sixteen times finer.
 
-For every character of a set, runs `scan_zeros(chi, T)` and checks each
-sign change of `rotated_z` on a reference grid whose step is 1/16 of the
-scan's grid step, pi / (16 log(q (|t| + 10) / (2 pi) + e)): a reference
-step [a, b] with a sign change (or a grid point where Z vanishes) must hold
-a scanned zero, or it counts as missed.  Real characters are compared on
-[0, T] (the gamma >= 0 half of their mirrored caches), complex ones on
-[-T, T].  The reference grid is the cost of the sweep, about sixteen
-times the scan's own grid.
+For every character of a set, takes its zero cache as `factorrace zeros
+--chi all` does: `conjugate_cache` of its conjugate's, if that was scanned
+earlier in the set, else `scan_zeros(chi, T)`.  It then checks each sign
+change of the character's own `rotated_z` on a reference grid whose step
+is 1/16 of the scan's grid step, pi / (16 log(q (|t| + 10) / (2 pi) + e)):
+a reference step [a, b] with a sign change (or a grid point where Z
+vanishes) must hold a zero of the cache, or it counts as missed.  Real
+characters are compared on [0, T] (the gamma >= 0 half of their mirrored
+caches), complex ones on [-T, T].  The reference grid is the cost of the
+sweep, about sixteen times the scan's own grid.
 
 The sets, at T = 60:
   small: every primitive non-principal character with q <= 30 (167);
@@ -32,7 +34,7 @@ import time
 import warnings
 
 from factorrace import zeros
-from factorrace.characters import enumerate_characters
+from factorrace.characters import conjugate_index, enumerate_characters
 from factorrace.lfunction import rotated_z
 
 T = 60.0
@@ -79,8 +81,8 @@ def _reference_brackets(chi, t_lo: float, t_hi: float) -> list[tuple[float, floa
 
 
 def _scan_counted(chi, t_max: float) -> dict:
-    """scan_zeros(chi, t_max) with its L-evals, the largest refinement's
-    L-evals, its warnings and its error, if any."""
+    """scan_zeros(chi, t_max) (None if it raised) with its L-evals, the
+    largest refinement's L-evals, its warnings and its error, if any."""
     evals, refines = [0], []
     l_value, refine = zeros.l_value, zeros._refine
 
@@ -96,18 +98,18 @@ def _scan_counted(chi, t_max: float) -> dict:
             refines.append(evals[0] - before)
 
     zeros.l_value, zeros._refine = counted_l_value, counted_refine
-    gammas, error = [], None
+    cache, error = None, None
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                gammas = zeros.scan_zeros(chi, t_max).gammas()
+                cache = zeros.scan_zeros(chi, t_max)
             except zeros.MissedZeroError as exc:
                 error = str(exc)
     finally:
         zeros.l_value, zeros._refine = l_value, refine
     return {
-        "gammas": [g for g in gammas if g >= 0 or not chi.is_real],
+        "cache": cache,
         "evals": evals[0],
         "max_refine": max(refines, default=0),
         "warnings": [str(w.message) for w in caught],
@@ -120,9 +122,15 @@ def sweep(chars: list, t_max: float) -> dict:
     totals = {"characters": len(chars), "found": 0, "reference": 0, "missed": [], "l_evals": 0,
               "max_refine_evals": 0, "warned": [], "raised": []}
     t0 = time.perf_counter()
+    caches = {}  # (q, index) -> the cache of each character met so far
     for chi in chars:
-        scan = _scan_counted(chi, t_max)
-        gammas = scan["gammas"]
+        mate = caches.get((chi.modulus, conjugate_index(chi)))
+        if mate is None:
+            scan = _scan_counted(chi, t_max)
+        else:
+            scan = {"cache": zeros.conjugate_cache(mate), "evals": 0, "max_refine": 0, "warnings": [], "error": None}
+        cache = caches[chi.modulus, chi.index] = scan["cache"]
+        gammas = [] if cache is None else [g for g in cache.gammas() if g >= 0 or not chi.is_real]
         brackets = _reference_brackets(chi, 0.0 if chi.is_real else -t_max, t_max)
         name = f"{chi.modulus}:{chi.index}"
         totals["found"] += len(gammas)

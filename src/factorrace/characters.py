@@ -8,8 +8,9 @@ the smallest primitive root for each odd prime-power factor, and the pair
 {-1, 5} for 2^k with k >= 3.  All arithmetic on exponents is integer
 arithmetic; complex values appear only at evaluation boundaries, exactly
 for the quadrant roots 1, i, -1, -i.  This module alone turns exponents
-into values: `roots_of_unity(d)`, one table per order, and `values(chi)`,
-one cached row chi(a) per character, which every other layer reads.
+into values: `roots_of_unity(d)`, one table per order, and `value_row(chi)`,
+one cached row chi(a), a = 0..q, per character, which every other layer
+reads (`values(chi)` is its residues 0..q-1).
 
 Characters are addressed as (q, index) where index is the position in the
 canonical enumeration: lexicographic over the exponent vectors with respect
@@ -32,6 +33,7 @@ __all__ = [
     "enumerate_characters",
     "character",
     "roots_of_unity",
+    "value_row",
     "values",
     "evaluate",
     "gauss_sum",
@@ -203,11 +205,18 @@ def roots_of_unity(d: int) -> tuple[complex, ...]:
 
 
 @lru_cache(maxsize=None)
+def value_row(chi: DirichletCharacter) -> np.ndarray:
+    """chi(a) for a = 0..q (0 off the units), read-only and cached per (q, index):
+    its first q entries are `values`, its last q the L-kernel's weights chi(1..q)."""
+    exponents = np.append(chi.value_exponents, chi.value_exponents[0])  # residue q is residue 0
+    row = np.array((*roots_of_unity(chi.order), 0j))[exponents]  # exponent -1 reads the 0
+    row.setflags(write=False)
+    return row
+
+
 def values(chi: DirichletCharacter) -> np.ndarray:
-    """chi(a) for a = 0..q-1 (0 off the units), read-only and cached per (q, index)."""
-    table = np.array((*roots_of_unity(chi.order), 0j))[chi.value_exponents]  # exponent -1 reads the 0
-    table.setflags(write=False)
-    return table
+    """chi(a) for a = 0..q-1 (0 off the units), a read-only view of `value_row`."""
+    return value_row(chi)[:-1]
 
 
 def _build_character(q: int, t: tuple[int, ...], index: int, data: _GroupData) -> DirichletCharacter:

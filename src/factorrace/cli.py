@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .characters import DirichletCharacter, character, enumerate_characters
+from .characters import DirichletCharacter, character, conjugate_index, enumerate_characters
 from .density import (
     DISAGREE_TOL,
     MIN_TRIALS,
@@ -55,6 +55,7 @@ from .zeros import (
     MissedZeroError,
     ZeroCache,
     cache_filename,
+    conjugate_cache,
     load_cache,
     scan_zeros,
     store_cache,
@@ -238,6 +239,9 @@ def cmd_sieve(rc: RunConfig, sums=None) -> None:
 
 
 def cmd_zeros(rc: RunConfig) -> None:
+    """Each target's reusable cache if its file holds one, else its conjugate's
+    from this run mirrored, else a scan: a conjugate pair is scanned once."""
+    done: dict[int, ZeroCache] = {}
     for chi in _zero_targets(rc):
         try:
             cache = _load_zero_cache(rc, chi, rc.t_scan)
@@ -246,9 +250,11 @@ def cmd_zeros(rc: RunConfig) -> None:
                 f"(scanned to T={cache.t_scanned}, {cache.count} zeros)"
             )
         except (MissingInputError, ConfigError):
-            cache = scan_zeros(chi, rc.t_scan)
+            mate = done.get(conjugate_index(chi))
+            cache = scan_zeros(chi, rc.t_scan) if mate is None else conjugate_cache(mate)
             store_cache(cache, _path(rc, cache_filename(rc.q, chi.index)))
             print(f"zeros: q={rc.q} chi={chi.index} T={rc.t_scan} -> {cache.count} zeros")
+        done[chi.index] = cache
 
 
 def _read_twists(

@@ -60,8 +60,10 @@ matrix-vector product.  The tail coefficients depend on s alone and are
 formed once per call; the real powers z^e = exp(e log z) depend on N
 and q alone (`_tail_powers`), and the two meet as one real product.
 `hurwitz_zeta` takes a real shift a, so it keeps its own head of
-exp(-s log(k + a)) and its own powers.  The weights chi(a), and the
-root-number phase of the rotated function, are computed once per character (q, index) and cached.
+exp(-s log(k + a)) and its own powers.  The weights chi(a) are the last q
+entries of the character's cached `characters.value_row`, and the
+root-number phase of the rotated function is computed once per character
+(q, index) and cached.
 
 `_loggamma` shifts z up to |z| >= 15 through one running product, sums
 Stirling's series with B_2..B_16 (first omitted term < 1e-20) by Horner's
@@ -77,7 +79,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter, root_number, values
+from .characters import DirichletCharacter, root_number, value_row
 
 __all__ = [
     "LValue",
@@ -321,14 +323,6 @@ def _reserve_height(q: int, t_max: float) -> None:
     _LADDER.reserve((_truncation(complex(0.5, t_max))[0] + 1) * q)
 
 
-@lru_cache(maxsize=None)
-def _weights(chi: DirichletCharacter) -> np.ndarray:
-    """The weights chi(a) (0 off the units) for a = 1..q, cached per (q, index)."""
-    weights = np.roll(values(chi), -1)
-    weights.setflags(write=False)
-    return weights
-
-
 def l_value(chi: DirichletCharacter, s: complex) -> LValue:
     """L(s, chi) and L'(s, chi) as a Dirichlet series head plus the
     Euler-Maclaurin tails (module docstring).
@@ -351,7 +345,7 @@ def l_value(chi: DirichletCharacter, s: complex) -> LValue:
     tv, td = _brackets(_tail_powers(n, q), coef)
     rows[1, n] = rows[1, n] * tv - rows[0, n] * td
     rows[0, n] *= tv
-    value, derivative = (rows @ _weights(chi)).sum(axis=1)
+    value, derivative = (rows @ value_row(chi)[1:]).sum(axis=1)
     return LValue(value=complex(value), derivative=-complex(derivative))
 
 

@@ -51,6 +51,7 @@ import numpy as np
 from ._csvio import write_csv
 from .characters import (
     DirichletCharacter,
+    character,
     conjugate_index,
     exponent_sums,
     real_sign_table,
@@ -672,10 +673,8 @@ def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
     exact integers; otherwise psi is the e-ascending left fold of acc[:, e]
     * exp(2 pi i e / d), one step per exponent for the whole group, and
     every element takes the operations of its own counts, so no bit
-    depends on the grouping.  A mirrored character (complex, its conjugate
-    of lower index) gets the exact conjugate of its conjugate's fold.  The
-    roots are `characters.roots_of_unity(d)`, the character values' own
-    table (`np.cos` may differ in the last bit).
+    depends on the grouping.  The roots are `characters.roots_of_unity(d)`,
+    the character values' own table (`np.cos` may differ in the last bit).
     """
     n, q = rows.shape
     groups: dict[bytes, list[int]] = {}  # positions in `chis` by kernel {a : chi(a) = 1}
@@ -694,13 +693,11 @@ def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
             continue
         g = int(np.argmax(first.value_exponents == 1))  # a unit with e_chi0(g) = 1
         ks = [int(chis[j].value_exponents[g]) for j in group]
-        mirrored = np.array([conjugate_index(chis[j]) < chis[j].index for j in group])
-        inv = np.array([pow(-k if m else k, -1, d) for k, m in zip(ks, mirrored)])
+        inv = np.array([pow(k, -1, d) for k in ks])
         columns = np.arange(d)[:, None] * inv % d  # row e: acc's column for exponent e of each character
         psi = np.zeros((n, len(group)), dtype=np.complex128)
         for cols, root in zip(columns, roots_of_unity(d)):
             psi += acc[:, cols] * root
-        psi[:, mirrored] = psi[:, mirrored].conj()
         yield group, psi
 
 
@@ -709,14 +706,15 @@ def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, co
 
     Integer arithmetic up to the final root-of-unity combination; for real
     characters the results are exact integers.  A mirrored character (its
-    conjugate of lower index) gets the conjugate's psi with each imaginary
-    part's sign flipped, as in `twists.csv`.  The one-checkpoint,
+    conjugate of lower index) is not twisted: it gets the conjugate's psi
+    with each imaginary part's sign flipped, as in `twists.csv`.  The one-checkpoint,
     one-character case of the batched routine behind `write_twists_csv`.
     """
-    k = sums.row(x)
-    [(_, psi)] = _twist_block(sums.counts[:, k], [chi])
+    mate = conjugate_index(chi)
+    low = chi if chi.index <= mate else character(chi.modulus, mate)
+    [(_, psi)] = _twist_block(sums.counts[:, sums.row(x)], [low])
     pw, pW = psi[:, 0].tolist()
-    return pw, pW
+    return (pw, pW) if low is chi else (pw.conjugate(), pW.conjugate())
 
 
 def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None) -> None:
@@ -737,9 +735,10 @@ def write_twists_csv(
 ) -> None:
     """One row per (checkpoint, character), checkpoint-major.
 
-    A mirrored character whose conjugate is in `chis` too is not twisted:
-    its row is the conjugate's with each imaginary part's sign flipped,
-    `twist`'s value, as `'%.17g' % -v` flips the sign of `'%.17g' % v` for
+    A mirrored character (complex, its conjugate of lower index) is not
+    twisted: its conjugate is, taken from `chis` or else built, and its row
+    is the conjugate's with each imaginary part's sign flipped, `twist`'s
+    value, as `'%.17g' % -v` flips the sign of `'%.17g' % v` for
     every finite v, +-0 included.  The checkpoints are twisted a block at
     a time, at most TWIST_ELEMENTS class sums (omega and Omega rows times
     q) per block, into one (2n, twisted characters) complex array.  A
@@ -751,18 +750,18 @@ def write_twists_csv(
     alone, so no bit depends on the block.
     """
     q = sums.q
-    present = {chi.index for chi in chis}
+    given = {chi.index: chi for chi in chis}
     mates = [conjugate_index(chi) for chi in chis]
-    mirror = [mate < chi.index and mate in present for chi, mate in zip(chis, mates)]
-    twisted = [chi for chi, m in zip(chis, mirror) if not m]
+    lows = dict.fromkeys(min(chi.index, mate) for chi, mate in zip(chis, mates))  # indices of the characters twisted
+    twisted = [given[low] if low in given else character(q, low) for low in lows]
     column = {chi.index: c for c, chi in enumerate(twisted)}
     # values: x, (re, im) of each twisted psi_omega, then psi_Omega, then -im
     width = 1 + 4 * len(twisted)
     picks = []
-    for chi, mate, m in zip(chis, mates, mirror):
-        w = 1 + 2 * column[mate if m else chi.index]  # re psi_omega
+    for chi, mate in zip(chis, mates):
+        w = 1 + 2 * column[min(chi.index, mate)]  # re psi_omega
         W = w + 2 * len(twisted)  # re psi_Omega
-        im = (width + w // 2, width + W // 2) if m else (w + 1, W + 1)
+        im = (width + w // 2, width + W // 2) if mate < chi.index else (w + 1, W + 1)
         picks += [0, w, im[0], W, im[1]]
     template = "\n".join(f"%s,{q},{chi.index},%s,%s,%s,%s" for chi in chis)
     values = "%d" + ",%.17g" * (width - 1)

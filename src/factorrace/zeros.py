@@ -52,9 +52,13 @@ silently incomplete cache.  A window is [n, n+1) in |gamma| for a real
 character, whose zeros are mirrored, and [m, m+1) in gamma for a complex
 one, so the zeros at +gamma and -gamma never share it.
 
-Real characters are scanned on [0, T] only and mirrored, since their zeros
-come in conjugate pairs with L'(conj rho) = conj L'(rho); complex
-characters are scanned over the full [-T, T].
+Every scan covers 0 <= gamma <= T of one character, its upper half.  As
+L(conj s, conj chi) = conj L(s, chi), the zeros of chi below the real
+axis are those of its conjugate above it, mirrored: gamma -> -gamma,
+L' -> conj L', residual kept.  So a cache is the conjugate's upper half
+mirrored, then its own; a real character is its own conjugate, and the
+cache of a conjugate character is `conjugate_cache` of this one, with no
+scan.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._csvio import fmt_float, write_csv
-from .characters import DirichletCharacter, character
+from .characters import DirichletCharacter, character, conjugate_character, conjugate_index
 from .lfunction import _reserve_height, _rotation_phase, l_value
 
 __all__ = [
@@ -80,6 +84,7 @@ __all__ = [
     "CacheFormatError",
     "smooth_zero_count",
     "scan_zeros",
+    "conjugate_cache",
     "count_check",
     "store_cache",
     "load_cache",
@@ -276,10 +281,10 @@ def _dips(points):
             yield lo, hi
 
 
-def _find_side_zeros(chi, t_lo, t_hi):
-    """Every sign change of Z on [t_lo, t_hi], its dips rescanned as above
-    between their known ends."""
-    points = _scan_grid(chi, _point(chi, t_lo), _point(chi, t_hi))
+def _upper_half(chi, t_max):
+    """The records of every sign change of Z on [0, t_max], ascending, its
+    dips rescanned as above between their known ends."""
+    points = _scan_grid(chi, _point(chi, 0.0), _point(chi, t_max))
     found = _sign_changes(chi, points)
     mags = sorted(abs(p[1]) for p in points)
     tol = 1e-6 * max(1.0, mags[len(mags) // 2])
@@ -298,20 +303,23 @@ def _find_side_zeros(chi, t_lo, t_hi):
                     RuntimeWarning,
                     stacklevel=3,
                 )
-    return found
+    return tuple(ZeroRecord(g, lv.derivative, abs(lv.value)) for g, lv in sorted(found, key=lambda p: p[0]))
 
 
-def _cache(chi: DirichletCharacter, t_max: float, found) -> ZeroCache:
-    """The sorted cache of the (gamma, LValue) pairs `found`; a real
-    character's are the gamma >= 0 half, mirrored here."""
-    records = [ZeroRecord(g, lv.derivative, abs(lv.value)) for g, lv in sorted(found, key=lambda p: p[0])]
-    if chi.is_real:
-        records = [ZeroRecord(-r.gamma, r.l_prime.conjugate(), r.residual) for r in reversed(records)] + records
-    return ZeroCache(chi.modulus, chi.index, float(t_max), tuple(records))
+def _mirrored(records):
+    """The conjugate character's zeros: gamma -> -gamma, L' -> conj L', in ascending order."""
+    return tuple(ZeroRecord(-r.gamma, r.l_prime.conjugate(), r.residual) for r in reversed(records))
+
+
+def conjugate_cache(cache: ZeroCache) -> ZeroCache:
+    """The cache of the conjugate character, from this one without a scan."""
+    mate = conjugate_index(character(cache.q, cache.chi_index))
+    return ZeroCache(cache.q, mate, cache.t_scanned, _mirrored(cache.records))
 
 
 def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
-    """All zeros with |gamma| <= t_max for a primitive non-principal character."""
+    """All zeros with |gamma| <= t_max for a primitive non-principal character:
+    the upper halves of chi and of its conjugate (chi itself, if real)."""
     if not chi.is_primitive:
         raise ValueError("zero scan requires a primitive character")
     if chi.is_principal:
@@ -319,9 +327,10 @@ def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
     if not 0 < t_max <= MAX_SCAN_HEIGHT:
         raise ValueError(f"T must be in (0, {MAX_SCAN_HEIGHT}]")
 
-    t_lo = 0.0 if chi.is_real else -t_max
     _reserve_height(chi.modulus, t_max)
-    cache = _cache(chi, t_max, _find_side_zeros(chi, t_lo, t_max))
+    upper = _upper_half(chi, t_max)
+    lower = upper if chi.is_real else _upper_half(conjugate_character(chi), t_max)
+    cache = ZeroCache(chi.modulus, chi.index, float(t_max), _mirrored(lower) + upper)
     rep = count_check(cache)
     if not rep.passed:
         raise MissedZeroError(

@@ -16,9 +16,9 @@ from factorrace.characters import (
     real_sign_table,
     root_number,
     unit_grid,
+    value_row,
     values,
 )
-from factorrace.lfunction import _weights
 from oracles import unit_roots
 
 
@@ -245,14 +245,18 @@ def test_values_are_the_root_table_read_by_every_layer(q):
     """values(chi) is chi(a) from the oracle's root table at every residue,
     bit for bit, complex characters included; evaluate, real_sign_table and
     the L-kernel's weights (a = 1..q) read the same bits; the table is
-    read-only.  unit_grid lists the units in the grid order it documents."""
+    read-only.  values and the weights are views of the one cached row
+    value_row, chi(a) for a = 0..q.  unit_grid lists the units in the grid
+    order it documents."""
     for chi in enumerate_characters(q):
         table = values(chi)
         roots = unit_roots(chi.order)
         expected = np.array([roots[e] if e >= 0 else 0j for e in chi.value_exponents.tolist()])
         assert table.dtype == np.complex128 and table.tobytes() == expected.tobytes(), (q, chi.index)
         assert np.array([evaluate(chi, a) for a in range(q)]).tobytes() == table.tobytes()
-        assert _weights(chi).tobytes() == np.roll(table, -1).tobytes()
+        row = value_row(chi)
+        assert row is value_row(character(q, chi.index)) and len(row) == q + 1 and not row.flags.writeable
+        assert table.base is row and row[1:].tobytes() == np.roll(table, -1).tobytes()
         if chi.is_real:
             assert real_sign_table(chi).astype(np.complex128).tobytes() == table.tobytes()
         assert not table.flags.writeable

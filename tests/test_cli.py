@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from factorrace import cli, density
-from factorrace.characters import enumerate_characters
+from factorrace.characters import conjugate_index, enumerate_characters
 from factorrace.zeros import FORMAT_VERSION, MissedZeroError
 
 BASE = ["--xmax", "50000", "--q", "4", "--T", "15", "--T0", "10", "--trials", "1000"]
@@ -361,6 +361,49 @@ def test_single_character_run_builds_one_character(tmp_path, monkeypatch, capsys
     assert read_data_rows(tmp_path / "twists.csv")[1].startswith("1000,1000,3,")
     assert cli.main(argv + ["400"]) == cli.EXIT_CONFIG
     assert "character index 400 out of range [0, 400) for q=1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q, t_max, budget", [(13, "100", 4200), (5, "200", 2100)])
+def test_zeros_scans_a_conjugate_pair_once(tmp_path, monkeypatch, q, t_max, budget):
+    """`zeros --chi all` mirrors the cache of each complex pair's first member
+    for the second: at q=13, T=100 it takes at most 4,200 L-evals and at q=5,
+    T=200 at most 2,100, where scanning every complex character over
+    [-T, T] took 7,836 and 3,448."""
+    from factorrace import zeros
+
+    calls = []
+    evaluate = zeros.l_value
+    monkeypatch.setattr(zeros, "l_value", lambda *args: calls.append(args) or evaluate(*args))
+    argv = ["zeros", "--q", str(q), "--chi", "all", "--T", t_max, "--T0", t_max, "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(calls) <= budget
+    assert len(list(tmp_path.glob(f"zeros_q{q}_chi*.csv"))) == q - 2
+
+
+def test_a_mirrored_zero_cache_is_the_single_character_run(tmp_path):
+    """Every zeros_q13_chi*.csv that `zeros --chi all` writes, five of them
+    mirrored from the conjugate's cache, is byte for byte the file that
+    `zeros --chi k` writes alone."""
+    argv = ["zeros", "--q", "13", "--T", "30", "--T0", "30", "--chi"]
+    assert cli.main(argv + ["all", "--out", str(tmp_path / "all")]) == 0
+    for k in range(1, 12):
+        assert cli.main(argv + [str(k), "--out", str(tmp_path / str(k))]) == 0
+        name = f"zeros_q13_chi{k}.csv"
+        assert (tmp_path / str(k) / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), k
+
+
+def test_a_mirrored_characters_twists_alone_are_its_rows_of_all(tmp_path):
+    """`sieve --chi k` for a mirrored character (its conjugate of lower index)
+    twists the conjugate and mirrors it, as `--chi all` does: the same rows."""
+    argv = ["sieve", "--q", "13", "--xmax", "20000", "--chi"]
+    assert cli.main(argv + ["all", "--out", str(tmp_path / "all")]) == 0
+    rows = read_data_rows(tmp_path / "all" / "twists.csv")[1:]
+    mirrored = [chi.index for chi in enumerate_characters(13) if conjugate_index(chi) < chi.index]
+    assert mirrored == [7, 8, 9, 10, 11]
+    for k in mirrored:
+        assert cli.main(argv + [str(k), "--out", str(tmp_path / str(k))]) == 0
+        alone = read_data_rows(tmp_path / str(k) / "twists.csv")[1:]
+        assert alone == [row for row in rows if row.split(",")[2] == str(k)]
 
 
 def test_cli_run_loads_no_scipy(tmp_path):

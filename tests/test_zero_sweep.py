@@ -21,7 +21,8 @@ def zero_sweep():
 
 def test_small_set_finds_every_reference_sign_change(zero_sweep):
     """q <= 5 at T=10: chi 1 mod 3, chi 1 mod 4 and the three characters
-    mod 5, of which chi 1 and chi 3 are complex and scanned on [-10, 10]."""
+    mod 5, of which chi 1 and chi 3 are complex and checked on [-10, 10];
+    chi 3's cache is chi 1's mirrored, so it takes no L-eval."""
     chars = zero_sweep.small_set(5)
     assert [(c.modulus, c.index) for c in chars] == [(3, 1), (4, 1), (5, 1), (5, 2), (5, 3)]
     small = zero_sweep.sweep(chars, 10.0)
@@ -29,6 +30,7 @@ def test_small_set_finds_every_reference_sign_change(zero_sweep):
     assert small["found"] == small["reference"] > 0
     assert small["missed"] == [] and small["warned"] == [] and small["raised"] == []
     assert small["l_evals"] > small["found"]
+    assert small["l_evals"] == zero_sweep.sweep(chars[:-1], 10.0)["l_evals"]
     assert 0 < small["max_refine_evals"] < zero_sweep.zeros.MAX_REFINE_STEPS
 
 

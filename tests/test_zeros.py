@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from factorrace.characters import character, enumerate_characters
+from factorrace.characters import character, conjugate_character, enumerate_characters
 from factorrace.lfunction import l_value, rotated_z
 from factorrace.zeros import (
     FORMAT_VERSION,
     CacheFormatError,
     ZeroCache,
     ZeroRecord,
+    conjugate_cache,
     count_check,
     load_cache,
     scan_zeros,
@@ -248,13 +249,13 @@ def test_missed_zero_error_raised(chi4, monkeypatch):
 
 def test_scan_refuses_a_crowded_window(monkeypatch):
     """30 zeros in one unit window fail the completeness check even when the
-    total matches the smooth count (about 31.3 at q=5, T=40)."""
+    total matches the smooth count (about 31.3 at q=5, T=40): all 30 in
+    the upper half of chi 1, none in its conjugate's."""
     import factorrace.zeros as zmod
-    from factorrace.lfunction import LValue
     from factorrace.zeros import MissedZeroError
 
-    crowd = [(7.0 + 0.01 * k, LValue(1e-13, complex(1.0, 0.0))) for k in range(30)]
-    monkeypatch.setattr(zmod, "_find_side_zeros", lambda chi, lo, hi: list(crowd))
+    crowd = tuple(ZeroRecord(7.0 + 0.01 * k, complex(1.0, 0.0), 1e-13) for k in range(30))
+    monkeypatch.setattr(zmod, "_upper_half", lambda chi, t_max: crowd if chi.index == 1 else ())
     with pytest.raises(MissedZeroError) as info:
         scan_zeros(character(5, 1), 40.0)
     assert 7 in info.value.windows
@@ -419,7 +420,8 @@ def test_a_scan_builds_the_factor_ladder_once(monkeypatch, q, index):
     """scan_zeros sizes the ladder for the head length at t_max before its
     first evaluation: one build of (N + 1) q entries, where growing it on
     demand built three (1,467, 2,934 and 5,868 entries) at q = 163, T = 30.
-    Chi 2 mod 5 is complex, so its scan runs from -T to T."""
+    Chi 2 mod 5 is complex, so its scan covers [0, T] of it and of its
+    conjugate, one build for both halves."""
     from factorrace import lfunction
 
     ladder = lfunction._FactorLadder()
@@ -447,15 +449,18 @@ def test_count_check_short_window_decides_nothing(cache100):
 
 
 def test_rescans_recover_zeros_the_total_misses():
-    """At q=163, chi 53, T=60 the sign changes of the grid alone give 114
-    zeros and the total passes on them; only the rescans of the dips add
-    the other eight."""
+    """At q=163, chi 53, T=60 the sign changes of the grids over [0, 60] of
+    chi and of its conjugate (mirrored) give 118 zeros and the total passes
+    on them; only the rescans of the dips add the other four."""
     import factorrace.zeros as zmod
 
     chi = character(163, 53)
-    grid = zmod._scan_grid(chi, zmod._point(chi, -60.0), zmod._point(chi, 60.0))
-    first = zmod._cache(chi, 60.0, zmod._sign_changes(chi, grid))
-    assert first.count == 114
+    gammas = []
+    for c, sign in ((chi, 1.0), (conjugate_character(chi), -1.0)):
+        grid = zmod._scan_grid(c, zmod._point(c, 0.0), zmod._point(c, 60.0))
+        gammas += [sign * g for g, _ in zmod._sign_changes(c, grid)]
+    first = ZeroCache(163, 53, 60.0, tuple(ZeroRecord(g, 1j, 0.0) for g in sorted(gammas)))
+    assert first.count == 118
     assert count_check(first).passed
     assert scan_zeros(chi, 60.0).count == 122
 
@@ -463,10 +468,10 @@ def test_rescans_recover_zeros_the_total_misses():
 @pytest.mark.parametrize(
     "q, index, t_max, count, recovered",
     [
-        # the first two in the end step: only the sixteenth-step rescan finds them
+        # the first two in the end step of the conjugate's (chi 60's) grid, found at the quarter step
         (163, 102, 70.0, 145, (-69.9911, -69.9146, 62.7134, 62.8881)),
         (163, 102, 71.0, 147, (62.7134, 62.8881)),
-        (125, 1, 60.0, 117, (-44.0302, -44.0025)),  # 0.028 apart
+        (125, 1, 60.0, 117, (-44.0302, -44.0025)),  # 0.028 apart: only the sixteenth step finds them
     ],
 )
 def test_dip_rescans_recover_close_pairs(q, index, t_max, count, recovered):
@@ -544,7 +549,7 @@ def test_even_order_dip_warns_and_adds_nothing(chi4, monkeypatch):
     monkeypatch.setattr(zmod, "_z_and_l", z_and_l)
     with pytest.warns(RuntimeWarning, match="even-order") as record:
         cache = scan_zeros(chi4, 5.0)
-    assert len(record) == 1
+    assert len(record) == 1 and record[0].filename == __file__  # the caller of scan_zeros
     assert [round(g, 9) for g in cache.gammas()] == [-3.7, 3.7]
 
 
@@ -561,3 +566,37 @@ def test_terms_truncate_once_for_real_and_complex(chi4, cache100):
         cache100.terms(chi5, 10.0)
     with pytest.raises(ValueError, match="exceeds scanned height"):
         cache100.terms(chi4, 100.5)
+
+
+@pytest.mark.parametrize("q", [5, 7, 13])
+def test_a_conjugate_scan_is_the_mirrored_cache(q, cache15):
+    """L(conj s, conj chi) = conj L(s, chi): for every complex pair mod q at
+    T=30, the scan of the member of higher index equals conjugate_cache of
+    its mate's scan, record for record, and mirroring twice gives the cache
+    back.  A real character is its own conjugate."""
+    pairs = 0
+    for chi in enumerate_characters(q)[1:]:
+        mate = conjugate_character(chi)
+        if chi.is_real or mate.index < chi.index:
+            continue
+        cache = scan_zeros(chi, 30.0)
+        mirrored = conjugate_cache(cache)
+        assert (mirrored.q, mirrored.chi_index, mirrored.t_scanned) == (q, mate.index, 30.0)
+        assert scan_zeros(mate, 30.0) == mirrored
+        assert conjugate_cache(mirrored) == cache
+        pairs += 1
+    assert pairs == (q - 3) // 2
+    assert conjugate_cache(cache15) == cache15
+
+
+def test_a_zero_below_the_axis_against_mpmath():
+    """A complex character's gamma < 0 zeros come from its conjugate's upper
+    half, mirrored: at the first and last of them for chi 1 mod 5, T=30,
+    30-digit mpmath gives |L| < 5e-13 and the record's L'."""
+    chi = character(5, 1)
+    below = [r for r in scan_zeros(chi, 30.0).records if r.gamma < 0]
+    assert below
+    for r in (below[0], below[-1]):
+        (value, derivative), = mp_dirichlet_l(complex(0.5, r.gamma), [chi], dps=30)
+        assert abs(value) < 5e-13, r.gamma
+        assert abs(r.l_prime - derivative) < 1e-13 * abs(derivative), r.gamma
