@@ -12,6 +12,10 @@ prediction for psi_f (secular term from L(1/2, chi), L'(1/2, chi) plus a
 truncated sum over zeros), and quantifies the sign bias of the race through
 logarithmic-density estimates, both empirical and via a random-phase
 Monte Carlo model.
+
+The package declares only `__version__`: each public name is in the
+`__all__` of the one module that defines it, and is imported from there
+(`from factorrace.lfunction import l_value`).
 """
 
 __version__ = "0.1.0"
@@ -21,86 +25,3 @@ import os
 # The BLAS calls here are small, so OpenBLAS worker threads would only spin on
 # other CPUs for ~0.1 s after numpy loads.  Acts only before numpy's first import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from .characters import (
-    DirichletCharacter,
-    character,
-    conjugate_character,
-    enumerate_characters,
-    evaluate,
-    gauss_sum,
-    root_number,
-)
-from .density import (
-    LiModel,
-    MonteCarloDraw,
-    MonteCarloEstimates,
-    build_model,
-    disagrees,
-    li_monte_carlo,
-    windowed_density,
-)
-from .lfunction import LValue, completed_lambda, hurwitz_zeta, l_value, rotated_z
-from .prediction import mean_square, predict, residual
-from .sieve import (
-    ClassSums,
-    DensityTrace,
-    SieveConfig,
-    combined_run,
-    density_scan,
-    factor_counts,
-    sieve_run,
-    twist,
-)
-from .zeros import (
-    CacheFormatError,
-    MissedZeroError,
-    ZeroCache,
-    ZeroRecord,
-    count_check,
-    load_cache,
-    scan_zeros,
-    store_cache,
-)
-
-__all__ = [
-    "__version__",
-    "DirichletCharacter",
-    "character",
-    "conjugate_character",
-    "enumerate_characters",
-    "evaluate",
-    "gauss_sum",
-    "root_number",
-    "LValue",
-    "hurwitz_zeta",
-    "l_value",
-    "completed_lambda",
-    "rotated_z",
-    "SieveConfig",
-    "ClassSums",
-    "DensityTrace",
-    "sieve_run",
-    "density_scan",
-    "combined_run",
-    "factor_counts",
-    "twist",
-    "ZeroRecord",
-    "ZeroCache",
-    "scan_zeros",
-    "count_check",
-    "store_cache",
-    "load_cache",
-    "MissedZeroError",
-    "CacheFormatError",
-    "predict",
-    "residual",
-    "mean_square",
-    "LiModel",
-    "MonteCarloDraw",
-    "MonteCarloEstimates",
-    "build_model",
-    "disagrees",
-    "li_monte_carlo",
-    "windowed_density",
-]

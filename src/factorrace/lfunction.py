@@ -1,6 +1,7 @@
 """Numerical Dirichlet L-function kernel.
 
-The Hurwitz zeta function is evaluated by the Euler-Maclaurin truncation
+L(s, chi) is built on the Euler-Maclaurin truncation of the Hurwitz zeta
+function
 
     zeta(s, a) ~ sum_{k=0}^{N-1} (k+a)^{-s} + (N+a)^{-s} T(N+a, s),
     T(z, s) = z/(s-1) + 1/2 + sum_{j=1}^{M} B_{2j}/(2j)! * (s)_{2j-1} * z^{1-2j},
@@ -30,8 +31,7 @@ Re s; the bound uses N + a >= N, so it holds for every a in (0, 1]).  The
 head sum's first term a^{-sigma} is at least 1, so 1e-20 sits four
 decades under its unit roundoff: the truncation never shows.  N is about
 |Im s|/2 at large height (19 at |Im s| = 30, 101 at 200, 5321 at 9999.3)
-and 8 near the real axis; the former fixed rule, ceil(1.3|Im s|) + 10
-with M = 12, took 49, 270 and 13010.  Design ceiling |Im s| <= 1e4, where
+and 8 near the real axis.  Design ceiling |Im s| <= 1e4, where
 rounding in (Im s) * log(m) sets the error: 4.8e-12 (L) and 1.7e-12 (L')
 relative at q = 4, t = 9999.3 against 30-digit mpmath.
 
@@ -59,11 +59,10 @@ the weights chi(a) (0 off the units) are one row, so both sums are one
 matrix-vector product.  The tail coefficients depend on s alone and are
 formed once per call; the real powers z^e = exp(e log z) depend on N
 and q alone (`_tail_powers`), and the two meet as one real product.
-`hurwitz_zeta` takes a real shift a, so it keeps its own head of
-exp(-s log(k + a)) and its own powers.  The weights chi(a) are the last q
-entries of the character's cached `characters.value_row`, and the
-root-number phase of the rotated function is computed once per character
-(q, index) and cached.
+The character mod 1 gives zeta(s) and zeta'(s).  The weights chi(a) are
+the last q entries of the character's cached `characters.value_row`, and
+the root-number phase of the rotated function is computed once per
+character (q, index) and cached.
 
 `_loggamma` shifts z up to |z| >= 15 through one running product, sums
 Stirling's series with B_2..B_16 (first omitted term < 1e-20) by Horner's
@@ -83,11 +82,9 @@ from .characters import DirichletCharacter, root_number, value_row
 
 __all__ = [
     "LValue",
-    "hurwitz_zeta",
     "l_value",
     "completed_lambda",
     "rotated_z",
-    "rotated_z_complex",
 ]
 
 MAX_IM = 1.0e4
@@ -129,15 +126,6 @@ _LOG_REMAINDER_CONST = math.log(2 + 2.0 ** (1 - 2 * _BERNOULLI_ORDER)) - math.lo
 class LValue:
     value: complex
     derivative: complex
-
-
-def _check_domain(s: complex) -> None:
-    if s == 1:
-        raise ValueError("zeta(s, a) has a pole at s = 1")
-    if s.real <= 0:
-        raise ValueError(f"require Re s > 0, got {s}")
-    if abs(s.imag) > MAX_IM:
-        raise ValueError(f"|Im s| exceeds design ceiling {MAX_IM}")
 
 
 def _head_length(s: complex, rising: float) -> int:
@@ -190,42 +178,23 @@ def _truncation(s: complex) -> tuple[int, np.ndarray]:
     return _head_length(s, abs(p * f * (f + 1))), coef
 
 
-def _powers(z: np.ndarray) -> np.ndarray:
-    """The real powers z^e = exp(e log z), e in _TAIL_EXPONENTS, one row per point z."""
-    return np.exp(np.log(z)[:, None] * _TAIL_EXPONENTS)
-
-
 @lru_cache(maxsize=_TAIL_POWERS_KEPT)
 def _tail_powers(n: int, q: int) -> np.ndarray:
-    """`_powers` at the tail points z = n + a/q, a = 1..q, of `l_value`,
-    kept for a few (N, q): a zero scan meets each N in one ascending run."""
-    powers = _powers(n + np.arange(1, q + 1) / q)
+    """The real powers z^e = exp(e log z), e in _TAIL_EXPONENTS, one row per
+    tail point z = n + a/q, a = 1..q, of `l_value`, kept for a few (N, q):
+    a zero scan meets each N in one ascending run."""
+    powers = np.exp(np.log(n + np.arange(1, q + 1) / q)[:, None] * _TAIL_EXPONENTS)
     powers.setflags(write=False)
     return powers
 
 
 def _brackets(powers: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tail brackets at each point z, from its row of `_powers`: tv
+    """The tail brackets at each point z, from its row of `_tail_powers`: tv
     with z^{-s} tv the tail of the value, and td with z^{-s} (td - log(z) tv)
     the tail of the s-derivative.  The real powers meet the complex
     coefficients as one real product with their (re, im) pairs.
     """
     return np.dot(powers, coef.view(np.float64)).view(np.complex128).T
-
-
-def hurwitz_zeta(s: complex, a: float) -> tuple[complex, complex]:
-    """(zeta(s, a), d/ds zeta(s, a)) for Re s > 0, s != 1, a in (0, 1]."""
-    if not 0 < a <= 1:
-        raise ValueError(f"require a in (0, 1], got {a}")
-    s = complex(s)
-    _check_domain(s)
-    n, coef = _truncation(s)
-    logk = np.log(float(a) + np.arange(n + 1.0))  # entry n is the Euler-Maclaurin point z
-    terms = np.exp(-s * logk)
-    [tv], [td] = _brackets(_powers(np.array([float(a) + n])), coef)
-    value = terms[:n].sum() + terms[n] * tv
-    derivative = terms[n] * (td - logk[n] * tv) - (logk[:n] * terms[:n]).sum()
-    return complex(value), complex(derivative)
 
 
 class _FactorLadder:
@@ -330,11 +299,18 @@ def l_value(chi: DirichletCharacter, s: complex) -> LValue:
     The (N+1) q values m^{-s} form N + 1 rows of q: row k holds
     m = kq + a, a = 1..q, so the weights chi(a) are one row, the head is
     rows 0..N-1 and row N holds the tail points Nq + a.
+
+    Requires Re s > 0, |Im s| <= MAX_IM and s != 1.  s = 1 is refused for
+    every chi, not only the principal one: the tail term z^{1-s}/(s-1) is
+    singular there, although L(1, chi) is finite for chi non-principal.
     """
     s = complex(s)
-    if chi.is_principal and s == 1:
-        raise ValueError("L(s, chi0) has a pole at s = 1")
-    _check_domain(s)
+    if s == 1:
+        raise ValueError("s = 1: the tail term z^{1-s}/(s-1) is singular there for every chi")
+    if s.real <= 0:
+        raise ValueError(f"require Re s > 0, got {s}")
+    if abs(s.imag) > MAX_IM:
+        raise ValueError(f"|Im s| exceeds design ceiling {MAX_IM}")
     n, coef = _truncation(s)
     q = chi.modulus
     size = (n + 1) * q
@@ -390,14 +366,10 @@ def _rotation_phase(chi: DirichletCharacter, t: float) -> complex:
     return _root_phase(chi) * cmath.exp(1j * theta)
 
 
-def rotated_z_complex(chi: DirichletCharacter, t: float) -> complex:
-    """Full complex rotated value; its imaginary part is a numerical residual."""
+def rotated_z(chi: DirichletCharacter, t: float) -> float:
+    """Real-valued rotation of L(1/2 + it, chi); vanishes exactly at the zeros.
+
+    The rotated value's imaginary part is a numerical residual, dropped here."""
     if not chi.is_primitive:
         raise ValueError("rotated Z-function requires a primitive character")
-    lv = l_value(chi, complex(0.5, t))
-    return _rotation_phase(chi, t) * lv.value
-
-
-def rotated_z(chi: DirichletCharacter, t: float) -> float:
-    """Real-valued rotation of L(1/2 + it, chi); vanishes exactly at the zeros."""
-    return rotated_z_complex(chi, t).real
+    return (_rotation_phase(chi, t) * l_value(chi, complex(0.5, t)).value).real

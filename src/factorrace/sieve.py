@@ -73,6 +73,7 @@ __all__ = [
     "sieve_run",
     "density_scan",
     "combined_run",
+    "factor_counts",
     "twist",
     "write_checkpoints_csv",
     "write_twists_csv",

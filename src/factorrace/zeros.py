@@ -26,8 +26,7 @@ rounding only), the bracket is narrower than 1e-14 * max(1, |t|), or Z
 vanishes; the point evaluated last is the zero, and its L-evaluation
 gives both the stored residual |L(rho)| and L'(rho, chi).  At q=163,
 T=30 the scan takes 153 L-evals for its 56 zeros: 63 on the grid and 90
-in refinement for the 28 above 0 (at half this step, with Newton steps
-after the first cubic point, it took 214: 124 and 90).
+in refinement for the 28 above 0.
 
 A pair of zeros inside one grid step leaves Z one sign at both ends of
 the step while |Z| dips toward 0 and turns back.  So each dip of the grid,
@@ -91,10 +90,7 @@ __all__ = [
     "cache_filename",
 ]
 
-FORMAT_VERSION = "5"  # "1": the fixed-rule Euler-Maclaurin kernel; "2": the Hurwitz block kernel;
-# "3": the Dirichlet series kernel with Illinois regula falsi refinement; "4": Newton steps on Z after
-# one Hermite-cubic point, at a quarter of the mean zero gap; "5": Hermite-cubic points at every step,
-# at half the gap
+FORMAT_VERSION = "5"  # the Dirichlet series kernel; Hermite-cubic points at every step, at half the mean gap
 MAX_SCAN_HEIGHT = 1.0e3
 MAX_REFINE_STEPS = 64
 NEWTON_STOP = sys.float_info.epsilon  # refinement stops at |Z/Z'| < NEWTON_STOP * max(1, |t|)
