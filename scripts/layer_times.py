@@ -29,8 +29,11 @@ peaks, in bytes, of the stages after a pass: `li_monte_carlo` of a
 50-amplitude model (both races, as `density` runs it) at 10,000 and
 100,000 trials, and `write_twists_csv` for every character mod 1000 at
 the 98 checkpoints of x_max = 1e7, ratio 1.1 (random class sums), so a
-stage whose memory grows with its trials or its rows shows.  "writers_ms" times `write_checkpoints_csv`
-and `write_twists_csv` on that same fixture.  Prints one JSON object with the
+stage whose memory grows with its trials or its rows shows.
+"writers_ms" times `write_checkpoints_csv` and `write_twists_csv` on that
+same fixture, and as "twist" the writer's one `_twist` call alone (every
+checkpoint, and of each conjugate pair the member of lower index),
+without the `'%.17g'` formatting of its rows.  Prints one JSON object with the
 median milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
 many of them the fold settled by its 64-wide row sums ("row") and how
@@ -53,7 +56,7 @@ import tracemalloc
 
 import numpy as np
 
-from factorrace.characters import character, enumerate_characters, real_sign_table
+from factorrace.characters import character, conjugate_index, enumerate_characters, real_sign_table
 from factorrace import lfunction, zeros
 from factorrace.density import LiModel, li_monte_carlo
 from factorrace.lfunction import _truncation, l_value
@@ -71,6 +74,7 @@ from factorrace.sieve import (
     _sparse_powers,
     _split,
     _tables,
+    _twist,
     default_checkpoints,
     sieve_run,
     twist,
@@ -204,13 +208,18 @@ def _memory_layer() -> dict:
 
 
 def _writers_layer(repeat: int) -> dict[str, float]:
-    """Median milliseconds of the two sieve writers on the memory entry's fixture."""
+    """Median milliseconds of the two sieve writers on the memory entry's
+    fixture, and of the twist inside `write_twists_csv` alone: its 98
+    checkpoints are one block, so it is one `_twist` of all the rows."""
     sums, chis = _twists_fixture()
+    rows = sums.counts.reshape(-1, sums.q)  # omega rows, then Omega rows
+    lows = [chi for chi in chis if chi.index <= conjugate_index(chi)]
     with tempfile.TemporaryDirectory() as tmp:
         checkpoints, twists = os.path.join(tmp, "checkpoints.csv"), os.path.join(tmp, "twists.csv")
         return {
             "write_checkpoints_csv": _median_ms(lambda: write_checkpoints_csv(sums, checkpoints), repeat),
             "write_twists_csv": _median_ms(lambda: write_twists_csv(sums, chis, twists), repeat),
+            "twist": _median_ms(lambda: _twist(rows, lows), repeat),
         }
 
 

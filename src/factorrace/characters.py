@@ -8,9 +8,10 @@ the smallest primitive root for each odd prime-power factor, and the pair
 {-1, 5} for 2^k with k >= 3.  All arithmetic on exponents is integer
 arithmetic; complex values appear only at evaluation boundaries, exactly
 for the quadrant roots 1, i, -1, -i.  This module alone turns exponents
-into values: `roots_of_unity(d)`, one table per order, and `value_row(chi)`,
-one cached row chi(a), a = 0..q, per character, which every other layer
-reads (`values(chi)` is its residues 0..q-1).
+into values: `roots_of_unity(d)`, one table per order, which the twists
+read at the exponents, and `value_row(chi)`, one cached row chi(a),
+a = 0..q, per character, which every other layer reads (`values(chi)` is
+its residues 0..q-1).
 
 Characters are addressed as (q, index) where index is the position in the
 canonical enumeration: lexicographic over the exponent vectors with respect
@@ -40,8 +41,6 @@ __all__ = [
     "root_number",
     "conjugate_character",
     "conjugate_index",
-    "unit_grid",
-    "exponent_sums",
     "real_sign_table",
 ]
 
@@ -92,7 +91,6 @@ class _GroupData:
     exponent: int  # lcm of the cyclic orders
     dlog: np.ndarray  # (q, r) int64, row a = discrete logs of a; junk off units
     units: np.ndarray  # (q,) bool
-    grid: np.ndarray  # the units in enumeration order: grid[ravel_multi_index(k, orders)] = prod g_i^k_i
     # conductor slots: ("odd", p, pos) | ("four", pos) | ("two_high", pos_neg, pos_five)
     slots: tuple[tuple, ...]
 
@@ -128,7 +126,6 @@ def _group_structure(q: int) -> _GroupData:
     exponent = math.lcm(*orders) if orders else 1
     dlog = np.zeros((q, r), dtype=np.int64)
     units = np.zeros(q, dtype=bool)
-    grid = []
     pow_tables = [[pow(g, k, q) for k in range(s)] for g, s in zip(generators, orders)]
     for tup in product(*(range(s) for s in orders)):
         a = 1 % q
@@ -136,10 +133,7 @@ def _group_structure(q: int) -> _GroupData:
             a = a * tab[k] % q
         dlog[a] = tup
         units[a] = True
-        grid.append(a)
-    grid = np.array(grid, dtype=np.intp)
-    grid.setflags(write=False)
-    return _GroupData(q, tuple(generators), tuple(orders), exponent, dlog, units, grid, tuple(slots))
+    return _GroupData(q, tuple(generators), tuple(orders), exponent, dlog, units, tuple(slots))
 
 
 def _local_conductor(slot: tuple, orders: tuple[int, ...], t: tuple[int, ...]) -> int:
@@ -297,35 +291,6 @@ def conjugate_index(chi: DirichletCharacter) -> int:
 def conjugate_character(chi: DirichletCharacter) -> DirichletCharacter:
     """The complex-conjugate character (same q, negated exponents)."""
     return character(chi.modulus, conjugate_index(chi))
-
-
-def unit_grid(q: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(units, orders): units[np.ravel_multi_index(k, orders)] = prod g_i^k_i
-    over the generators, whose cyclic orders are `orders` ((1,) if none)."""
-    data = _group_structure(q)
-    return data.grid, data.orders or (1,)
-
-
-def exponent_sums(grid: np.ndarray, chi: DirichletCharacter) -> np.ndarray:
-    """acc[:, e]: the exact sum of the columns of `grid`, the unit columns
-    in `unit_grid` order, where chi takes exponent e.  Along grid axis i
-    chi's exponent repeats with period p_i = d / gcd(e(g_i), d), so each
-    axis is summed over whole periods first; every e then has prod p_i / d
-    of the cells left, added one layer at a time."""
-    units, orders = unit_grid(chi.modulus)
-    n, d = len(grid), chi.order
-    exps = chi.value_exponents[units].reshape(orders)
-    steps = exps[tuple((np.eye(len(orders), dtype=np.intp) % orders).T)]  # at each generator
-    periods = tuple(d // math.gcd(int(c), d) for c in steps)
-    cells = grid
-    if periods != orders:
-        shape = [n] + [size for s, p in zip(orders, periods) for size in (s // p, p)]
-        cells = grid.reshape(shape).sum(axis=tuple(range(1, 2 * len(orders), 2))).reshape(n, -1)
-    layers = np.argsort(exps[tuple(slice(p) for p in periods)].ravel(), kind="stable").reshape(d, -1)
-    acc = cells[:, layers[:, 0]]  # row e of layers: the cells of exponent e
-    for layer in layers.T[1:]:
-        acc += cells[:, layer]
-    return acc
 
 
 def evaluate(chi: DirichletCharacter, n: int) -> complex:

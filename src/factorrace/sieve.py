@@ -5,8 +5,9 @@ accumulates exact integer sums
 
     S_f(x; a) = sum_{n <= x, n = a mod q} f(n),    f in {omega, Omega},
 
-at the configured checkpoints; twisting by a character is a closing
-root-of-unity combination done afterwards.  Per segment the kernel keeps
+at the configured checkpoints; twisting by the characters is a closing
+matrix product of those sums with the character values (`_twist`),
+sliced so that no summation order shows.  Per segment the kernel keeps
 one int32 word per n: a fixed-point log residual in its low 16 bits,
 omega in bits 16-23 and Omega - omega in bits 24-31.  Every prime p <=
 sqrt(x_max) and every power p^k <= x_max adds one word to its multiples
@@ -53,10 +54,8 @@ from .characters import (
     DirichletCharacter,
     character,
     conjugate_index,
-    exponent_sums,
     real_sign_table,
     roots_of_unity,
-    unit_grid,
 )
 
 __all__ = [
@@ -87,6 +86,9 @@ ROW = 64  # row width of the sign fold's row test
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
 RATIO = 1.02  # the default ratio of the geometric checkpoint grid
 TWIST_ELEMENTS = 1 << 18  # class sums per block of write_twists_csv: 2 MB per int64 copy
+TWIST_CHARACTERS = 16  # characters per product of `_twist`, whose scratch takes ~140 bytes per unit and character
+VALUE_BITS = 20  # bits per slice of a character value in `_twist`
+VALUE_SLICES = 3  # slices per value: each value to within 2^-61
 FOLD_WIDTH = 4096  # row width of the class fold, rounded to a multiple of q
 WHEEL_MAX = 13  # primes up to here are tiled from one pattern of period <= 30030
 POWER_PERIOD = 7200  # 2^5 3^2 5^2: the powers 4, 8, 16, 32, 9 and 25 are tiled from one pattern
@@ -660,61 +662,69 @@ def density_scan(cfg: SieveConfig, chi: DirichletCharacter) -> DensityTrace:
     return combined_run(cfg, chi)[1]
 
 
-def _twist_block(rows: np.ndarray, chis: list[DirichletCharacter]):
-    """psi(chi) = sum_a chi(a) rows[:, a] for every row of int64 class sums
-    and every character of `chis`, yielded one kernel group at a time as
-    (positions in `chis`, complex array with one column per position).
+def _twist(rows: np.ndarray, chis: list[DirichletCharacter]) -> np.ndarray:
+    """psi(chi) = sum_a chi(a) rows[:, a] for every row of class sums (int64,
+    never negative) and every character of `chis`, as one complex array
+    with a column per character.
 
-    Characters with one kernel are powers of each other: each is chi0^k for
-    the group's first character chi0, its order d and some k prime to d,
-    so k = e_chi(g) at any unit g with e_chi0(g) = 1.  The exact exponent
-    counts of chi, acc[:, e] (the sum over units a with e_chi(a) = e), are
-    therefore chi0's counts at e * k^-1 mod d, and chi0's come from one
-    copy of the unit columns (`exponent_sums`).  Real characters stay
-    exact integers; otherwise psi is the e-ascending left fold of acc[:, e]
-    * exp(2 pi i e / d), one step per exponent for the whole group, and
-    every element takes the operations of its own counts, so no bit
-    depends on the grouping.  The roots are `characters.roots_of_unity(d)`,
-    the character values' own table (`np.cos` may differ in the last bit).
+    A float64 matrix product of the rows at the units with the values
+    chi(a) = `roots_of_unity(d)`[e(a)], the bits of `values(chi)` without
+    filling its per-character cache, TWIST_CHARACTERS characters at a
+    time.  It is made exact: the class sums are cut into slices of `bits`
+    bits, and each value into VALUE_SLICES slices, slice t the multiple of
+    2^-(t + 1) VALUE_BITS nearest to what the slices before it leave.
+    Every partial sum of a slice pair's product is then an integer
+    multiple of its grid below 2^53, so no order of the adds shows; the
+    pairs' products are added in a fixed order, each value's least slice
+    first.  So every psi depends on its own row and character only, not
+    on the block, the chunk or the BLAS kernel: real characters give exact
+    integers with +0.0 imaginary parts, complex ones the exact sum with
+    the values cut at 2^-60, rounded a few times at the last bit.
     """
     n, q = rows.shape
-    groups: dict[bytes, list[int]] = {}  # positions in `chis` by kernel {a : chi(a) = 1}
-    for j, chi in enumerate(chis):
+    for chi in chis:
         if chi.modulus != q:
             raise ValueError(f"character modulus {chi.modulus} does not match sums q={q}")
-        groups.setdefault((chi.value_exponents == 0).tobytes(), []).append(j)
-    grid = rows[:, unit_grid(q)[0]]  # the one copy of the unit columns
-    for group in groups.values():
-        first = chis[group[0]]
-        d = first.order
-        acc = exponent_sums(grid, first)  # column e: exponent e of chi0
-        if first.is_real:  # alone in its group, as k = 1 is the only unit mod d <= 2
-            psi = acc[:, 0] - acc[:, 1] if d == 2 else acc[:, 0]
-            yield group, psi.astype(np.complex128)[:, None]
-            continue
-        g = int(np.argmax(first.value_exponents == 1))  # a unit with e_chi0(g) = 1
-        ks = [int(chis[j].value_exponents[g]) for j in group]
-        inv = np.array([pow(k, -1, d) for k in ks])
-        columns = np.arange(d)[:, None] * inv % d  # row e: acc's column for exponent e of each character
-        psi = np.zeros((n, len(group)), dtype=np.complex128)
-        for cols, root in zip(columns, roots_of_unity(d)):
-            psi += acc[:, cols] * root
-        yield group, psi
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    bits = 53 - VALUE_BITS - (len(units) - 1).bit_length()  # per slice of the class sums
+    cuts = max(1, -(-int(rows.max(initial=0)).bit_length() // bits))  # slices of the class sums
+    block = np.empty((cuts, n, len(units)))
+    block[0] = rows[:, units]  # exact: class sums stay below 2^53
+    for s in range(1, cuts):  # slice s: the bits from s * bits up
+        np.floor(np.multiply(block[s - 1], 2.0**-bits, out=block[s]), out=block[s])
+        block[s - 1] -= block[s] * 2.0**bits
+    block = block.reshape(-1, len(units))
+    roots = {d: np.array(roots_of_unity(d)) for d in {chi.order for chi in chis}}
+    psi = np.empty((n, len(chis)), dtype=np.complex128)
+    for lo in range(0, len(chis), TWIST_CHARACTERS):
+        chunk = chis[lo : lo + TWIST_CHARACTERS]
+        rest = np.stack([roots[chi.order][chi.value_exponents[units]] for chi in chunk], axis=1).view(np.float64)
+        parts = np.empty((len(units), VALUE_SLICES, 2 * len(chunk)))  # (re, im) per character
+        for t in range(VALUE_SLICES):
+            scale = 2.0 ** ((t + 1) * VALUE_BITS)
+            parts[:, t] = np.round(rest * scale) / scale
+            rest -= parts[:, t]
+        products = (block @ parts.reshape(len(units), -1)).reshape(cuts, n, VALUE_SLICES, 2 * len(chunk))
+        total = np.zeros((n, 2 * len(chunk)))
+        for s, product in enumerate(products):
+            for t in reversed(range(VALUE_SLICES)):
+                total += product[:, t] * 2.0 ** (s * bits)
+        psi[:, lo : lo + len(chunk)] = total.view(np.complex128)
+    return psi
 
 
 def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, complex]:
     """psi_f(x, chi) = sum_a chi(a) S_f(x; a) for f = omega and Omega.
 
-    Integer arithmetic up to the final root-of-unity combination; for real
-    characters the results are exact integers.  A mirrored character (its
-    conjugate of lower index) is not twisted: it gets the conjugate's psi
-    with each imaginary part's sign flipped, as in `twists.csv`.  The one-checkpoint,
-    one-character case of the batched routine behind `write_twists_csv`.
+    The one-checkpoint, one-character case of `_twist`, the product behind
+    `write_twists_csv`, so it is bit for bit the value written there; for
+    real characters the results are exact integers.  A mirrored character
+    (its conjugate of lower index) is not twisted: it gets the conjugate's
+    psi with each imaginary part's sign flipped, as in `twists.csv`.
     """
     mate = conjugate_index(chi)
     low = chi if chi.index <= mate else character(chi.modulus, mate)
-    [(_, psi)] = _twist_block(sums.counts[:, sums.row(x)], [low])
-    pw, pW = psi[:, 0].tolist()
+    pw, pW = _twist(sums.counts[:, sums.row(x)], [low])[:, 0].tolist()
     return (pw, pW) if low is chi else (pw.conjugate(), pW.conjugate())
 
 
@@ -742,13 +752,12 @@ def write_twists_csv(
     value, as `'%.17g' % -v` flips the sign of `'%.17g' % v` for
     every finite v, +-0 included.  The checkpoints are twisted a block at
     a time, at most TWIST_ELEMENTS class sums (omega and Omega rows times
-    q) per block, into one (2n, twisted characters) complex array.  A
-    checkpoint's rows are two `%` calls: one formats its values with
-    `'%.17g'` (`fmt_float`), one places them, and the sign-flipped
-    imaginary parts, into a template of len(chis) lines.  They go to the
-    file one checkpoint at a time, so memory stays bounded at any
-    checkpoint count, q and character count.  Every element is twisted
-    alone, so no bit depends on the block.
+    q) per block, by one `_twist` into a (2n, twisted characters) complex
+    array, whose bits do not depend on the block.  A checkpoint's rows are
+    two `%` calls: one formats its values with `'%.17g'` (`fmt_float`),
+    one places them, and the sign-flipped imaginary parts, into a template
+    of len(chis) lines.  They go to the file one checkpoint at a time, so
+    memory stays bounded at any checkpoint count, q and character count.
     """
     q = sums.q
     given = {chi.index: chi for chi in chis}
@@ -765,7 +774,7 @@ def write_twists_csv(
         im = (width + w // 2, width + W // 2) if mate < chi.index else (w + 1, W + 1)
         picks += [0, w, im[0], W, im[1]]
     template = "\n".join(f"%s,{q},{chi.index},%s,%s,%s,%s" for chi in chis)
-    values = "%d" + ",%.17g" * (width - 1)
+    fields = "%d" + ",%.17g" * (width - 1)
     step = max(1, TWIST_ELEMENTS // (2 * q))
 
     def rows():
@@ -776,12 +785,10 @@ def write_twists_csv(
             xs = sums.checkpoints[lo : lo + step]
             n = len(xs)
             both = sums.counts[:, lo : lo + n].reshape(2 * n, q)  # a view when n covers every checkpoint
-            psi = np.empty((2 * n, len(twisted)), dtype=np.complex128)  # omega rows, then Omega rows
-            for group, block in _twist_block(both, twisted):
-                psi[:, group] = block
+            psi = _twist(both, twisted)  # omega rows, then Omega rows
             for k, x in enumerate(xs):
                 w, W = psi[k].view(np.float64).tolist(), psi[n + k].view(np.float64).tolist()
-                strings = (values % (x, *w, *W)).split(",")
+                strings = (fields % (x, *w, *W)).split(",")
                 strings += ("-" + ",-".join(strings[2::2])).replace("--", "").split(",")  # "--": no sign
                 yield template % pick(strings)
 

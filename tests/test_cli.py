@@ -340,7 +340,7 @@ def test_golden_bytes(tmp_path):
 # sha256 of twists.csv for every character mod 1000, complex ones included
 # (the q=24 characters of GOLDEN_RUN are all real), and of the class sums
 # of the same run
-GOLDEN_TWISTS_Q1000 = "c70dd2f5e9b074fd2852e71ed5010513d23de5e4923f8395bbf4aa4a1c96a9c0"
+GOLDEN_TWISTS_Q1000 = "4d746df21f932f32de338a67e4e239d662c3bdc264f42be577ee846ed34c5feb"
 GOLDEN_CHECKPOINTS_Q1000 = "b6d38dee4ac63121b0fd53fd33eb806f06278fb1c2941bbbce1fccacb228b7f7"
 
 

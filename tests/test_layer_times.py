@@ -53,7 +53,7 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     assert all(peak > 0 for peak in mc["peak_bytes"].values())
     assert (twists["q"], twists["checkpoints"], twists["characters"]) == (1000, 98, 400)
     assert twists["peak_bytes"] > 0
-    assert set(result["writers_ms"]) == {"write_checkpoints_csv", "write_twists_csv"}
+    assert set(result["writers_ms"]) == {"write_checkpoints_csv", "write_twists_csv", "twist"}
     assert all(ms > 0 for ms in result["writers_ms"].values())
     assert '"sign_fold_ms"' in capsys.readouterr().out
 

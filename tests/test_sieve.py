@@ -4,6 +4,7 @@ import select
 import signal
 import time
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -416,42 +417,45 @@ def test_twist_complex_character_brute_force():
 TWIST_CHECKPOINTS = (1, 2, 10, 100, 999, 5000, 30_000)
 
 
-def _expected_twist(sums, chi, mate, x):
-    """twist_reference, but for a mirrored character (a complex one whose
-    conjugate `mate` has the lower index) the exact conjugate of its mate's."""
-    if mate.index < chi.index:
-        return tuple(p.conjugate() for p in twist_reference(sums, mate, x))
-    return twist_reference(sums, chi, x)
+def _twist_rows(path):
+    """{(x, chi index): [re psi_omega, im psi_omega, re psi_Omega, im psi_Omega]}
+    as the strings of a twists.csv, in file order."""
+    rows = {}
+    for line in path.read_text().splitlines()[1:]:
+        x, _, index, *fields = line.split(",")
+        rows[int(x), int(index)] = fields
+    return rows
 
 
 def _assert_twists_match_reference(tmp_path, chis):
-    """Every row exactly as formatted from `_expected_twist`, and every
-    mirrored row within the twist tolerance 1e-13 * sum|S_f| + 1e-12 of
-    the character's own twist_reference."""
+    """Every row of a real character exactly as formatted from its
+    twist_reference; every complex row, its own or mirrored from its
+    conjugate's, within the twist tolerance 1e-13 * sum|S_f| + 1e-12 of its
+    own twist_reference; and `twist` exactly the row written."""
     # checkpoints below q leave classes empty, so zero exponent counts occur
     q = chis[0].modulus
     sums = sieve_run(SieveConfig(x_max=30_000, q=q, checkpoints=TWIST_CHECKPOINTS))
     path = tmp_path / "twists.csv"
     write_twists_csv(sums, chis, str(path))
-    mates = {chi.index: conjugate_character(chi) for chi in chis}
-    expected = []
+    rows = _twist_rows(path)
+    assert list(rows) == [(x, chi.index) for x in TWIST_CHECKPOINTS for chi in chis]
     for k, x in enumerate(TWIST_CHECKPOINTS):
         for chi in chis:
-            pw, pW = _expected_twist(sums, chi, mates[chi.index], x)
-            expected.append(
-                f"{x},{q},{chi.index},{fmt_float(pw.real)},{fmt_float(pw.imag)},"
-                f"{fmt_float(pW.real)},{fmt_float(pW.imag)}"
-            )
-            if mates[chi.index].index < chi.index:
-                for got, own, counts in zip((pw, pW), twist_reference(sums, chi, x), sums.counts[:, k]):
-                    assert abs(got - own) <= 1e-13 * float(np.abs(counts).sum()) + 1e-12
-    assert path.read_text().splitlines()[1:] == expected
+            fields = rows[x, chi.index]
+            reference = twist_reference(sums, chi, x)
+            if chi.is_real:
+                assert fields == [fmt_float(v) for p in reference for v in (p.real, p.imag)], (x, chi.index)
+                continue
+            got = (complex(float(fields[0]), float(fields[1])), complex(float(fields[2]), float(fields[3])))
+            for p, own, counts in zip(got, reference, sums.counts[:, k]):
+                assert abs(p - own) <= 1e-13 * float(np.abs(counts).sum()) + 1e-12, (x, chi.index)
     for x in (1, 999, 30_000):
         for chi in chis[:: max(1, len(chis) // 7)]:
-            assert twist(sums, chi, x) == _expected_twist(sums, chi, mates[chi.index], x)
+            pw, pW = twist(sums, chi, x)
+            assert [fmt_float(v) for v in (pw.real, pw.imag, pW.real, pW.imag)] == rows[x, chi.index]
 
 
-# 840: 96 kernels, many of one order; 997: 996 characters in 12 kernels
+# 840: 192 characters, many of one order; 997: 996 characters, orders up to 996
 @pytest.mark.parametrize("q", [1, 4, 5, 8, 24, 60, 63, 163, 840, 997, 1000])
 def test_twists_csv_matches_unbatched_reference(tmp_path, q):
     _assert_twists_match_reference(tmp_path, enumerate_characters(q))
@@ -459,7 +463,8 @@ def test_twists_csv_matches_unbatched_reference(tmp_path, q):
 
 def test_twists_csv_any_character_order(tmp_path):
     """Reversed, and with the first character of each kernel dropped, so that
-    no kernel group starts at the character that starts it in the canonical order."""
+    the products of `_twist` hold other characters than in the canonical
+    order and some mirrored characters' conjugates must be built."""
     seen, rest = set(), []
     for chi in enumerate_characters(1000):
         kernel = (chi.value_exponents == 0).tobytes()
@@ -468,6 +473,49 @@ def test_twists_csv_any_character_order(tmp_path):
         seen.add(kernel)
     assert len(seen) == 36
     _assert_twists_match_reference(tmp_path, rest[::-1])
+
+
+@cache
+def _exact_roots(d):
+    """exp(2 pi i e / d) for e < d at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return [mpmath.expjpi(mpmath.mpf(2 * e) / d) for e in range(d)]
+
+
+@pytest.mark.parametrize("q", [13, 840, 1000])
+def test_twists_csv_is_within_1e15_of_the_exact_sum(tmp_path, q):
+    """Sampled rows of twists.csv against the 40-digit sum of the exact
+    exponent counts, sum_e (sum of S_f(x; a) over the a with exponent e)
+    * exp(2 pi i e / d): within 1e-15 * sum|S_f|, a bound fixed before the
+    first run, and exact, +0.0 imaginary parts included, for real
+    characters.  `twist` of each sampled row is the row written."""
+    import mpmath
+
+    xs = (1, 10, 999) + default_checkpoints(10**6, 1.1)
+    sums = sieve_run(SieveConfig(x_max=10**6, q=q, checkpoints=xs))
+    chis = enumerate_characters(q)
+    path = tmp_path / "twists.csv"
+    write_twists_csv(sums, chis, str(path))
+    rows = _twist_rows(path)
+    for k, x in list(enumerate(xs))[::6] + [(len(xs) - 1, xs[-1])]:
+        for chi in chis[:: max(1, len(chis) // 24)]:
+            assert [fmt_float(v) for p in twist(sums, chi, x) for v in (p.real, p.imag)] == rows[x, chi.index]
+            fields = [float(v) for v in rows[x, chi.index]]
+            units = chi.value_exponents >= 0
+            for f, counts in enumerate(sums.counts[:, k]):
+                acc = np.zeros(chi.order, dtype=np.int64)
+                np.add.at(acc, chi.value_exponents[units], counts[units])
+                re, im = fields[2 * f : 2 * f + 2]
+                if chi.is_real:
+                    assert (re, im) == (int(acc[0]) - (int(acc[1]) if chi.order == 2 else 0), 0.0)
+                    assert math.copysign(1.0, im) == 1.0, (x, chi.index)
+                    continue
+                with mpmath.workdps(40):
+                    exact = mpmath.fsum(int(c) * root for c, root in zip(acc, _exact_roots(chi.order)))
+                    error = abs(mpmath.mpc(re, im) - exact)
+                assert error <= 1e-15 * float(np.abs(counts).sum()), (x, chi.index, f, float(error))
 
 
 @pytest.mark.parametrize("q", [5, 13, 840, 1000])
@@ -502,9 +550,11 @@ def test_mirrored_rows_are_exact_conjugates(tmp_path, q):
 
 
 def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
-    """A write of three blocks, one checkpoint each, calls `_root_of_unity`
-    exactly d times per complex order d: the root tables of
-    `characters.roots_of_unity` outlive the blocks."""
+    """A write of three blocks, one checkpoint each, with the root and value
+    row caches cleared, calls `_root_of_unity` exactly d times per order d,
+    real orders included, as every character's values are read from its
+    order's table: the root tables of `characters.roots_of_unity` outlive
+    the blocks."""
     q = 1000
     sums = sieve_run(SieveConfig(x_max=20_000, q=q, checkpoints=(5000, 10_000, 20_000)))
     chis = enumerate_characters(q)
@@ -517,8 +567,9 @@ def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
     monkeypatch.setattr(characters_module, "_root_of_unity", counted)
     monkeypatch.setattr(sieve_module, "TWIST_ELEMENTS", 2 * q)
     characters_module.roots_of_unity.cache_clear()
+    characters_module.value_row.cache_clear()
     write_twists_csv(sums, chis, str(tmp_path / "twists.csv"))
-    assert Counter(calls) == {d: d for d in {chi.order for chi in chis if not chi.is_real}}
+    assert Counter(calls) == {d: d for d in {chi.order for chi in chis}}
 
 
 def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
@@ -526,7 +577,8 @@ def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
     twists one block of checkpoints at a time: its peak traced memory stays
     below 12 MB, where the whole-matrix gather and exponent counts took
     about three times the sums.  A real character and one of order 2002
-    are twisted, and the bytes do not depend on the block size."""
+    are twisted, their sums cut into two slices, and the bytes do not
+    depend on the block size."""
     import tracemalloc
 
     q, n = 2003, 600
@@ -553,9 +605,10 @@ def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
 def test_twist_rows_are_formatted_one_checkpoint_at_a_time(tmp_path):
     """Every character mod 1000 at the 98 checkpoints of x_max = 1e7, ratio
     1.1, in one block: the traced peak stays under the block's complex
-    array of twists, one copy of its class sums (the exponent-sorted gather
-    of `_twist_block`) and one checkpoint's rows.  Formatting every row of
-    the block before writing one took about five times the complex array."""
+    array of twists, one copy of its class sums (the float64 gather of the
+    unit columns in `_twist`) and one checkpoint's rows.  Formatting every
+    row of the block before writing one took about five times the complex
+    array."""
     import sys
     import tracemalloc
 
