@@ -57,7 +57,7 @@ import tracemalloc
 import numpy as np
 
 from factorrace.characters import character, conjugate_index, enumerate_characters, real_sign_table
-from factorrace import lfunction, zeros
+from factorrace import characters, lfunction, zeros
 from factorrace.density import LiModel, li_monte_carlo
 from factorrace.lfunction import _truncation, l_value
 from factorrace.sieve import (
@@ -168,7 +168,10 @@ def _scan_layer(t_max: float) -> dict:
 
 
 def _peak_bytes(fn) -> int:
-    """The tracemalloc peak of one call of fn."""
+    """The tracemalloc peak of one call of fn, the caches of `characters`
+    emptied first, so that the peak is that of a first call in a fresh process."""
+    for cached in (characters.roots_of_unity, characters.value_row, characters._group_structure, characters._all_characters):
+        cached.cache_clear()
     tracemalloc.start()
     try:
         fn()

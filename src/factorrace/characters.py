@@ -4,19 +4,26 @@ A character is represented by its exponent table: for each residue a the
 stored value e(a) means chi(a) = exp(2*pi*i*e(a)/d), where d is the exact
 multiplicative order of chi; residues not coprime to q carry the sentinel
 -1.  The table is built from an explicit cyclic decomposition of (Z/qZ)*:
-the smallest primitive root for each odd prime-power factor, and the pair
-{-1, 5} for 2^k with k >= 3.  All arithmetic on exponents is integer
-arithmetic; complex values appear only at evaluation boundaries, exactly
-for the quadrant roots 1, i, -1, -i.  This module alone turns exponents
-into values: `roots_of_unity(d)`, one table per order, which the twists
-read at the exponents, and `value_row(chi)`, one cached row chi(a),
+the smallest primitive root for each odd prime-power factor, -1 for 4,
+and the pair {-1, 5} for 2^k with k >= 3.  All arithmetic on exponents is
+integer arithmetic; complex values appear only at evaluation boundaries,
+exactly for the quadrant roots 1, i, -1, -i.  This module alone turns
+exponents into values: `roots_of_unity(d)`, one table per order, which the
+twists read at the exponents, and `value_row(chi)`, one cached row chi(a),
 a = 0..q, per character, which every other layer reads (`values(chi)` is
 its residues 0..q-1).
+
+The conductor is read off the table by its definition: the least f | q
+such that chi(a) = 1 at every unit a = 1 (mod f).  No case analysis of the
+prime-power factors enters; chi is primitive when its conductor is q.
 
 Characters are addressed as (q, index) where index is the position in the
 canonical enumeration: lexicographic over the exponent vectors with respect
 to the fixed generator list, so index 0 is always the principal character.
-This labelling is deliberately not Conrey's.
+This labelling is deliberately not Conrey's.  `character` is the one
+constructor and the one decoder of an index into its exponent vector
+(`enumerate_characters` calls it at every index); `conjugate_index` is the
+one encoder.
 """
 
 from __future__ import annotations
@@ -85,46 +92,33 @@ def _crt_lift(residue: int, pe: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class _GroupData:
-    q: int
-    generators: tuple[int, ...]
+    primes: tuple[int, ...]  # the primes dividing q
     orders: tuple[int, ...]
     exponent: int  # lcm of the cyclic orders
     dlog: np.ndarray  # (q, r) int64, row a = discrete logs of a; junk off units
     units: np.ndarray  # (q,) bool
-    # conductor slots: ("odd", p, pos) | ("four", pos) | ("two_high", pos_neg, pos_five)
-    slots: tuple[tuple, ...]
 
 
 @lru_cache(maxsize=None)
 def _group_structure(q: int) -> _GroupData:
     if not isinstance(q, int) or q < 1 or q > MAX_MODULUS:
         raise ValueError(f"modulus must be an integer in [1, {MAX_MODULUS}], got {q!r}")
+    factors = _factorize(q)
     generators: list[int] = []
     orders: list[int] = []
-    slots: list[tuple] = []
-    for p, e in _factorize(q):
+    for p, e in factors:
         pe = p**e
-        if p == 2:
-            if e == 1:
-                continue  # (Z/2Z)* trivial
-            if e == 2:
-                slots.append(("four", len(generators)))
-                generators.append(_crt_lift(3, 4, q))
-                orders.append(2)
-            else:
-                slots.append(("two_high", len(generators), len(generators) + 1))
-                generators.append(_crt_lift(pe - 1, pe, q))
-                orders.append(2)
-                generators.append(_crt_lift(5, pe, q))
-                orders.append(pe // 4)
-        else:
-            slots.append(("odd", p, len(generators)))
+        if p > 2:
             generators.append(_crt_lift(_primitive_root(p, e), pe, q))
             orders.append((p - 1) * p ** (e - 1))
+        elif e >= 2:  # (Z/2Z)* is trivial; -1 generates (Z/4Z)*, and with 5 all of (Z/2^eZ)*
+            generators.append(_crt_lift(pe - 1, pe, q))
+            orders.append(2)
+            if e >= 3:
+                generators.append(_crt_lift(5, pe, q))
+                orders.append(pe // 4)
 
-    r = len(generators)
-    exponent = math.lcm(*orders) if orders else 1
-    dlog = np.zeros((q, r), dtype=np.int64)
+    dlog = np.zeros((q, len(orders)), dtype=np.int64)
     units = np.zeros(q, dtype=bool)
     pow_tables = [[pow(g, k, q) for k in range(s)] for g, s in zip(generators, orders)]
     for tup in product(*(range(s) for s in orders)):
@@ -133,30 +127,7 @@ def _group_structure(q: int) -> _GroupData:
             a = a * tab[k] % q
         dlog[a] = tup
         units[a] = True
-    return _GroupData(q, tuple(generators), tuple(orders), exponent, dlog, units, tuple(slots))
-
-
-def _local_conductor(slot: tuple, orders: tuple[int, ...], t: tuple[int, ...]) -> int:
-    kind = slot[0]
-    if kind == "odd":
-        _, p, pos = slot
-        ti = t[pos]
-        if ti == 0:
-            return 1
-        d_loc = orders[pos] // math.gcd(orders[pos], ti)
-        v = 0
-        while d_loc % p == 0:
-            d_loc //= p
-            v += 1
-        return p ** (v + 1)
-    if kind == "four":
-        return 4 if t[slot[1]] else 1
-    # two_high: conductor 4 * ord(chi(5)) when chi(5) != 1, else 4 or 1
-    _, pos_neg, pos_five = slot
-    tb = t[pos_five]
-    if tb:
-        return 4 * (orders[pos_five] // math.gcd(orders[pos_five], tb))
-    return 4 if t[pos_neg] else 1
+    return _GroupData(tuple(p for p, _ in factors), tuple(orders), math.lcm(*orders), dlog, units)
 
 
 @dataclass(frozen=True)
@@ -213,32 +184,42 @@ def values(chi: DirichletCharacter) -> np.ndarray:
     return value_row(chi)[:-1]
 
 
-def _build_character(q: int, t: tuple[int, ...], index: int, data: _GroupData) -> DirichletCharacter:
-    orders = data.orders
-    e_grp = data.exponent
-    d = math.lcm(*(s // math.gcd(s, ti) for s, ti in zip(orders, t))) if orders else 1
+def character(q: int, index: int) -> DirichletCharacter:
+    """The character addressed (q, index) in the canonical enumeration."""
+    data = _group_structure(q)
+    orders, e_grp = data.orders, data.exponent
+    phi = math.prod(orders)
+    if not 0 <= index < phi:
+        raise ValueError(f"character index {index} out of range [0, {phi}) for q={q}")
+    t = []
+    rem = index
+    for s in reversed(orders):
+        t.append(rem % s)
+        rem //= s
+    t = tuple(reversed(t))
 
-    if orders:
-        weights = np.array([ti * (e_grp // s) for ti, s in zip(t, orders)], dtype=np.int64)
-        raw = (data.dlog @ weights) % e_grp
-        # every value is a d-th root of unity, so raw is a multiple of e_grp // d
-        table = np.where(data.units, (raw * d) // e_grp, -1).astype(np.int32)
-    else:
-        table = np.where(data.units, 0, -1).astype(np.int32)
+    d = math.lcm(*(s // math.gcd(s, ti) for s, ti in zip(orders, t)))
+    weights = np.array([ti * (e_grp // s) for ti, s in zip(t, orders)], dtype=np.int64)
+    raw = (data.dlog @ weights) % e_grp
+    # every value is a d-th root of unity, so raw is a multiple of e_grp // d
+    table = np.where(data.units, (raw * d) // e_grp, -1).astype(np.int32)
 
-    parity = 0
-    if q > 2:
-        parity = 0 if table[q - 1] == 0 else 1
-    conductor = 1
-    for slot in data.slots:
-        conductor *= _local_conductor(slot, orders, t)
+    # The conductor is the least f | q with chi(a) = 1 at every unit a = 1 (mod f):
+    # exponent 0 at the units among residues 1, 1 + f, 1 + 2f, ..., where the
+    # non-units read -1.  The f | q that qualify are closed under gcd and under
+    # multiples dividing q, so they are the multiples of the least, and dividing
+    # q by each prime for as long as the quotient qualifies ends at the least.
+    conductor = q
+    for p in data.primes:
+        while conductor % p == 0 and table[1 :: conductor // p].max() == 0:
+            conductor //= p
     return DirichletCharacter(
         modulus=q,
         index=index,
         order=d,
         value_exponents=table,
         generator_exponents=t,
-        parity=parity,
+        parity=int(table[-1] > 0),  # the exponent of chi(q - 1) = chi(-1)
         conductor=conductor,
         is_principal=(d == 1),
         is_real=(d <= 2),
@@ -248,11 +229,7 @@ def _build_character(q: int, t: tuple[int, ...], index: int, data: _GroupData) -
 
 @lru_cache(maxsize=8)
 def _all_characters(q: int) -> tuple[DirichletCharacter, ...]:
-    data = _group_structure(q)
-    return tuple(
-        _build_character(q, t, i, data)
-        for i, t in enumerate(product(*(range(s) for s in data.orders)))
-    )
+    return tuple(character(q, i) for i in range(math.prod(_group_structure(q).orders)))
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
@@ -264,20 +241,6 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     (they are immutable) and each call returns a fresh list of them.
     """
     return list(_all_characters(q))
-
-
-def character(q: int, index: int) -> DirichletCharacter:
-    """The character addressed (q, index) in the canonical enumeration."""
-    data = _group_structure(q)
-    phi = math.prod(data.orders)
-    if not 0 <= index < phi:
-        raise ValueError(f"character index {index} out of range [0, {phi}) for q={q}")
-    t = []
-    rem = index
-    for s in reversed(data.orders):
-        t.append(rem % s)
-        rem //= s
-    return _build_character(q, tuple(reversed(t)), index, data)
 
 
 def conjugate_index(chi: DirichletCharacter) -> int:

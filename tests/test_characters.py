@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -205,6 +207,38 @@ def test_conductor_matches_brute_force(q):
     for chi in enumerate_characters(q):
         assert chi.conductor == _brute_conductor(chi), (q, chi.index)
         assert chi.is_primitive == (chi.conductor == q)
+
+
+def _primitive_count(f):
+    """phi*(f), the number of primitive characters mod f: multiplicative, with
+    phi*(p) = p - 2 and phi*(p^e) = p^(e-2) (p - 1)^2 for e >= 2."""
+    count, p = 1, 2
+    while f > 1:
+        e = 0
+        while f % p == 0:
+            f //= p
+            e += 1
+        if e == 1:
+            count *= p - 2
+        elif e >= 2:
+            count *= p ** (e - 2) * (p - 1) ** 2
+        p += 1
+    return count
+
+
+@pytest.mark.parametrize("q", [64, 243, 1000, 2048, 2187, 3125, 9240, 10000])
+def test_conductors_count_the_primitive_characters(q):
+    """Every character mod q is induced by exactly one primitive character
+    mod its conductor f | q, so each f is the conductor of phi*(f) of them;
+    the brute-force definition agrees on a seeded sample of each modulus."""
+    chars = enumerate_characters(q)
+    divisors = [f for f in range(1, q + 1) if q % f == 0]
+    expected = {f: n for f in divisors if (n := _primitive_count(f))}
+    assert Counter(chi.conductor for chi in chars) == expected
+    for chi in chars:
+        assert chi.is_primitive == (chi.conductor == q), (q, chi.index)
+    for chi in random.Random(q).sample(chars, 8):
+        assert chi.conductor == _brute_conductor(chi), (q, chi.index)
 
 
 def test_conjugate_character():

@@ -572,6 +572,14 @@ def test_twists_build_roots_once_per_order(tmp_path, monkeypatch):
     assert Counter(calls) == {d: d for d in {chi.order for chi in chis}}
 
 
+def _cold_character_caches():
+    """Empty the process-long caches of `characters`, so that a traced peak
+    is that of a first write in a fresh process, whatever ran before."""
+    cm = characters_module
+    for cached in (cm.roots_of_unity, cm.value_row, cm._group_structure, cm._all_characters):
+        cached.cache_clear()
+
+
 def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
     """At q = 2003 with 600 checkpoints (19 MB of class sums) write_twists_csv
     twists one block of checkpoints at a time: its peak traced memory stays
@@ -589,6 +597,7 @@ def test_twists_csv_memory_is_bounded_by_its_block(tmp_path, monkeypatch):
     chis = [next(c for c in enumerate_characters(q) if c.is_real and not c.is_principal), character(q, 5)]
     assert chis[1].order == 2002
     path = tmp_path / "twists.csv"
+    _cold_character_caches()
     tracemalloc.start()
     try:
         write_twists_csv(sums, chis, str(path))
@@ -620,6 +629,7 @@ def test_twist_rows_are_formatted_one_checkpoint_at_a_time(tmp_path):
     sums = ClassSums(q, xs[-1], xs, np.stack([omega, 2 * omega]))
     chis = enumerate_characters(q)
     path = tmp_path / "twists.csv"
+    _cold_character_caches()
     tracemalloc.start()
     try:
         write_twists_csv(sums, chis, str(path))
