@@ -18,9 +18,10 @@ The sets, at T = 60:
 
 Prints one JSON object with, per set, the characters, the zeros found,
 the reference sign changes, the missed ones (with their brackets), the
-L-evals of the scans (counted at `zeros.l_value`), the largest number of
-L-evals one refinement took (against `zeros.MAX_REFINE_STEPS`), and the
-scans that warned or raised.  It is offline; `tests/test_zero_sweep.py`
+L-evals of the scans (counted at `zeros.l_value`), the histogram
+`refine_evals` {L-evals: refinements} of the L-evals each refinement took,
+its largest key `max_refine_evals` (against `zeros.MAX_REFINE_STEPS`), and
+the scans that warned or raised.  It is offline; `tests/test_zero_sweep.py`
 runs `sweep` once at a tiny size.
 
     PYTHONPATH=src python scripts/zero_sweep.py
@@ -32,6 +33,7 @@ import json
 import math
 import time
 import warnings
+from collections import Counter
 
 from factorrace import zeros
 from factorrace.characters import conjugate_index, enumerate_characters
@@ -82,7 +84,7 @@ def _reference_brackets(chi, t_lo: float, t_hi: float) -> list[tuple[float, floa
 
 def _scan_counted(chi, t_max: float) -> dict:
     """scan_zeros(chi, t_max) (None if it raised) with its L-evals, the
-    largest refinement's L-evals, its warnings and its error, if any."""
+    L-evals of each refinement, its warnings and its error, if any."""
     evals, refines = [0], []
     l_value, refine = zeros.l_value, zeros._refine
 
@@ -111,7 +113,7 @@ def _scan_counted(chi, t_max: float) -> dict:
     return {
         "cache": cache,
         "evals": evals[0],
-        "max_refine": max(refines, default=0),
+        "refines": refines,
         "warnings": [str(w.message) for w in caught],
         "error": error,
     }
@@ -120,7 +122,8 @@ def _scan_counted(chi, t_max: float) -> dict:
 def sweep(chars: list, t_max: float) -> dict:
     """The totals of the set `chars` at height t_max."""
     totals = {"characters": len(chars), "found": 0, "reference": 0, "missed": [], "l_evals": 0,
-              "max_refine_evals": 0, "warned": [], "raised": []}
+              "warned": [], "raised": []}
+    refine_evals = Counter()
     t0 = time.perf_counter()
     caches = {}  # (q, index) -> the cache of each character met so far
     for chi in chars:
@@ -128,7 +131,7 @@ def sweep(chars: list, t_max: float) -> dict:
         if mate is None:
             scan = _scan_counted(chi, t_max)
         else:
-            scan = {"cache": zeros.conjugate_cache(mate), "evals": 0, "max_refine": 0, "warnings": [], "error": None}
+            scan = {"cache": zeros.conjugate_cache(mate), "evals": 0, "refines": [], "warnings": [], "error": None}
         cache = caches[chi.modulus, chi.index] = scan["cache"]
         gammas = [] if cache is None else [g for g in cache.gammas() if g >= 0 or not chi.is_real]
         brackets = _reference_brackets(chi, 0.0 if chi.is_real else -t_max, t_max)
@@ -137,11 +140,13 @@ def sweep(chars: list, t_max: float) -> dict:
         totals["reference"] += len(brackets)
         totals["missed"] += [[name, a, b] for a, b in brackets if not any(a <= g <= b for g in gammas)]
         totals["l_evals"] += scan["evals"]
-        totals["max_refine_evals"] = max(totals["max_refine_evals"], scan["max_refine"])
+        refine_evals.update(scan["refines"])
         if scan["warnings"]:
             totals["warned"].append([name, *scan["warnings"]])
         if scan["error"]:
             totals["raised"].append([name, scan["error"]])
+    totals["refine_evals"] = dict(sorted(refine_evals.items()))
+    totals["max_refine_evals"] = max(refine_evals, default=0)
     totals["seconds"] = time.perf_counter() - t0
     return totals
 

@@ -150,9 +150,6 @@ class DirichletCharacter:
     def __post_init__(self):
         self.value_exponents.setflags(write=False)
 
-    def __call__(self, n: int) -> complex:
-        return evaluate(self, n)
-
 
 def _root_of_unity(e: int, d: int) -> complex:
     """exp(2*pi*i*e/d), exact for the four quadrant roots."""

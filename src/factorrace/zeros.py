@@ -17,15 +17,15 @@ sign-change bracket carry Z and Z' (grid points at first, evaluated
 points after), and every point refinement evaluates is the root of the
 cubic that matches both, taken by two Newton steps on that cubic from the
 end with the smaller |Z| (the first of them is the Newton step on Z
-itself).  A point outside the open bracket is replaced by the Illinois
-regula falsi point, so the bracket shrinks at every step and convergence
+itself).  A point outside the open bracket, or NaN, is replaced by the
+bracket's midpoint, so the bracket shrinks at every step and convergence
 never rests on the slope.  Refinement stops once the Newton correction
 |Z/Z'| at the evaluated point is below epsilon * max(1, |t|)
 (epsilon = 2^-52, under two ulps of t: a further step could move t by
 rounding only), the bracket is narrower than 1e-14 * max(1, |t|), or Z
 vanishes; the point evaluated last is the zero, and its L-evaluation
 gives both the stored residual |L(rho)| and L'(rho, chi).  At q=163,
-T=30 the scan takes 153 L-evals for its 56 zeros: 63 on the grid and 90
+T=30 the scan takes 152 L-evals for its 56 zeros: 63 on the grid and 89
 in refinement for the 28 above 0.
 
 A pair of zeros inside one grid step leaves Z one sign at both ends of
@@ -213,41 +213,27 @@ def _refine(chi, lo, hi):
 
     `lo` and `hi` are the bracket's ends as (t, Z, Z', LValue): grid points
     at first, and each evaluated point replaces the end whose Z has its
-    sign, so every point is `_cubic_point`'s on the current bracket.  A
-    point outside the open bracket is replaced by the Illinois
-    false-position point, kept at least half the bracket stop width inside
-    (when the same end survives twice in a row, its Z value in the
-    false-position rule is halved), or failing that the midpoint.  Stops
+    sign, so every point is `_cubic_point`'s on the current bracket, or
+    the bracket's midpoint where that point leaves the open bracket or is
+    NaN.  The bracket keeps the sign change and shrinks at every step.  Stops
     once the Newton correction |Z/Z'| at the evaluated point is below
     NEWTON_STOP * max(1, |t|), the bracket is narrower than
     1e-14 * max(1, |t|), or Z vanishes exactly, and returns the point
     evaluated last together with its LValue.
     """
-    fa, fb = lo[1], hi[1]  # the Illinois-scaled Z values of the ends
-    side = 0  # which end the last step replaced: -1 for b, 1 for a
     for _ in range(MAX_REFINE_STEPS):
         a, b = lo[0], hi[0]
         tol = 1e-14 * max(1.0, abs(0.5 * (a + b)))
         t = _cubic_point(lo, hi)
         if not a < t < b:
-            t = b - fb * (b - a) / (fb - fa)
-            # at least tol/2 inside, so a root next to an end closes the bracket
-            t = min(max(t, a + 0.5 * tol), b - 0.5 * tol)
-            if not a < t < b:
-                t = 0.5 * (a + b)
+            t = 0.5 * (a + b)
         z, dz, lv = _z_and_l(chi, t)
         if z == 0.0:
             break
-        if (z < 0) == (fb < 0):
-            hi, fb = (t, z, dz, lv), z
-            if side == -1:
-                fa *= 0.5
-            side = -1
+        if (z < 0) == (hi[1] < 0):
+            hi = (t, z, dz, lv)
         else:
-            lo, fa = (t, z, dz, lv), z
-            if side == 1:
-                fb *= 0.5
-            side = 1
+            lo = (t, z, dz, lv)
         if abs(z) < NEWTON_STOP * max(1.0, abs(t)) * abs(dz) or hi[0] - lo[0] < tol:
             break
     return t, lv

@@ -32,6 +32,9 @@ def test_small_set_finds_every_reference_sign_change(zero_sweep):
     assert small["l_evals"] > small["found"]
     assert small["l_evals"] == zero_sweep.sweep(chars[:-1], 10.0)["l_evals"]
     assert 0 < small["max_refine_evals"] < zero_sweep.zeros.MAX_REFINE_STEPS
+    histogram = small["refine_evals"]
+    assert max(histogram) == small["max_refine_evals"]
+    assert sum(k * v for k, v in histogram.items()) <= small["l_evals"]
 
 
 def test_large_set_spreads_its_characters_over_each_modulus(zero_sweep):

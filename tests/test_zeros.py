@@ -325,15 +325,12 @@ def test_slope_is_minus_im_phase_times_l_prime(q, index):
         assert abs(slope - difference) <= 1e-10 * max(1.0, abs(slope)), t
 
 
-def test_a_wrong_sign_slope_falls_back_to_false_position(monkeypatch):
-    """With Z' of the wrong sign every Hermite-cubic point leaves its bracket, so
-    each step is the Illinois false-position fallback: the scan finds the
-    same zeros at the same gammas, and no refinement runs out of steps."""
+def _count_refine_evals(monkeypatch):
+    """The list that gets the L-evals of each `_refine` call, in call order,
+    once `_refine` and `_z_and_l` are patched to count them."""
     import factorrace.zeros as zmod
 
-    chi = character(163, 81)
-    reference = scan_zeros(chi, 30.0)
-    slope, refine, z_and_l = zmod._slope, zmod._refine, zmod._z_and_l
+    refine, z_and_l = zmod._refine, zmod._z_and_l
     evals, inside = [], []  # L-evals of each _refine call; non-empty while one runs
 
     def counting_refine(*args):
@@ -349,9 +346,22 @@ def test_a_wrong_sign_slope_falls_back_to_false_position(monkeypatch):
             evals[-1] += 1
         return z_and_l(chi, t)
 
-    monkeypatch.setattr(zmod, "_slope", lambda phase, lv: -slope(phase, lv))
     monkeypatch.setattr(zmod, "_refine", counting_refine)
     monkeypatch.setattr(zmod, "_z_and_l", counting_z_and_l)
+    return evals
+
+
+def test_a_wrong_sign_slope_falls_back_to_bisection(monkeypatch):
+    """With Z' of the wrong sign every Hermite-cubic point leaves its bracket, so
+    each step is the bracket midpoint: the scan finds the same zeros at the
+    same gammas, and no refinement runs out of steps."""
+    import factorrace.zeros as zmod
+
+    chi = character(163, 81)
+    reference = scan_zeros(chi, 30.0)
+    slope = zmod._slope
+    monkeypatch.setattr(zmod, "_slope", lambda phase, lv: -slope(phase, lv))
+    evals = _count_refine_evals(monkeypatch)
     cache = scan_zeros(chi, 30.0)
     assert cache.count == reference.count == 56
     for got, want in zip(cache.gammas(), reference.gammas()):
@@ -359,10 +369,19 @@ def test_a_wrong_sign_slope_falls_back_to_false_position(monkeypatch):
     assert len(evals) == 28 and max(evals) < zmod.MAX_REFINE_STEPS
 
 
+@pytest.mark.parametrize("q, index, t_max", [(29, 3, 60.0), (23, 16, 30.0)])
+def test_no_refinement_takes_more_than_six_l_evals(monkeypatch, q, index, t_max):
+    """The refinement tails of two scans: where the cubic point leaves the
+    bracket, the midpoint halves it.  The longest refinement takes 5 L-evals
+    at chi 3 mod 29 and 6 at chi 16 mod 23."""
+    evals = _count_refine_evals(monkeypatch)
+    scan_zeros(character(q, index), t_max)
+    assert evals and max(evals) <= 6
+
+
 def test_refined_zeros_against_mpmath():
     """|L(1/2 + i gamma)| by 30-digit mpmath at refined zeros: the zero near
-    gamma = 185.374 at q=4, where Illinois regula falsi returned a bracket
-    end with |L| = 4.4e-12, and the first and last zero above 0 at q=163."""
+    gamma = 185.374 at q=4 and the first and last zero above 0 at q=163."""
     samples = [(character(4, 1), [g for g in scan_zeros(character(4, 1), 186.0).gammas() if g > 185.3])]
     positive = [g for g in scan_zeros(character(163, 81), 30.0).gammas() if g > 0]
     samples.append((character(163, 81), [positive[0], positive[-1]]))
@@ -385,9 +404,9 @@ def _counted_scan(monkeypatch, chi, t_max):
 
 def test_scan_eval_budget(monkeypatch):
     """q=163 chi 81 T=30 takes at most 160 L-evals: 63 on the grid, none in
-    rescans and 90 in Hermite-cubic refinement.  At half the step, with
+    rescans and 89 in Hermite-cubic refinement.  At half the step, with
     Newton steps after the first cubic point, it took 214 (124 on the
-    grid), and 202 in refinement alone by Illinois regula falsi."""
+    grid)."""
     cache, evals = _counted_scan(monkeypatch, character(163, 81), 30.0)
     assert cache.count == 56
     assert evals <= 160
@@ -395,7 +414,7 @@ def test_scan_eval_budget(monkeypatch):
 
 def test_mod4_scan_eval_budget(monkeypatch):
     """q=4 T=200, the scan of the mod-4 race, takes at most 660 L-evals:
-    263 on the grid, 12 in rescans (8 of them the dip at t = 0) and 375
+    263 on the grid, 12 in rescans (8 of them the dip at t = 0) and 368
     in refinement (921 at half the step)."""
     cache, evals = _counted_scan(monkeypatch, character(4, 1), 200.0)
     assert cache.count == 244
@@ -412,7 +431,7 @@ def test_a_scan_evaluates_no_height_twice(monkeypatch):
     evaluate = zmod.l_value
     monkeypatch.setattr(zmod, "l_value", lambda chi, s: heights.append(s) or evaluate(chi, s))
     scan_zeros(character(4, 1), 200.0)
-    assert len(heights) == len(set(heights)) == 650
+    assert len(heights) == len(set(heights)) == 643
 
 
 @pytest.mark.parametrize("q, index", [(163, 81), (5, 2)])
