@@ -3,10 +3,10 @@
 For every character of a set, takes its zero cache as `factorrace zeros
 --chi all` does: `conjugate_cache` of its conjugate's, if that was scanned
 earlier in the set, else `scan_zeros(chi, T)`.  It then checks each sign
-change of the character's own `rotated_z` on a reference grid whose step
-is 1/16 of the scan's grid step, pi / (16 log(q (|t| + 10) / (2 pi) + e)):
-a reference step [a, b] with a sign change (or a grid point where Z
-vanishes) must hold a zero of the cache, or it counts as missed.  Real
+change of `zeros.rotated_z`, the scan's own Z, on a reference grid of
+step pi / (16 log(q (|t| + 10) / (2 pi) + e)), 1/16 of the scan's grid
+step: a reference step [a, b] with a sign change (or a grid point where
+Z vanishes) must hold a zero of the cache, or it counts as missed.  Real
 characters are compared on [0, T] (the gamma >= 0 half of their mirrored
 caches), complex ones on [-T, T].  The reference grid is the cost of the
 sweep, about sixteen times the scan's own grid.
@@ -37,7 +37,6 @@ from collections import Counter
 
 from factorrace import zeros
 from factorrace.characters import conjugate_index, enumerate_characters
-from factorrace.lfunction import rotated_z
 
 T = 60.0
 QMAX = 30  # largest modulus of the small set
@@ -63,15 +62,15 @@ def large_set() -> list:
 
 
 def _reference_brackets(chi, t_lo: float, t_hi: float) -> list[tuple[float, float]]:
-    """[a, b] of each sign change of rotated_z on the reference grid, and
+    """[a, b] of each sign change of Z on the reference grid, and
     [t, t] of each grid point where it vanishes."""
     q = chi.modulus
-    t, z = t_lo, rotated_z(chi, t_lo)
+    t, z = t_lo, zeros.rotated_z(chi, t_lo)
     brackets = []
     while t < t_hi:
         step = math.pi / (REFERENCE_FINENESS * math.log(q * (abs(t) + 10) / (2 * math.pi) + math.e))
         t_next = min(t_hi, t + step)
-        z_next = rotated_z(chi, t_next)
+        z_next = zeros.rotated_z(chi, t_next)
         if z == 0.0:
             brackets.append((t, t))
         elif z_next != 0.0 and (z < 0) != (z_next < 0):

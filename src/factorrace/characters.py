@@ -85,8 +85,6 @@ def _primitive_root(p: int, e: int) -> int:
 def _crt_lift(residue: int, pe: int, q: int) -> int:
     """The unit mod q that is `residue` mod pe and 1 mod q/pe."""
     m2 = q // pe
-    if m2 == 1:
-        return residue % q
     return (residue * m2 * pow(m2, -1, pe) + pe * pow(pe, -1, m2)) % q
 
 
@@ -259,19 +257,15 @@ def evaluate(chi: DirichletCharacter, n: int) -> complex:
 
 
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum_{a=1}^{q} chi(a) e^{2 pi i a / q}; requires chi primitive."""
+    """tau(chi) = sum_{a=0}^{q-1} chi(a) e^{2 pi i a / q}; requires chi primitive."""
     if not chi.is_primitive:
         raise ValueError(
             f"Gauss sum requires a primitive character; conductor {chi.conductor} != modulus {chi.modulus}"
         )
-    q = chi.modulus
-    if q == 1:
-        return 1 + 0j  # single term chi(1) * e^{2 pi i}
-    vals, roots = values(chi).tolist(), roots_of_unity(q)
     total = 0j
-    for a in range(1, q + 1):
-        if vals[a % q]:  # a unit
-            total += vals[a % q] * roots[a % q]
+    for v, root in zip(values(chi).tolist(), roots_of_unity(chi.modulus)):
+        if v:  # a unit
+            total += v * root
     return total
 
 

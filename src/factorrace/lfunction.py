@@ -40,11 +40,10 @@ process (`_FactorLadder`), as n^{-s} is completely multiplicative: a
 complex exponential exp(-s log p) at each prime p, then every composite
 as the product of two smaller entries, level by level -- a balanced split
 m = d * e takes ceil(log2 Omega(m)) levels.  So an evaluation at q = 163,
-t = 30 takes 461 exponentials where a head of exp(-s log(k + a/q)) took
-(N+1) phi(q) = 3,240.  The ladder is built with numpy, without a Python
-loop over m.  A zero scan builds it once, for the head at its height T
-(`_reserve_height`); an evaluation that needs more grows it to the
-larger of the size asked and twice its capacity.  An evaluation reads
+t = 30 takes 461 exponentials.  The ladder is built with numpy, without
+a Python loop over m.  A zero scan builds it once, for the head at its
+height T (`_reserve_height`); an evaluation that needs more grows it to
+the larger of the size asked and twice its capacity.  An evaluation reads
 the prefix m <= (N+1) q of each level, so neither its work nor its bits
 depend on the capacity.  The ladder keeps log m for every m and three
 int64 positions per composite, about 31 bytes per entry: 15.4 MiB at
@@ -60,9 +59,7 @@ matrix-vector product.  The tail coefficients depend on s alone and are
 formed once per call; the real powers z^e = exp(e log z) depend on N
 and q alone (`_tail_powers`), and the two meet as one real product.
 The character mod 1 gives zeta(s) and zeta'(s).  The weights chi(a) are
-the last q entries of the character's cached `characters.value_row`, and
-the root-number phase of the rotated function is computed once per
-character (q, index) and cached.
+the last q entries of the character's cached `characters.value_row`.
 
 `_loggamma` shifts z up to |z| >= 15 through one running product, sums
 Stirling's series with B_2..B_16 (first omitted term < 1e-20) by Horner's
@@ -84,7 +81,6 @@ __all__ = [
     "LValue",
     "l_value",
     "completed_lambda",
-    "rotated_z",
 ]
 
 MAX_IM = 1.0e4
@@ -186,15 +182,6 @@ def _tail_powers(n: int, q: int) -> np.ndarray:
     powers = np.exp(np.log(n + np.arange(1, q + 1) / q)[:, None] * _TAIL_EXPONENTS)
     powers.setflags(write=False)
     return powers
-
-
-def _brackets(powers: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tail brackets at each point z, from its row of `_tail_powers`: tv
-    with z^{-s} tv the tail of the value, and td with z^{-s} (td - log(z) tv)
-    the tail of the s-derivative.  The real powers meet the complex
-    coefficients as one real product with their (re, im) pairs.
-    """
-    return np.dot(powers, coef.view(np.float64)).view(np.complex128).T
 
 
 class _FactorLadder:
@@ -318,7 +305,10 @@ def l_value(chi: DirichletCharacter, s: complex) -> LValue:
     _LADDER.fill(table[0], s)
     np.multiply(_LADDER.logs[:size], table[0], out=table[1])
     rows = table.reshape(2, n + 1, q)
-    tv, td = _brackets(_tail_powers(n, q), coef)
+    # the tail brackets at each point z: z^{-s} tv is the tail of the value and
+    # z^{-s} (td - log(z) tv) that of the derivative; the real powers meet the
+    # complex coefficients as one real product with their (re, im) pairs
+    tv, td = np.dot(_tail_powers(n, q), coef.view(np.float64)).view(np.complex128).T
     rows[1, n] = rows[1, n] * tv - rows[0, n] * td
     rows[0, n] *= tv
     value, derivative = (rows @ value_row(chi)[1:]).sum(axis=1)
@@ -364,12 +354,3 @@ def _rotation_phase(chi: DirichletCharacter, t: float) -> complex:
     g = complex(0.5 + chi.parity, t) / 2
     theta = (t / 2) * math.log(chi.modulus / math.pi) + _loggamma(g).imag
     return _root_phase(chi) * cmath.exp(1j * theta)
-
-
-def rotated_z(chi: DirichletCharacter, t: float) -> float:
-    """Real-valued rotation of L(1/2 + it, chi); vanishes exactly at the zeros.
-
-    The rotated value's imaginary part is a numerical residual, dropped here."""
-    if not chi.is_primitive:
-        raise ValueError("rotated Z-function requires a primitive character")
-    return (_rotation_phase(chi, t) * l_value(chi, complex(0.5, t)).value).real

@@ -185,8 +185,6 @@ class DensityTrace:
 
 
 def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(n) + 1):

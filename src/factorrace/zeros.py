@@ -3,7 +3,9 @@
 Zeros rho = 1/2 + i*gamma are detected as sign changes of the rotated
 real-valued function Z_chi(t) on a grid whose step is half the local mean
 zero gap, h(t) = 0.5 * 2*pi / log(q*(|t|+10)/(2*pi) + e), then refined by
-safeguarded Hermite-cubic steps on Z.
+safeguarded Hermite-cubic steps on Z.  `rotated_z` is the scan's own Z:
+it returns the Z of the one evaluation, `_z_and_l`, that the grid and the
+refinement take, so every caller of Z shares the scan's bits.
 
 The slope costs no further evaluation.  Every L-evaluation returns
 L'(1/2 + it) with the value, and as phase(t) * L(1/2 + it) is real on the
@@ -82,6 +84,7 @@ __all__ = [
     "MissedZeroError",
     "CacheFormatError",
     "smooth_zero_count",
+    "rotated_z",
     "scan_zeros",
     "conjugate_cache",
     "count_check",
@@ -170,6 +173,15 @@ def _z_and_l(chi, t):
     phase = _rotation_phase(chi, t)
     dz = 0.0 if chi.is_real and t == 0.0 else _slope(phase, lv)
     return (phase * lv.value).real, dz, lv
+
+
+def rotated_z(chi: DirichletCharacter, t: float) -> float:
+    """Z(t), the real rotation of L(1/2 + it, chi) that the scan evaluates;
+    it vanishes exactly at the zeros.  The rotated value's imaginary part is
+    a numerical residual, dropped."""
+    if not chi.is_primitive:
+        raise ValueError("rotated Z-function requires a primitive character")
+    return _z_and_l(chi, t)[0]
 
 
 def _point(chi, t):

@@ -1,7 +1,9 @@
 import os
+from types import SimpleNamespace
 
 import pytest
 
+from factorrace import zeros
 from factorrace.characters import enumerate_characters
 from factorrace.lfunction import l_value
 from factorrace.zeros import scan_zeros
@@ -19,6 +21,29 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process behind: {state or 'one still running'}")
+
+
+@pytest.fixture
+def scan_evals(monkeypatch):
+    """The L-evals of the scans a test runs, counted at `zeros.l_value`:
+    `heights`, the s of each call in call order, and `refines`, the calls
+    each `_refine` took, one entry per refinement."""
+    record = SimpleNamespace(heights=[], refines=[])
+    evaluate, refine = zeros.l_value, zeros._refine
+
+    def counted_l_value(chi, s):
+        record.heights.append(s)
+        return evaluate(chi, s)
+
+    def counted_refine(*args):
+        before = len(record.heights)
+        found = refine(*args)
+        record.refines.append(len(record.heights) - before)
+        return found
+
+    monkeypatch.setattr("factorrace.zeros.l_value", counted_l_value)
+    monkeypatch.setattr("factorrace.zeros._refine", counted_refine)
+    return record
 
 
 @pytest.fixture(scope="session")

@@ -17,11 +17,11 @@ import pytest
 
 from factorrace import cli
 from factorrace.characters import conjugate_character, enumerate_characters, root_number
-from factorrace.lfunction import completed_lambda, l_value, rotated_z
+from factorrace.lfunction import completed_lambda, l_value
 from factorrace.density import build_model, li_monte_carlo, windowed_density
 from factorrace.prediction import mean_square, predict, residual
 from factorrace.sieve import SIGN, SieveConfig, combined_run, factor_counts, twist
-from factorrace.zeros import count_check, scan_zeros
+from factorrace.zeros import count_check, rotated_z, scan_zeros
 from oracles import beta_chi4, bisect_sign_change, mertens_constants, trial_factor_table
 
 X_BIG = 10**8

@@ -151,7 +151,13 @@ def test_refuses_another_characters_zero_cache(tmp_path, capsys, cmd, target):
     assert target_file.read_text().startswith(f"# q=5 chi={target} T=15 ")
 
 
-def _check_stale_version(tmp_path, capsys, version):
+@pytest.mark.parametrize("version", range(1, int(FORMAT_VERSION)))
+def test_a_cache_of_a_stale_version_is_rescanned_or_refused(tmp_path, capsys, version):
+    """A cache whose header carries an earlier format version, written by
+    another L-kernel or refinement (1 and 2 earlier L-kernels, 3 Illinois
+    regula falsi, 4 Newton steps on the quarter-gap grid), is refused by
+    `compare` and `density` (exit 4) and rescanned by `zeros` and `all`, so
+    two versions' bits never mix."""
     out = tmp_path / "o"
     assert run(out, "sieve") == 0
     assert run(out, "zeros") == 0
@@ -171,33 +177,6 @@ def _check_stale_version(tmp_path, capsys, version):
         assert run(out, cmd) == 0
         assert "cached" not in capsys.readouterr().out
         assert path.read_bytes() == fresh
-
-
-def test_a_cache_of_another_kernel_version_is_rescanned_or_refused(tmp_path, capsys):
-    """A cache whose header carries another format version (written by
-    another L-kernel) is refused by `compare` and `density` (exit 4) and
-    rescanned by `zeros` and `all`, so two kernels' bits never mix."""
-    _check_stale_version(tmp_path, capsys, "1")
-
-
-def test_a_cache_of_the_hurwitz_block_kernel_is_rescanned_or_refused(tmp_path, capsys):
-    """Version 2, the caches of the per-residue Hurwitz block kernel that
-    the Dirichlet series head replaced, is refused and rescanned alike."""
-    _check_stale_version(tmp_path, capsys, "2")
-
-
-def test_a_cache_of_the_illinois_refinement_is_rescanned_or_refused(tmp_path, capsys):
-    """Version 3, the caches whose gammas came from Illinois regula falsi
-    before the Newton refinement moved them, is refused and rescanned alike."""
-    _check_stale_version(tmp_path, capsys, "3")
-
-
-def test_a_cache_of_the_newton_refinement_is_rescanned_or_refused(tmp_path, capsys):
-    """Version 4, the caches whose gammas came from Newton steps on the
-    quarter-gap grid before the half-gap grid and its cubic steps moved
-    them, is refused and rescanned alike."""
-    assert FORMAT_VERSION == "5"
-    _check_stale_version(tmp_path, capsys, "4")
 
 
 def test_compare_refuses_a_truncated_twists_row(tmp_path, capsys):
@@ -364,19 +343,14 @@ def test_single_character_run_builds_one_character(tmp_path, monkeypatch, capsys
 
 
 @pytest.mark.parametrize("q, t_max, budget", [(13, "100", 4200), (5, "200", 2100)])
-def test_zeros_scans_a_conjugate_pair_once(tmp_path, monkeypatch, q, t_max, budget):
+def test_zeros_scans_a_conjugate_pair_once(tmp_path, scan_evals, q, t_max, budget):
     """`zeros --chi all` mirrors the cache of each complex pair's first member
     for the second: at q=13, T=100 it takes at most 4,200 L-evals and at q=5,
     T=200 at most 2,100, where scanning every complex character over
     [-T, T] took 7,836 and 3,448."""
-    from factorrace import zeros
-
-    calls = []
-    evaluate = zeros.l_value
-    monkeypatch.setattr(zeros, "l_value", lambda *args: calls.append(args) or evaluate(*args))
     argv = ["zeros", "--q", str(q), "--chi", "all", "--T", t_max, "--T0", t_max, "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert len(calls) <= budget
+    assert len(scan_evals.heights) <= budget
     assert len(list(tmp_path.glob(f"zeros_q{q}_chi*.csv"))) == q - 2
 
 

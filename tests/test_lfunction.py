@@ -18,8 +18,8 @@ from factorrace.lfunction import (
     _truncation,
     completed_lambda,
     l_value,
-    rotated_z,
 )
+from factorrace.zeros import rotated_z
 from oracles import beta_chi4, beta_prime_chi4, mp_dirichlet_l, zeta_eta, zeta_prime_eta
 
 # reference digits, frozen from the alternating-series oracles

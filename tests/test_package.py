@@ -25,6 +25,16 @@ def test_each_public_name_is_declared_once():
     assert sorted(n for n, c in counts.items() if c > 1) == []
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_each_exported_function_or_class_is_defined_in_its_module(name):
+    """A function or class in a module's `__all__` has that module as its
+    `__module__`, so a name moved to another module leaves no re-export
+    behind in the old one's list."""
+    module = importlib.import_module(name)
+    exported = (getattr(module, n) for n in getattr(module, "__all__", ()))
+    assert [f.__name__ for f in exported if callable(f) and f.__module__ != name] == []
+
+
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
 def test_import_sets_the_openblas_default(given, expected):
     """`import factorrace` sets OPENBLAS_NUM_THREADS=1 when it is unset and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from factorrace.characters import character, conjugate_character, enumerate_characters
-from factorrace.lfunction import l_value, rotated_z
+from factorrace.lfunction import l_value
 from factorrace.zeros import (
     FORMAT_VERSION,
     CacheFormatError,
@@ -13,6 +13,7 @@ from factorrace.zeros import (
     conjugate_cache,
     count_check,
     load_cache,
+    rotated_z,
     scan_zeros,
     smooth_zero_count,
     store_cache,
@@ -277,31 +278,12 @@ def test_zero_counts_and_ordinates(q, index, t_max, count):
         assert abs(r.gamma - oracle) < 1e-11 * max(1.0, abs(r.gamma)), r.gamma
 
 
-def test_refinement_evals_per_zero(monkeypatch):
+def test_refinement_evals_per_zero(scan_evals):
     """The bracketing solver needs few L-evals per zero (64-step bisection took about 42)."""
-    import factorrace.zeros as zmod
-
-    orig_refine, orig_l_value = zmod._refine, zmod.l_value
-    counts = {"refines": 0, "evals": 0}
-    inside = []
-
-    def counting_refine(*args):
-        counts["refines"] += 1
-        inside.append(True)
-        try:
-            return orig_refine(*args)
-        finally:
-            inside.pop()
-
-    def counting_l_value(*args, **kwargs):
-        counts["evals"] += bool(inside)
-        return orig_l_value(*args, **kwargs)
-
-    monkeypatch.setattr(zmod, "_refine", counting_refine)
-    monkeypatch.setattr(zmod, "l_value", counting_l_value)
     scan_zeros(character(5, 1), 50.0)
-    assert counts["refines"] > 0
-    assert counts["evals"] / counts["refines"] <= 12
+    refines = scan_evals.refines
+    assert len(refines) > 0
+    assert sum(refines) / len(refines) <= 12
 
 
 @pytest.mark.parametrize("q, index", [(4, 1), (5, 1), (163, 81)])
@@ -325,33 +307,7 @@ def test_slope_is_minus_im_phase_times_l_prime(q, index):
         assert abs(slope - difference) <= 1e-10 * max(1.0, abs(slope)), t
 
 
-def _count_refine_evals(monkeypatch):
-    """The list that gets the L-evals of each `_refine` call, in call order,
-    once `_refine` and `_z_and_l` are patched to count them."""
-    import factorrace.zeros as zmod
-
-    refine, z_and_l = zmod._refine, zmod._z_and_l
-    evals, inside = [], []  # L-evals of each _refine call; non-empty while one runs
-
-    def counting_refine(*args):
-        evals.append(0)
-        inside.append(True)
-        try:
-            return refine(*args)
-        finally:
-            inside.pop()
-
-    def counting_z_and_l(chi, t):
-        if inside:
-            evals[-1] += 1
-        return z_and_l(chi, t)
-
-    monkeypatch.setattr(zmod, "_refine", counting_refine)
-    monkeypatch.setattr(zmod, "_z_and_l", counting_z_and_l)
-    return evals
-
-
-def test_a_wrong_sign_slope_falls_back_to_bisection(monkeypatch):
+def test_a_wrong_sign_slope_falls_back_to_bisection(monkeypatch, scan_evals):
     """With Z' of the wrong sign every Hermite-cubic point leaves its bracket, so
     each step is the bracket midpoint: the scan finds the same zeros at the
     same gammas, and no refinement runs out of steps."""
@@ -361,22 +317,21 @@ def test_a_wrong_sign_slope_falls_back_to_bisection(monkeypatch):
     reference = scan_zeros(chi, 30.0)
     slope = zmod._slope
     monkeypatch.setattr(zmod, "_slope", lambda phase, lv: -slope(phase, lv))
-    evals = _count_refine_evals(monkeypatch)
+    scan_evals.refines.clear()
     cache = scan_zeros(chi, 30.0)
     assert cache.count == reference.count == 56
     for got, want in zip(cache.gammas(), reference.gammas()):
         assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), want
-    assert len(evals) == 28 and max(evals) < zmod.MAX_REFINE_STEPS
+    assert len(scan_evals.refines) == 28 and max(scan_evals.refines) < zmod.MAX_REFINE_STEPS
 
 
 @pytest.mark.parametrize("q, index, t_max", [(29, 3, 60.0), (23, 16, 30.0)])
-def test_no_refinement_takes_more_than_six_l_evals(monkeypatch, q, index, t_max):
+def test_no_refinement_takes_more_than_six_l_evals(scan_evals, q, index, t_max):
     """The refinement tails of two scans: where the cubic point leaves the
     bracket, the midpoint halves it.  The longest refinement takes 5 L-evals
     at chi 3 mod 29 and 6 at chi 16 mod 23."""
-    evals = _count_refine_evals(monkeypatch)
     scan_zeros(character(q, index), t_max)
-    assert evals and max(evals) <= 6
+    assert scan_evals.refines and max(scan_evals.refines) <= 6
 
 
 def test_refined_zeros_against_mpmath():
@@ -392,45 +347,31 @@ def test_refined_zeros_against_mpmath():
             assert abs(value) < 5e-13, (chi.modulus, g)
 
 
-def _counted_scan(monkeypatch, chi, t_max):
-    """scan_zeros(chi, t_max) and its L-evals, counted at `zeros.l_value`."""
-    import factorrace.zeros as zmod
-
-    calls = []
-    evaluate = zmod.l_value
-    monkeypatch.setattr(zmod, "l_value", lambda *args: calls.append(args) or evaluate(*args))
-    return scan_zeros(chi, t_max), len(calls)
-
-
-def test_scan_eval_budget(monkeypatch):
+def test_scan_eval_budget(scan_evals):
     """q=163 chi 81 T=30 takes at most 160 L-evals: 63 on the grid, none in
     rescans and 89 in Hermite-cubic refinement.  At half the step, with
     Newton steps after the first cubic point, it took 214 (124 on the
     grid)."""
-    cache, evals = _counted_scan(monkeypatch, character(163, 81), 30.0)
+    cache = scan_zeros(character(163, 81), 30.0)
     assert cache.count == 56
-    assert evals <= 160
+    assert len(scan_evals.heights) <= 160
 
 
-def test_mod4_scan_eval_budget(monkeypatch):
+def test_mod4_scan_eval_budget(scan_evals):
     """q=4 T=200, the scan of the mod-4 race, takes at most 660 L-evals:
     263 on the grid, 12 in rescans (8 of them the dip at t = 0) and 368
     in refinement (921 at half the step)."""
-    cache, evals = _counted_scan(monkeypatch, character(4, 1), 200.0)
+    cache = scan_zeros(character(4, 1), 200.0)
     assert cache.count == 244
-    assert evals <= 660
+    assert len(scan_evals.heights) <= 660
 
 
-def test_a_scan_evaluates_no_height_twice(monkeypatch):
+def test_a_scan_evaluates_no_height_twice(scan_evals):
     """The rescans take their two ends from the level above: over the q=4,
     T=200 scan, whose dips at t = 0 and near 138.4 are rescanned at a
     quarter and a sixteenth step, every L-eval is at a height of its own."""
-    import factorrace.zeros as zmod
-
-    heights = []
-    evaluate = zmod.l_value
-    monkeypatch.setattr(zmod, "l_value", lambda chi, s: heights.append(s) or evaluate(chi, s))
     scan_zeros(character(4, 1), 200.0)
+    heights = scan_evals.heights
     assert len(heights) == len(set(heights)) == 643
 
 
