@@ -20,7 +20,8 @@ there and the complex exponentials one evaluation takes, one per prime
 up to (N + 1) q ("l_value_us", "head_length", "exps").  "scan" splits one
 zero scan (q = 163, chi 81, T = `--scan-t`, the `q163_zeros` point at the
 default T = 30) into its grid, its rescans of the dips and its refinement:
-the L-evals and seconds of each, and L-evals per zero found.  "pipeline_ms" gives the two sides
+the L-evals and seconds of each, as its `ScanReport` gives them, and
+L-evals per zero found.  "pipeline_ms" gives the two sides
 of a pass per segment: the producer, which is the kernel with its split
 as the forked helper runs it (into a preallocated slot), and the
 consumer, which is the class fold plus the sign fold, and says which of
@@ -120,50 +121,19 @@ def _l_value_layer(repeat: int) -> tuple[dict[str, float], dict[str, int], dict[
 
 def _scan_layer(t_max: float) -> dict:
     """L-evals and seconds of the grid, the dip rescans and the refinement of
-    scan_zeros(chi 81 mod 163, t_max), counted at `zeros.l_value`."""
-    evals = dict.fromkeys(("grid", "rescan", "refine"), 0)
-    seconds = dict.fromkeys(evals, 0.0)
-    phase = []  # the layer running now: a grid at step scale 1, a finer one, or _refine
-    originals = {name: getattr(zeros, name) for name in ("l_value", "_point", "_scan_grid", "_refine")}
-
-    def timed(layer, fn, *args):
-        phase.append(layer)
-        t0 = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            seconds[layer] += time.perf_counter() - t0
-            phase.pop()
-
-    def counted_l_value(*args):
-        evals[phase[-1]] += 1
-        return originals["l_value"](*args)
-
-    def point(chi, t):  # outside every layer: an end of the grid, evaluated before _scan_grid
-        return originals["_point"](chi, t) if phase else timed("grid", originals["_point"], chi, t)
-
-    def scan_grid(chi, lo, hi, step_scale=1.0):
-        return timed("grid" if step_scale == 1.0 else "rescan", originals["_scan_grid"], chi, lo, hi, step_scale)
-
-    zeros.l_value = counted_l_value
-    zeros._point = point
-    zeros._scan_grid = scan_grid
-    zeros._refine = lambda *args: timed("refine", originals["_refine"], *args)
-    try:
-        t0 = time.perf_counter()
-        found = zeros.scan_zeros(character(163, 81), t_max).count
-        total_s = time.perf_counter() - t0
-    finally:
-        for name, fn in originals.items():
-            setattr(zeros, name, fn)
+    scan_zeros(chi 81 mod 163, t_max), from its ScanReport."""
+    t0 = time.perf_counter()
+    cache = zeros.scan_zeros(character(163, 81), t_max)
+    total_s = time.perf_counter() - t0
+    evals = cache.report.evals
     return {
         "q": 163,
         "chi_index": 81,
         "t_max": t_max,
-        "zeros": found,
+        "zeros": cache.count,
         "evals": evals,
-        "evals_per_zero": sum(evals.values()) / found if found else 0.0,
-        "seconds": {**seconds, "total": total_s},
+        "evals_per_zero": sum(evals.values()) / cache.count if cache.count else 0.0,
+        "seconds": {**cache.report.seconds, "total": total_s},
     }
 
 

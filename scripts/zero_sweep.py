@@ -18,11 +18,13 @@ The sets, at T = 60:
 
 Prints one JSON object with, per set, the characters, the zeros found,
 the reference sign changes, the missed ones (with their brackets), the
-L-evals of the scans (counted at `zeros.l_value`), the histogram
-`refine_evals` {L-evals: refinements} of the L-evals each refinement took,
-its largest key `max_refine_evals` (against `zeros.MAX_REFINE_STEPS`), and
-the scans that warned or raised.  It is offline; `tests/test_zero_sweep.py`
-runs `sweep` once at a tiny size.
+L-evals of the scans, in all (`l_evals`) and by phase (`evals`: grid,
+rescan, refine), the histogram `refine_evals` {L-evals: refinements} of
+the L-evals each refinement took, its largest key `max_refine_evals`
+(against `zeros.MAX_REFINE_STEPS`), and the scans that warned or raised.
+The L-evals are read off each scan's `ScanReport`, that of a scan that
+raised included; a mirrored cache takes none.  It is offline;
+`tests/test_zero_sweep.py` runs `sweep` once at a tiny size.
 
     PYTHONPATH=src python scripts/zero_sweep.py
 """
@@ -81,69 +83,48 @@ def _reference_brackets(chi, t_lo: float, t_hi: float) -> list[tuple[float, floa
     return brackets
 
 
-def _scan_counted(chi, t_max: float) -> dict:
-    """scan_zeros(chi, t_max) (None if it raised) with its L-evals, the
-    L-evals of each refinement, its warnings and its error, if any."""
-    evals, refines = [0], []
-    l_value, refine = zeros.l_value, zeros._refine
-
-    def counted_l_value(*args):
-        evals[0] += 1
-        return l_value(*args)
-
-    def counted_refine(*args):  # the L-evals of this refinement alone, not of the rescans after it
-        before = evals[0]
+def _scan_counted(chi, t_max: float) -> tuple:
+    """scan_zeros(chi, t_max) (None if it raised), its ScanReport (that of
+    the error, if it raised), its warnings and its error, if any."""
+    cache, report, error = None, None, None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            return refine(*args)
-        finally:
-            refines.append(evals[0] - before)
-
-    zeros.l_value, zeros._refine = counted_l_value, counted_refine
-    cache, error = None, None
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                cache = zeros.scan_zeros(chi, t_max)
-            except zeros.MissedZeroError as exc:
-                error = str(exc)
-    finally:
-        zeros.l_value, zeros._refine = l_value, refine
-    return {
-        "cache": cache,
-        "evals": evals[0],
-        "refines": refines,
-        "warnings": [str(w.message) for w in caught],
-        "error": error,
-    }
+            cache = zeros.scan_zeros(chi, t_max)
+            report = cache.report
+        except zeros.MissedZeroError as exc:
+            error, report = str(exc), exc.report
+    return cache, report, [str(w.message) for w in caught], error
 
 
 def sweep(chars: list, t_max: float) -> dict:
     """The totals of the set `chars` at height t_max."""
-    totals = {"characters": len(chars), "found": 0, "reference": 0, "missed": [], "l_evals": 0,
-              "warned": [], "raised": []}
-    refine_evals = Counter()
+    totals = {"characters": len(chars), "found": 0, "reference": 0, "missed": [], "warned": [], "raised": []}
+    evals, refine_evals = Counter(), Counter()  # L-evals by phase; refinements by L-evals
     t0 = time.perf_counter()
     caches = {}  # (q, index) -> the cache of each character met so far
     for chi in chars:
         mate = caches.get((chi.modulus, conjugate_index(chi)))
         if mate is None:
-            scan = _scan_counted(chi, t_max)
-        else:
-            scan = {"cache": zeros.conjugate_cache(mate), "evals": 0, "refines": [], "warnings": [], "error": None}
-        cache = caches[chi.modulus, chi.index] = scan["cache"]
+            cache, report, warned, error = _scan_counted(chi, t_max)
+        else:  # mirrored, with no scan and so no report
+            cache, report, warned, error = zeros.conjugate_cache(mate), None, [], None
+        caches[chi.modulus, chi.index] = cache
         gammas = [] if cache is None else [g for g in cache.gammas() if g >= 0 or not chi.is_real]
         brackets = _reference_brackets(chi, 0.0 if chi.is_real else -t_max, t_max)
         name = f"{chi.modulus}:{chi.index}"
         totals["found"] += len(gammas)
         totals["reference"] += len(brackets)
         totals["missed"] += [[name, a, b] for a, b in brackets if not any(a <= g <= b for g in gammas)]
-        totals["l_evals"] += scan["evals"]
-        refine_evals.update(scan["refines"])
-        if scan["warnings"]:
-            totals["warned"].append([name, *scan["warnings"]])
-        if scan["error"]:
-            totals["raised"].append([name, scan["error"]])
+        if report is not None:
+            evals.update(report.evals)
+            refine_evals.update(report.refines)
+        if warned:
+            totals["warned"].append([name, *warned])
+        if error:
+            totals["raised"].append([name, error])
+    totals["l_evals"] = sum(evals.values())
+    totals["evals"] = dict(evals)
     totals["refine_evals"] = dict(sorted(refine_evals.items()))
     totals["max_refine_evals"] = max(refine_evals, default=0)
     totals["seconds"] = time.perf_counter() - t0

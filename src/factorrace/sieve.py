@@ -85,6 +85,9 @@ SEGMENT = 1 << 20  # the width of every segment of a pass, a multiple of BLOCK
 ROW = 64  # row width of the sign fold's row test
 MAX_X = 1 << 40  # design ceiling; keeps all int64 accumulators far from overflow
 RATIO = 1.02  # the default ratio of the geometric checkpoint grid
+# Terms of the default grid, at most: about four times the 1,052 of RATIO at MAX_X,
+# and 64 KiB of int64 class sums (two kinds) per residue class.
+MAX_CHECKPOINTS = 4096
 TWIST_ELEMENTS = 1 << 18  # class sums per block of write_twists_csv: 2 MB per int64 copy
 TWIST_CHARACTERS = 16  # characters per product of `_twist`, whose scratch takes ~140 bytes per unit and character
 VALUE_BITS = 20  # bits per slice of a character value in `_twist`
@@ -102,9 +105,14 @@ _OMEGA, _EXCESS = (2, 3) if sys.byteorder == "little" else (1, 0)
 
 
 def default_checkpoints(x_max: int, ratio: float = RATIO) -> tuple[int, ...]:
-    """Geometric grid round(1000 * ratio^k) within [1000, x_max], plus x_max."""
+    """Geometric grid round(1000 * ratio^k) within [1000, x_max], plus x_max.
+    A grid of more than MAX_CHECKPOINTS terms k is refused before its first
+    point: near ratio 1 the terms far outnumber the distinct points, and at
+    ratio 1 they never end."""
     if x_max < 1:
         return ()
+    if math.log(x_max / 1000) >= MAX_CHECKPOINTS * math.log(ratio):
+        raise ValueError(f"ratio {ratio!r} gives more than {MAX_CHECKPOINTS} checkpoints up to x_max={x_max}")
     pts = {x_max}
     k = 0
     while True:

@@ -60,6 +60,13 @@ L' -> conj L', residual kept.  So a cache is the conjugate's upper half
 mirrored, then its own; a real character is its own conjugate, and the
 cache of a conjugate character is `conjugate_cache` of this one, with no
 scan.
+
+A scan counts its own work: the cache it returns carries a `ScanReport`
+as `ZeroCache.report` (and a `MissedZeroError` the same report), with the
+L-evals and seconds of the grid, the rescans and the refinement, and the
+L-evals of each refinement.  The grid takes one L-eval per point, a
+rescan one per point between its two ends, a refinement one per step.
+A loaded or mirrored cache has no report.
 """
 
 from __future__ import annotations
@@ -67,9 +74,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._csvio import fmt_float, write_csv
 from .characters import DirichletCharacter, character, conjugate_character, conjugate_index
@@ -79,6 +87,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MAX_SCAN_HEIGHT",
     "ZeroRecord",
+    "ScanReport",
     "ZeroCache",
     "CountReport",
     "MissedZeroError",
@@ -100,11 +109,13 @@ NEWTON_STOP = sys.float_info.epsilon  # refinement stops at |Z/Z'| < NEWTON_STOP
 
 
 class MissedZeroError(RuntimeError):
-    """The zero count is inconsistent with the smooth count; `windows` are the crowded ones."""
+    """The zero count is inconsistent with the smooth count; `windows` are the
+    crowded ones, and `report` the ScanReport of the scan that raised."""
 
-    def __init__(self, message: str, windows: list[int]):
+    def __init__(self, message: str, windows: list[int], report: ScanReport | None = None):
         super().__init__(message)
         self.windows = windows
+        self.report = report
 
 
 class CacheFormatError(ValueError):
@@ -119,11 +130,24 @@ class ZeroRecord:
 
 
 @dataclass(frozen=True)
+class ScanReport:
+    """The work of one scan, both halves of a complex character: the L-evals
+    and seconds of each phase, "grid", "rescan" (of the dips) and "refine",
+    and the L-evals of each refinement in the order the scan took them.  The
+    sign-change and dip tests between the phases are timed in none."""
+
+    evals: dict[str, int]
+    seconds: dict[str, float]
+    refines: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class ZeroCache:
     q: int
     chi_index: int
     t_scanned: float
     records: tuple[ZeroRecord, ...]
+    report: ScanReport | None = field(default=None, compare=False)  # None where no scan ran
 
     @property
     def count(self) -> int:
@@ -201,6 +225,14 @@ def _scan_grid(chi, lo, hi, step_scale=1.0):
     return points
 
 
+def _rescan(chi, lo, hi, step_scale, work):
+    """`_scan_grid` of a dip between its evaluated ends, its work added to `work`."""
+    start = time.perf_counter()
+    points = _scan_grid(chi, lo, hi, step_scale)
+    work.append(("rescan", len(points) - 2, time.perf_counter() - start))
+    return points
+
+
 def _cubic_point(lo, hi):
     """Where refinement evaluates Z next: two Newton steps, from the end
     with the smaller |Z|, on the cubic Hermite interpolant of Z through the
@@ -221,7 +253,7 @@ def _cubic_point(lo, hi):
 
 def _refine(chi, lo, hi):
     """Safeguarded Hermite-cubic steps on Z over a sign-change bracket;
-    returns (gamma, LValue).
+    returns (gamma, LValue, steps), one L-eval per step.
 
     `lo` and `hi` are the bracket's ends as (t, Z, Z', LValue): grid points
     at first, and each evaluated point replaces the end whose Z has its
@@ -233,7 +265,7 @@ def _refine(chi, lo, hi):
     1e-14 * max(1, |t|), or Z vanishes exactly, and returns the point
     evaluated last together with its LValue.
     """
-    for _ in range(MAX_REFINE_STEPS):
+    for step in range(1, MAX_REFINE_STEPS + 1):
         a, b = lo[0], hi[0]
         tol = 1e-14 * max(1.0, abs(0.5 * (a + b)))
         t = _cubic_point(lo, hi)
@@ -248,18 +280,22 @@ def _refine(chi, lo, hi):
             lo = (t, z, dz, lv)
         if abs(z) < NEWTON_STOP * max(1.0, abs(t)) * abs(dz) or hi[0] - lo[0] < tol:
             break
-    return t, lv
+    return t, lv, step
 
 
-def _sign_changes(chi, points):
-    """(gamma, LValue) of each grid point where Z vanishes and each refined sign change."""
+def _sign_changes(chi, points, work):
+    """(gamma, LValue) of each grid point where Z vanishes and each refined
+    sign change; each refinement's work is added to `work`."""
     found = []
     for lo, hi in zip(points, points[1:]):
         t, z, _, lv = lo
         if z == 0.0:
             found.append((t, lv))
         elif (z < 0) != (hi[1] < 0):
-            found.append(_refine(chi, lo, hi))
+            start = time.perf_counter()
+            t, lv, steps = _refine(chi, lo, hi)
+            work.append(("refine", steps, time.perf_counter() - start))
+            found.append((t, lv))
     return found
 
 
@@ -275,18 +311,21 @@ def _dips(points):
             yield lo, hi
 
 
-def _upper_half(chi, t_max):
+def _upper_half(chi, t_max, work):
     """The records of every sign change of Z on [0, t_max], ascending, its
-    dips rescanned as above between their known ends."""
+    dips rescanned as above between their known ends.  Appends to `work`
+    (phase, L-evals, seconds) of its grid, each rescan and each refinement."""
+    start = time.perf_counter()
     points = _scan_grid(chi, _point(chi, 0.0), _point(chi, t_max))
-    found = _sign_changes(chi, points)
+    work.append(("grid", len(points), time.perf_counter() - start))
+    found = _sign_changes(chi, points, work)
     mags = sorted(abs(p[1]) for p in points)
     tol = 1e-6 * max(1.0, mags[len(mags) // 2])
     for lo, hi in _dips(points):
-        sub = _scan_grid(chi, lo, hi, 1 / 4)
-        more = _sign_changes(chi, sub)
+        sub = _rescan(chi, lo, hi, 1 / 4, work)
+        more = _sign_changes(chi, sub, work)
         for sub_lo, sub_hi in _dips(sub):
-            more += _sign_changes(chi, _scan_grid(chi, sub_lo, sub_hi, 1 / 16))
+            more += _sign_changes(chi, _rescan(chi, sub_lo, sub_hi, 1 / 16, work), work)
         found += more
         if not more:
             t, z = min((p[:2] for p in sub), key=lambda p: abs(p[1]))
@@ -311,9 +350,20 @@ def conjugate_cache(cache: ZeroCache) -> ZeroCache:
     return ZeroCache(cache.q, mate, cache.t_scanned, _mirrored(cache.records))
 
 
+def _report(work):
+    """The ScanReport of the (phase, L-evals, seconds) entries of a scan."""
+    phases = ("grid", "rescan", "refine")
+    evals, seconds = dict.fromkeys(phases, 0), dict.fromkeys(phases, 0.0)
+    for phase, n, s in work:
+        evals[phase] += n
+        seconds[phase] += s
+    return ScanReport(evals, seconds, tuple(n for phase, n, _ in work if phase == "refine"))
+
+
 def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
     """All zeros with |gamma| <= t_max for a primitive non-principal character:
-    the upper halves of chi and of its conjugate (chi itself, if real)."""
+    the upper halves of chi and of its conjugate (chi itself, if real), with
+    the ScanReport of the scan as the cache's `report`."""
     if not chi.is_primitive:
         raise ValueError("zero scan requires a primitive character")
     if chi.is_principal:
@@ -322,9 +372,10 @@ def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
         raise ValueError(f"T must be in (0, {MAX_SCAN_HEIGHT}]")
 
     _reserve_height(chi.modulus, t_max)
-    upper = _upper_half(chi, t_max)
-    lower = upper if chi.is_real else _upper_half(conjugate_character(chi), t_max)
-    cache = ZeroCache(chi.modulus, chi.index, float(t_max), _mirrored(lower) + upper)
+    work = []
+    upper = _upper_half(chi, t_max, work)
+    lower = upper if chi.is_real else _upper_half(conjugate_character(chi), t_max, work)
+    cache = ZeroCache(chi.modulus, chi.index, float(t_max), _mirrored(lower) + upper, _report(work))
     rep = count_check(cache)
     if not rep.passed:
         raise MissedZeroError(
@@ -332,6 +383,7 @@ def scan_zeros(chi: DirichletCharacter, t_max: float) -> ZeroCache:
             f"expected={rep.expected:.2f} deviation={rep.deviation:.2f} allowed={rep.allowed:.2f}; "
             f"crowded windows {list(rep.bad_windows)}",
             windows=list(rep.bad_windows),
+            report=cache.report,
         )
     return cache
 

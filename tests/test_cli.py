@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -420,6 +421,16 @@ def test_cli_run_loads_no_scipy(tmp_path):
 )
 def test_config_errors_exit_2(tmp_path, argv):
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+
+def test_a_ratio_near_1_is_refused_at_once(tmp_path, capsys):
+    """Ratio 1 + 1e-10 to x_max = 1e5 is about 4.6e10 ratio steps: the
+    configuration refuses the grid before making any point of it."""
+    argv = ["sieve", "--q", "4", "--xmax", "100000", "--ratio", "1.0000000001", "--out", str(tmp_path / "o")]
+    start = time.perf_counter()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert "more than 4096 checkpoints" in capsys.readouterr().err
 
 
 def test_segment_size_flag_is_retired(tmp_path):

@@ -67,6 +67,8 @@ def test_config_validation():
         SieveConfig(x_max=100, q=4, checkpoints=(50, 200))
     with pytest.raises(ValueError):
         SieveConfig(x_max=100, q=4, ratio=1.0)
+    with pytest.raises(ValueError):
+        SieveConfig(x_max=100_000, q=4, ratio=1.0000000001)
 
 
 def test_default_checkpoints():
@@ -76,6 +78,18 @@ def test_default_checkpoints():
     assert cps[0] == 1000 and cps[-1] == 2000
     assert all(b > a for a, b in zip(cps, cps[1:]))
     assert default_checkpoints(0) == ()
+
+
+def test_the_default_grid_is_bounded_in_steps():
+    """At x_max = 1e8, (1e5)^(1/4096) = 1.002815 is the least ratio whose
+    grid terms fit MAX_CHECKPOINTS; below it the grid is refused, and so
+    is ratio 1, whose terms never pass x_max."""
+    assert len(default_checkpoints(10**8, 1.00282)) == 4090
+    for x_max, ratio in ((10**8, 1.00281), (1000, 1.0)):
+        with pytest.raises(ValueError, match="more than 4096 checkpoints"):
+            default_checkpoints(x_max, ratio)
+    assert default_checkpoints(999, 1.0) == default_checkpoints(999) == (999,)
+    assert sieve_module.MAX_CHECKPOINTS == 4096 and len(default_checkpoints(1 << 40)) == 1053
 
 
 def test_class_fold_of_a_long_all_40_piece():

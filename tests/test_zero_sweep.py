@@ -1,5 +1,5 @@
-"""scripts/zero_sweep.py at tiny sizes, so a rename of the private zero-scan
-names it wraps fails here rather than in the script."""
+"""scripts/zero_sweep.py at tiny sizes, so a change to the zero-scan names
+or the scan report it reads fails here rather than in the script."""
 
 import importlib.util
 import pathlib
@@ -62,3 +62,20 @@ def test_a_scan_that_drops_a_zero_is_counted_as_a_miss(zero_sweep, monkeypatch):
     assert totals["reference"] == 3 and totals["found"] == 2
     (name, a, b), = totals["missed"]
     assert name == "4:1" and a < 6.0209 < b
+
+
+def test_a_scan_that_raises_is_listed_with_its_l_evals(zero_sweep, monkeypatch, scan_evals):
+    """With the smooth count forced far off, the scan of chi 1 mod 4 raises
+    MissedZeroError: the sweep lists it under `raised`, and its L-evals, read
+    off the error's report, are those the independent counter gives the scan."""
+    zeros = zero_sweep.zeros
+    monkeypatch.setattr(zeros, "smooth_zero_count", lambda t, q: 50.0)
+    chi = character(4, 1)
+    with pytest.raises(zeros.MissedZeroError):
+        zeros.scan_zeros(chi, 15.0)
+    scanned = len(scan_evals.heights)
+    totals = zero_sweep.sweep([chi], 15.0)
+    (name, message), = totals["raised"]
+    assert name == "4:1" and "possible missed zeros" in message
+    assert totals["l_evals"] == sum(totals["evals"].values()) == scanned > 0
+    assert totals["found"] == 0 and len(totals["missed"]) == totals["reference"] == 3

@@ -230,7 +230,7 @@ def test_window_refinement_recovers_coarse_grid(chi4, monkeypatch):
     orig = zmod._grid_step
     monkeypatch.setattr(zmod, "_grid_step", lambda t, q: 2.0 * orig(t, q))
     grid = zmod._scan_grid(chi4, zmod._point(chi4, 0.0), zmod._point(chi4, 100.0))
-    assert len(zmod._sign_changes(chi4, grid)) == 42
+    assert len(zmod._sign_changes(chi4, grid, [])) == 42
     coarse = scan_zeros(chi4, 100.0)
     monkeypatch.undo()
     fine = scan_zeros(chi4, 100.0)
@@ -256,7 +256,7 @@ def test_scan_refuses_a_crowded_window(monkeypatch):
     from factorrace.zeros import MissedZeroError
 
     crowd = tuple(ZeroRecord(7.0 + 0.01 * k, complex(1.0, 0.0), 1e-13) for k in range(30))
-    monkeypatch.setattr(zmod, "_upper_half", lambda chi, t_max: crowd if chi.index == 1 else ())
+    monkeypatch.setattr(zmod, "_upper_half", lambda chi, t_max, work: crowd if chi.index == 1 else ())
     with pytest.raises(MissedZeroError) as info:
         scan_zeros(character(5, 1), 40.0)
     assert 7 in info.value.windows
@@ -375,6 +375,33 @@ def test_a_scan_evaluates_no_height_twice(scan_evals):
     assert len(heights) == len(set(heights)) == 643
 
 
+@pytest.mark.parametrize(
+    "q, index, t_max, evals",
+    [(163, 81, 30.0, (63, 0, 89)), (4, 1, 200.0, (263, 12, 368)), (5, 1, 30.0, (62, 8, 60))],
+)
+def test_the_scan_report_agrees_with_the_independent_counter(scan_evals, q, index, t_max, evals):
+    """A cache's ScanReport against the `scan_evals` count of the same scan:
+    the L-evals of each refinement, in order, and the phases' L-evals in all.
+    Chi 1 mod 5 is complex, so its report covers both halves."""
+    report = scan_zeros(character(q, index), t_max).report
+    assert report.refines == tuple(scan_evals.refines)
+    assert tuple(report.evals.values()) == evals
+    assert sum(report.evals.values()) == len(scan_evals.heights)
+    assert set(report.seconds) == set(report.evals) and min(report.seconds.values()) >= 0.0
+
+
+def test_a_missed_zero_error_carries_the_report_of_its_scan(chi4, monkeypatch, scan_evals):
+    import factorrace.zeros as zmod
+    from factorrace.zeros import MissedZeroError
+
+    monkeypatch.setattr(zmod, "smooth_zero_count", lambda t, q: 50.0)
+    with pytest.raises(MissedZeroError) as info:
+        scan_zeros(chi4, 15.0)
+    report = info.value.report
+    assert report.refines == tuple(scan_evals.refines) and len(report.refines) == 3
+    assert sum(report.evals.values()) == len(scan_evals.heights)
+
+
 @pytest.mark.parametrize("q, index", [(163, 81), (5, 2)])
 def test_a_scan_builds_the_factor_ladder_once(monkeypatch, q, index):
     """scan_zeros sizes the ladder for the head length at t_max before its
@@ -418,7 +445,7 @@ def test_rescans_recover_zeros_the_total_misses():
     gammas = []
     for c, sign in ((chi, 1.0), (conjugate_character(chi), -1.0)):
         grid = zmod._scan_grid(c, zmod._point(c, 0.0), zmod._point(c, 60.0))
-        gammas += [sign * g for g, _ in zmod._sign_changes(c, grid)]
+        gammas += [sign * g for g, _ in zmod._sign_changes(c, grid, [])]
     first = ZeroCache(163, 53, 60.0, tuple(ZeroRecord(g, 1j, 0.0) for g in sorted(gammas)))
     assert first.count == 118
     assert count_check(first).passed
