@@ -25,16 +25,19 @@ L-evals per zero found.  "pipeline_ms" gives the two sides
 of a pass per segment: the producer, which is the kernel with its split
 as the forked helper runs it (into a preallocated slot), and the
 consumer, which is the class fold plus the sign fold, and says which of
-the two bounds the pipelined pass.  "memory" gives the `tracemalloc`
+the two bounds the pipelined pass; "idle" is the parent's wait per
+segment (producer minus consumer, 0 when the consumer bounds the pass),
+the time its idle steps can spend writing checkpoints.csv rows.  "memory" gives the `tracemalloc`
 peaks, in bytes, of the stages after a pass: `li_monte_carlo` of a
 50-amplitude model (both races, as `density` runs it) at 10,000 and
 100,000 trials, and `write_twists_csv` for every character mod 1000 at
 the 98 checkpoints of x_max = 1e7, ratio 1.1 (random class sums), so a
 stage whose memory grows with its trials or its rows shows.
 "writers_ms" times `write_checkpoints_csv` and `write_twists_csv` on that
-same fixture, and as "twist" the writer's one `_twist` call alone (every
-checkpoint, and of each conjugate pair the member of lower index),
-without the `'%.17g'` formatting of its rows.  Prints one JSON object with the
+same fixture, as "checkpoint_rows" the rows of one checkpoint, which one
+idle step of a pass formats and writes, and as "twist" the writer's one
+`_twist` call alone (every checkpoint, and of each conjugate pair the
+member of lower index), without the `'%.17g'` formatting of its rows.  Prints one JSON object with the
 median milliseconds of each layer and, per kind, how many BLOCK-wide blocks of
 the segment are biased throughout, unbiased throughout or mixed, and how
 many of them the fold settled by its 64-wide row sums ("row") and how
@@ -68,6 +71,7 @@ from factorrace.sieve import (
     ClassSums,
     SieveConfig,
     _add_strided,
+    _checkpoint_rows,
     _dense_passes,
     _fold_classes,
     _sieve_segment,
@@ -182,16 +186,19 @@ def _memory_layer() -> dict:
 
 def _writers_layer(repeat: int) -> dict[str, float]:
     """Median milliseconds of the two sieve writers on the memory entry's
-    fixture, and of the twist inside `write_twists_csv` alone: its 98
-    checkpoints are one block, so it is one `_twist` of all the rows."""
+    fixture, of the rows of its last checkpoint, and of the twist inside
+    `write_twists_csv` alone: its 98 checkpoints are one block, so it is
+    one `_twist` of all the rows."""
     sums, chis = _twists_fixture()
     rows = sums.counts.reshape(-1, sums.q)  # omega rows, then Omega rows
+    checkpoint_rows = _checkpoint_rows(sums.q)
     lows = [chi for chi in chis if chi.index <= conjugate_index(chi)]
     with tempfile.TemporaryDirectory() as tmp:
         checkpoints, twists = os.path.join(tmp, "checkpoints.csv"), os.path.join(tmp, "twists.csv")
         return {
             "write_checkpoints_csv": _median_ms(lambda: write_checkpoints_csv(sums, checkpoints), repeat),
             "write_twists_csv": _median_ms(lambda: write_twists_csv(sums, chis, twists), repeat),
+            "checkpoint_rows": _median_ms(lambda: checkpoint_rows(sums.checkpoints[-1], sums.counts[:, -1]), repeat),
             "twist": _median_ms(lambda: _twist(rows, lows), repeat),
         }
 
@@ -263,6 +270,7 @@ def main(argv: list[str] | None = None) -> dict:
             "producer": producer,
             "consumer": consumer,
             "bound": "producer" if producer >= consumer else "consumer",
+            "idle": max(0.0, producer - consumer),
         },
         "blocks": {
             kind: _block_kinds(run, sign * chi_n * values)

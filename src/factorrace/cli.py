@@ -8,7 +8,9 @@ float formatting, and sieve passes whose kernel runs ahead in a forked
 helper process and whose folds stay in order in this one.  In `all` one
 pass serves the class sums, the twists and the density of the first real
 non-principal character; each further real character takes its own pass
-in `density`.  The hash
+in `density`.  `sieve` and `all` open checkpoints.csv before their pass,
+which writes a checkpoint's rows while it waits for the helper, and write
+twists.csv after it.  The hash
 excludes the output path and `threads`, which is accepted and validated
 but selects no code path.
 
@@ -43,10 +45,11 @@ from .sieve import (
     RATIO,
     SIGN,
     SieveConfig,
+    checkpoints_csv,
     combined_run,
     density_scan,
     sieve_run,
-    write_checkpoints_csv,
+    write_checkpoints_csv,  # noqa: F401  (unused; a name here for benchmarks/tracer.py to wrap)
     write_twists_csv,
 )
 from .zeros import (
@@ -230,10 +233,12 @@ def _path(rc: RunConfig, name: str) -> str:
 
 
 def cmd_sieve(rc: RunConfig, sums=None) -> None:
+    """One pass that writes checkpoints.csv as it runs, then twists.csv.
+    `sums`, if given, come from `cmd_all`'s pass, which wrote checkpoints.csv."""
     cfg = _sieve_config(rc)
     if sums is None:
-        sums = sieve_run(cfg)
-    write_checkpoints_csv(sums, _path(rc, "checkpoints.csv"), rc.comment())
+        with checkpoints_csv(_path(rc, "checkpoints.csv"), rc.comment()) as write:
+            sums = sieve_run(cfg, write)
     write_twists_csv(sums, _characters(rc), _path(rc, "twists.csv"), rc.comment())
     print(f"sieve: x_max={rc.x_max} q={rc.q} checkpoints={len(sums.checkpoints)} -> {rc.out}")
 
@@ -391,7 +396,8 @@ def cmd_all(rc: RunConfig) -> None:
     _zero_targets(rc)  # refuse a bad --chi before the sieve
     cfg = _sieve_config(rc)
     targets = _density_targets(rc)
-    sums, first = combined_run(cfg, targets[0] if targets else None)
+    with checkpoints_csv(_path(rc, "checkpoints.csv"), rc.comment()) as write:
+        sums, first = combined_run(cfg, targets[0] if targets else None, write)
     cmd_sieve(rc, sums=sums)
     cmd_zeros(rc)
     cmd_compare(rc)

@@ -20,6 +20,10 @@ A pass (`_segments`) runs the kernel in one forked helper process, which
 sieves the next segment into a two-slot shared ring while the caller
 folds the current one; each segment it yields is one (omega, Omega)
 int8 view of shape (len(KINDS), n) that is valid only until the next step.
+While the helper's next segment is not ready yet, the caller runs the
+pass's idle steps: `combined_run`, handed the `write` of
+`checkpoints_csv`, writes there the rows of each checkpoint it has
+finished.
 
 The same pass can feed the sign fold of one real character (`_SignFold`):
 the exact running SIGN[f] * psi_f(n), psi_f(n) = sum_{m<=n} chi(m) f(m),
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import select
 import signal
 import sys
 from bisect import bisect_left
@@ -49,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import write_csv
+from ._csvio import csv_writer, write_csv
 from .characters import (
     DirichletCharacter,
     character,
@@ -74,6 +79,7 @@ __all__ = [
     "combined_run",
     "factor_counts",
     "twist",
+    "checkpoints_csv",
     "write_checkpoints_csv",
     "write_twists_csv",
 ]
@@ -558,7 +564,7 @@ def _helper(segments, count: int, ready: int, free: int) -> None:
         raise
 
 
-def _segments(x_max: int, size: int):
+def _segments(x_max: int, size: int, idle=None):
     """(lo, hi, counts) for consecutive segments [lo, hi) covering [0,
     x_max].  counts holds the (omega, Omega) rows, an int8 view of shape
     (len(KINDS), hi - lo) that is valid only until the next step of the
@@ -568,9 +574,13 @@ def _segments(x_max: int, size: int):
     writes each segment into one of two slots of an anonymous shared
     mmap, so it sieves segment i + 1 while the caller folds segment i.
     One pipe says "slot ready" (or carries the helper's error), the other
-    "slot free".  The helper leaves only through os._exit, and the
+    "slot free".  Before each segment, while a zero-timeout `select` finds
+    the "ready" pipe empty, the generator calls `idle()`, which does one
+    step of the caller's other work and returns False when it has none
+    left for now.  The helper leaves only through os._exit, and the
     generator's exit, normal or not, kills and reaps it.  Where os.fork
-    does not exist, `_sieve_pass` runs in-process over private slots.
+    does not exist, `_sieve_pass` runs in-process over private slots and
+    `idle` is never called: nothing waits there.
     """
     shape = (2, len(KINDS), min(size, x_max + 1))  # two slots
     if not hasattr(os, "fork"):
@@ -595,6 +605,9 @@ def _segments(x_max: int, size: int):
     try:
         for i, lo in enumerate(starts):
             hi = min(lo + size, x_max + 1)
+            while idle is not None and not select.select([ready_r], [], [], 0)[0]:
+                if not idle():
+                    break
             status = os.read(ready_r, 1)
             if status != b"+":
                 detail = b"".join(iter(lambda: os.read(ready_r, 4096), b""))
@@ -614,18 +627,35 @@ def _segments(x_max: int, size: int):
 
 
 def combined_run(
-    cfg: SieveConfig, chi: DirichletCharacter | None = None
+    cfg: SieveConfig, chi: DirichletCharacter | None = None, write=None
 ) -> tuple[ClassSums, DensityTrace | None]:
     """Class sums plus (optionally) the density scan of one real character,
     in one sieve pass (`_segments`).  The segment views are folded before
-    the next step of the pass, the only time they are valid."""
+    the next step of the pass, the only time they are valid.
+
+    `write`, if given, is the `write(rows)` of `checkpoints_csv`, and gets
+    the rows of `write_checkpoints_csv`: each of the pass's idle steps
+    writes those of one finished checkpoint while the helper sieves, and
+    the rows still pending when the pass ends are written after it (all
+    of them where the pass runs in-process)."""
     fold = None if chi is None else _SignFold(cfg, chi)
     q = cfg.q
     cps = cfg.checkpoints
     sums = np.zeros((len(KINDS), len(cps), q), dtype=np.int64)
     running = np.zeros((len(KINDS), q), dtype=np.int64)
     k = 0  # the next checkpoint
-    with closing(_segments(cfg.x_max, SEGMENT)) as segments:
+    rows = _checkpoint_rows(q)
+    written = 0  # checkpoints whose rows are written
+
+    def idle() -> bool:
+        nonlocal written
+        if written == k:
+            return False
+        write([rows(cps[written], sums[:, written])])
+        written += 1
+        return True
+
+    with closing(_segments(cfg.x_max, SEGMENT, None if write is None else idle)) as segments:
         for lo, hi, counts in segments:
             u = lo
             while u < hi:  # class sums piece by piece, split after each checkpoint
@@ -638,6 +668,8 @@ def combined_run(
                 u = v
             if fold is not None:
                 fold.add(lo, counts)
+    if write is not None:
+        write(rows(x, sums[:, j]) for j, x in enumerate(cps[written:], written))
     return ClassSums(q, cfg.x_max, cps, sums), (None if fold is None else fold.result())
 
 
@@ -658,9 +690,10 @@ def factor_counts(x_max: int) -> np.ndarray:
 
 # Views of `combined_run` under their own names, which benchmarks/tracer.py
 # and benchmarks/probes.py look up to count and time sieve passes.
-def sieve_run(cfg: SieveConfig) -> ClassSums:
-    """Run the sieve and return exact per-class sums at every checkpoint."""
-    return combined_run(cfg)[0]
+def sieve_run(cfg: SieveConfig, write=None) -> ClassSums:
+    """Run the sieve and return exact per-class sums at every checkpoint,
+    streaming checkpoints.csv to `write` as `combined_run` does."""
+    return combined_run(cfg, None, write)[0]
 
 
 def density_scan(cfg: SieveConfig, chi: DirichletCharacter) -> DensityTrace:
@@ -734,17 +767,29 @@ def twist(sums: ClassSums, chi: DirichletCharacter, x: int) -> tuple[complex, co
     return (pw, pW) if low is chi else (pw.conjugate(), pW.conjugate())
 
 
+def _checkpoint_rows(q: int):
+    """`rows(x, counts)`: the checkpoints.csv rows of one checkpoint x, whose
+    (len(KINDS), q) class sums are `counts`, as one block of q lines.  x is
+    formatted once and put into a template of the q lines, which one `%`
+    then fills with the class sums."""
+    template = "\n".join(f"\0,{a},%d,%d" for a in range(q))
+
+    def rows(x: int, counts: np.ndarray) -> str:
+        return template.replace("\0", str(x)) % tuple(counts.T.ravel().tolist())
+
+    return rows
+
+
+def checkpoints_csv(path: str, comment: str | None = None):
+    """The `csv_writer` of checkpoints.csv, whose `write` `combined_run` takes."""
+    return csv_writer(path, "x,a,S_omega,S_Omega", comment)
+
+
 def write_checkpoints_csv(sums: ClassSums, path: str, comment: str | None = None) -> None:
-    template = "\n".join(f"%d,{a},%d,%d" for a in range(sums.q))
-    args = np.empty((sums.q, 3), dtype=np.int64)  # (x, S_omega, S_Omega) per residue
-
-    def rows():
-        for x, counts in zip(sums.checkpoints, sums.counts.transpose(1, 2, 0)):
-            args[:, 0] = x
-            args[:, 1:] = counts
-            yield template % tuple(args.ravel().tolist())
-
-    write_csv(path, "x,a,S_omega,S_Omega", rows(), comment)
+    """All of checkpoints.csv at once: the bytes that `combined_run` streams."""
+    rows = _checkpoint_rows(sums.q)
+    with checkpoints_csv(path, comment) as write:
+        write(rows(x, sums.counts[:, j]) for j, x in enumerate(sums.checkpoints))
 
 
 def write_twists_csv(

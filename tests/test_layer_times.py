@@ -33,6 +33,8 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     assert pipeline["producer"] == result["sieve_segment_ms"] > 0
     assert pipeline["consumer"] == result["fold_classes_ms"] + result["sign_fold_ms"] > 0
     assert pipeline["bound"] == ("producer" if pipeline["producer"] >= pipeline["consumer"] else "consumer")
+    assert pipeline["idle"] == max(0.0, pipeline["producer"] - pipeline["consumer"])
+    assert set(pipeline) == {"producer", "consumer", "bound", "idle"}
     points = {"q4_t200": 4, "q163_t30": 163, "q13_t100": 13}  # name: q
     assert set(result["l_value_us"]) == set(result["head_length"]) == set(result["exps"]) == set(points)
     assert all(us > 0 for us in result["l_value_us"].values())
@@ -53,7 +55,7 @@ def test_defaults_to_the_first_real_character(layer_times, capsys, q, first_real
     assert all(peak > 0 for peak in mc["peak_bytes"].values())
     assert (twists["q"], twists["checkpoints"], twists["characters"]) == (1000, 98, 400)
     assert twists["peak_bytes"] > 0
-    assert set(result["writers_ms"]) == {"write_checkpoints_csv", "write_twists_csv", "twist"}
+    assert set(result["writers_ms"]) == {"write_checkpoints_csv", "write_twists_csv", "checkpoint_rows", "twist"}
     assert all(ms > 0 for ms in result["writers_ms"].values())
     assert '"sign_fold_ms"' in capsys.readouterr().out
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from factorrace import characters as characters_module
+from factorrace import cli
 from factorrace import sieve as sieve_module
 from factorrace._csvio import fmt_float
 from factorrace.characters import (
@@ -26,6 +27,7 @@ from factorrace.sieve import (
     SIGN,
     ClassSums,
     SieveConfig,
+    checkpoints_csv,
     combined_run,
     default_checkpoints,
     density_scan,
@@ -1071,3 +1073,120 @@ def test_forked_pass_equals_the_in_process_pass(monkeypatch, chi4, size, edge):
     assert np.array_equal(w, ref_w) and np.array_equal(big, ref_big)
     assert np.array_equal(sums.counts, ref_sums.counts)
     _assert_same_bits(trace, ref_trace, (size, edge))
+
+
+def _leftovers(out):
+    """The temp files of the CSV writer left in `out`."""
+    return [name for name in os.listdir(out) if name.startswith(".tmp_")]
+
+
+@pytest.mark.parametrize("before", [None, b"# an earlier run\nx,a,S_omega,S_Omega\n"])
+@pytest.mark.parametrize("failing", [0, 3, 6])
+def test_a_helper_error_leaves_checkpoints_csv_as_it_was(monkeypatch, tmp_path, failing, before):
+    """`sieve` opens checkpoints.csv before its pass; a kernel error in the
+    helper leaves no temp file, and no checkpoints.csv or the earlier one."""
+    kernel = sieve_module._sieve_segment
+
+    def broken(lo, hi, t, out=None):
+        if lo == failing * BLOCK:
+            raise ValueError("broken kernel")
+        return kernel(lo, hi, t, out)
+
+    monkeypatch.setattr(sieve_module, "_sieve_segment", broken)
+    monkeypatch.setattr(sieve_module, "SEGMENT", BLOCK)
+    path = tmp_path / "checkpoints.csv"
+    if before is not None:
+        path.write_bytes(before)
+    rc = cli.RunConfig(x_max=6 * BLOCK, q=4, chi="1", out=str(tmp_path))
+    with pytest.raises(RuntimeError, match=rf"segment {failing} .*: ValueError: broken kernel"):
+        cli.cmd_sieve(rc)
+    assert _leftovers(tmp_path) == []
+    assert (path.read_bytes() if path.exists() else None) == before
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("before", [None, b"# an earlier run\nx,a,S_omega,S_Omega\n"])
+def test_a_failing_consumer_leaves_checkpoints_csv_as_it_was(monkeypatch, tmp_path, before):
+    """`all` opens checkpoints.csv before its pass, and the temp file is
+    there when the sign fold fails; it goes, and no helper is left."""
+    add, seen = sieve_module._SignFold.add, []
+
+    def broken(self, lo, counts):
+        if lo == 2 * BLOCK:
+            seen.extend(_leftovers(tmp_path))
+            raise KeyError("broken fold")
+        add(self, lo, counts)
+
+    monkeypatch.setattr(sieve_module._SignFold, "add", broken)
+    monkeypatch.setattr(sieve_module, "SEGMENT", BLOCK)
+    path = tmp_path / "checkpoints.csv"
+    if before is not None:
+        path.write_bytes(before)
+    rc = cli.RunConfig(x_max=6 * BLOCK, q=4, chi="1", out=str(tmp_path))
+    with pytest.raises(KeyError, match="broken fold"):
+        cli.cmd_all(rc)
+    assert len(seen) == 1
+    assert _leftovers(tmp_path) == []
+    assert (path.read_bytes() if path.exists() else None) == before
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("forked", [True, False])
+@pytest.mark.parametrize("q", [4, 30])
+def test_streamed_checkpoints_csv_equals_the_written_one(monkeypatch, tmp_path, chi4, q, forked):
+    """checkpoints.csv streamed by a pass of BLOCK-wide segments, with
+    checkpoints on the first and the last n of segments, has the bytes of
+    `write_checkpoints_csv` of the same sums; so with `os.fork` hidden,
+    where every row is written after the pass.  The kernel sleeps a little
+    per segment, so that the forked pass writes rows while it waits."""
+    kernel = sieve_module._sieve_segment
+
+    def slow(lo, hi, t, out=None):
+        time.sleep(0.002)
+        return kernel(lo, hi, t, out)
+
+    monkeypatch.setattr(sieve_module, "_sieve_segment", slow)
+    monkeypatch.setattr(sieve_module, "SEGMENT", BLOCK)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    x_max = 4 * BLOCK
+    cps = (1, 1000, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 5, x_max)
+    cfg = SieveConfig(x_max=x_max, q=q, checkpoints=cps)
+    chi = chi4 if q == 4 else None
+    streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+    with checkpoints_csv(str(streamed), "config=test") as write:
+        sums, trace = combined_run(cfg, chi, write)
+    write_checkpoints_csv(sums, str(written), "config=test")
+    assert streamed.read_bytes() == written.read_bytes()
+    ref_sums, ref_trace = combined_run(cfg, chi)
+    assert np.array_equal(sums.counts, ref_sums.counts) and trace == ref_trace
+    assert _leftovers(tmp_path) == []
+
+
+def test_checkpoint_rows_reach_the_file_while_the_helper_sieves(monkeypatch, tmp_path):
+    """`sieve` writes the rows of finished checkpoints while it waits for
+    the helper: with the kernel slowed before the last segment, the temp
+    file already holds the rows of the first checkpoint, and is a prefix
+    of the final file, when the parent folds that segment."""
+    kernel, fold = sieve_module._sieve_segment, sieve_module._fold_classes
+    last, seen = 6 * BLOCK, []
+
+    def slow(lo, hi, t, out=None):
+        if lo == last:
+            time.sleep(0.3)
+        return kernel(lo, hi, t, out)
+
+    def watched(piece, u, q):
+        if u == last:
+            seen.extend((tmp_path / name).read_bytes() for name in _leftovers(tmp_path))
+        return fold(piece, u, q)
+
+    monkeypatch.setattr(sieve_module, "_sieve_segment", slow)
+    monkeypatch.setattr(sieve_module, "_fold_classes", watched)
+    monkeypatch.setattr(sieve_module, "SEGMENT", BLOCK)
+    rc = cli.RunConfig(x_max=last, q=4, chi="1", out=str(tmp_path))
+    cli.cmd_sieve(rc)
+    final = (tmp_path / "checkpoints.csv").read_bytes()
+    head = b"".join(final.splitlines(keepends=True)[: 2 + rc.q])  # comment, header, the first checkpoint's rows
+    assert len(seen) == 1
+    assert seen[0].startswith(head) and final.startswith(seen[0])
